@@ -1,13 +1,11 @@
-/// S1 — online serving under load (event-loop serve path by default;
-/// `SOFOS_IO_MODE=thread` re-runs the closed-loop phases on the legacy
-/// thread-per-session path). Phases:
+/// S1 — online serving under load. Phases:
 ///
 ///   cold   first closed-loop pass over the query set (result cache empty)
 ///   warm   repeated passes over the same set (cache-hot)
 ///   mixed  same traffic with a concurrent UPDATE stream (epoch bumps
 ///          invalidate the cache; queries keep serving on snapshots)
 ///
-/// plus, in event-loop mode:
+/// plus:
 ///
 ///   open_loop   a fixed-arrival-rate (Poisson) Zipfian mix swept from
 ///               half capacity to 3x past saturation against a server
@@ -357,7 +355,7 @@ struct AbResult {
   double overhead_pct = 0.0;
 };
 
-void WriteJson(const std::string& path, const std::string& io_mode,
+void WriteJson(const std::string& path,
                const std::vector<PhaseResult>& phases, size_t num_queries,
                const AbResult& ab, const std::vector<OpenLoopPoint>& open_loop,
                double capacity_qps, double warm_p99_us, double slo_budget_us,
@@ -368,7 +366,6 @@ void WriteJson(const std::string& path, const std::string& io_mode,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"server\",\n");
-  std::fprintf(f, "  \"io_mode\": \"%s\",\n", io_mode.c_str());
   std::fprintf(f, "  \"clients\": %d,\n  \"distinct_queries\": %zu,\n",
                kClients, num_queries);
   std::fprintf(f, "  \"phases\": [\n");
@@ -437,13 +434,7 @@ void WriteJson(const std::string& path, const std::string& io_mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const server::IoMode io_mode =
-      server::IoModeFromEnv(server::IoMode::kEventLoop);
-  const std::string io_mode_name = io_mode == server::IoMode::kEventLoop
-                                       ? "event_loop"
-                                       : "thread_per_session";
-  std::printf("S1 | Online serving: %s io, closed-loop %d clients\n",
-              io_mode_name.c_str(), kClients);
+  std::printf("S1 | Online serving: closed-loop %d clients\n", kClients);
 
   core::SofosEngine engine;
   bench::LoadEngine(&engine, "geopop", datagen::Scale::kDemo);
@@ -465,7 +456,6 @@ int main(int argc, char** argv) {
   }
 
   server::ServerOptions server_options;
-  server_options.io_mode = io_mode;
   server_options.max_sessions = kClients + 2;  // clients + updater headroom
   server::SofosServer server(&engine, server_options);
   Status status = server.Start();
@@ -488,7 +478,6 @@ int main(int argc, char** argv) {
   auto run_telemetry_phase = [&](const std::string& name,
                                  bool telemetry_on) -> PhaseResult {
     server::ServerOptions ab_options;
-    ab_options.io_mode = io_mode;
     ab_options.max_sessions = kClients + 2;
     ab_options.enable_telemetry = telemetry_on;
     ab_options.sample_period_seconds = 0.25;
@@ -545,110 +534,104 @@ int main(int argc, char** argv) {
           ? (1.0 - ab.median_qps_on / ab.median_qps_off) * 100.0
           : 0.0;
 
-  // Open-loop overload sweep + idle-connection phase: event-loop mode
-  // only — thread-per-session rejects connections past the session pool
-  // (no idle parking) and has no per-request admission to exercise.
+  // Open-loop overload sweep + idle-connection phase.
   std::vector<OpenLoopPoint> open_loop;
   IdleConnResult idle;
   double ol_capacity_qps = 0.0;
   double ol_warm_p99_us = 0.0;
   double slo_budget_us = 0.0;
-  if (io_mode == server::IoMode::kEventLoop) {
-    // The overload sweep runs with the result cache off. Cached answers
-    // take tens of microseconds of handler time, so under overload the
-    // latency accrues in the IO path while the queue model — which
-    // describes the worker pool — sees a nearly idle system and never
-    // sheds. Uncached, the pool is the genuine bottleneck and the M/M/c
-    // estimate tracks what clients actually experience.
-    server::ServerOptions ol_options;
-    ol_options.io_mode = io_mode;
-    // The queue model's `c` is the worker-pool size: cap the pool at the
-    // machine's parallelism so the modelled aggregate service rate c/S is
-    // one the hardware can actually deliver. With more workers than
-    // cores, (q+1)*S/c systematically underestimates the real wait and
-    // admission sheds far too late.
-    ol_options.max_sessions = std::min<unsigned>(
-        kClients + 2, std::max(1u, std::thread::hardware_concurrency()));
-    // One loop thread: the sweep measures admission quality, and every
-    // extra thread contending for the cores inflates the real per-request
-    // drain time above the handler-only S the model estimates from.
-    ol_options.io_threads = 1;
-    ol_options.enable_cache = false;
+  // The overload sweep runs with the result cache off. Cached answers
+  // take tens of microseconds of handler time, so under overload the
+  // latency accrues in the IO path while the queue model — which
+  // describes the worker pool — sees a nearly idle system and never
+  // sheds. Uncached, the pool is the genuine bottleneck and the M/M/c
+  // estimate tracks what clients actually experience.
+  server::ServerOptions ol_options;
+  // The queue model's `c` is the worker-pool size: cap the pool at the
+  // machine's parallelism so the modelled aggregate service rate c/S is
+  // one the hardware can actually deliver. With more workers than
+  // cores, (q+1)*S/c systematically underestimates the real wait and
+  // admission sheds far too late.
+  ol_options.max_sessions = std::min<unsigned>(
+      kClients + 2, std::max(1u, std::thread::hardware_concurrency()));
+  // One loop thread: the sweep measures admission quality, and every
+  // extra thread contending for the cores inflates the real per-request
+  // drain time above the handler-only S the model estimates from.
+  ol_options.io_threads = 1;
+  ol_options.enable_cache = false;
 
-    // Like-for-like baseline on the same configuration: closed-loop
-    // capacity and warm p99 measured uncached, against which the offered
-    // multipliers and the admitted-latency bound below are defined.
-    {
-      server::SofosServer baseline_server(&engine, ol_options);
-      if (baseline_server.Start().ok()) {
-        RunPhase("ol_baseline_warmup", &baseline_server, *queries, 1, false);
-        // 3x the warm pass count: the p99 of this phase sets the offered
-        // rates and the admission budget for the whole sweep, so it needs
-        // a stabler tail estimate than a display-only phase.
-        PhaseResult baseline = RunPhase("open_loop_closed_baseline",
-                                        &baseline_server, *queries,
-                                        3 * kWarmPasses, false);
-        ol_capacity_qps = baseline.throughput_qps;
-        ol_warm_p99_us = baseline.latency.P99();
-        phases.push_back(baseline);
-        baseline_server.Stop();
+  // Like-for-like baseline on the same configuration: closed-loop
+  // capacity and warm p99 measured uncached, against which the offered
+  // multipliers and the admitted-latency bound below are defined.
+  {
+    server::SofosServer baseline_server(&engine, ol_options);
+    if (baseline_server.Start().ok()) {
+      RunPhase("ol_baseline_warmup", &baseline_server, *queries, 1, false);
+      // 3x the warm pass count: the p99 of this phase sets the offered
+      // rates and the admission budget for the whole sweep, so it needs
+      // a stabler tail estimate than a display-only phase.
+      PhaseResult baseline = RunPhase("open_loop_closed_baseline",
+                                      &baseline_server, *queries,
+                                      3 * kWarmPasses, false);
+      ol_capacity_qps = baseline.throughput_qps;
+      ol_warm_p99_us = baseline.latency.P99();
+      phases.push_back(baseline);
+      baseline_server.Stop();
+    }
+  }
+
+  // Admission budget tied to the closed-loop warm p99 on this very
+  // configuration: ~30% of a round trip of queueing budget, leaving
+  // the rest for the request's own (heavy-tailed) service time — total
+  // admitted latency then stays within ~2x the closed-loop figure
+  // while everything beyond capacity sheds. (The model's estimate
+  // bounds the *mean* wait; the admitted tail runs a couple of
+  // mean-cutoffs above it, which the reduced budget absorbs.)
+  slo_budget_us = std::max(200.0, 0.3 * ol_warm_p99_us);
+  ol_options.admission.slo_budget_micros = slo_budget_us;
+  server::SofosServer ol_server(&engine, ol_options);
+  if (ol_server.Start().ok() && ol_capacity_qps > 0.0) {
+    uint64_t seed = 1234;
+    for (double multiplier : kOpenLoopMultipliers) {
+      // Let the previous point's queue drain and its sender threads
+      // exit before the next schedule starts, so points don't
+      // contaminate each other's latency tails.
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      char name[32];
+      std::snprintf(name, sizeof(name), "%.1fx", multiplier);
+      open_loop.push_back(RunOpenLoop(name, &ol_server, *queries,
+                                      multiplier * ol_capacity_qps, seed++));
+    }
+    ol_server.Stop();
+  } else {
+    std::fprintf(stderr, "open-loop server start failed\n");
+  }
+
+  // Idle connections: park 4x max_sessions sockets, then show a live
+  // client's warm latency and /healthz unmoved.
+  server::ServerOptions idle_options;
+  server::SofosServer idle_server(&engine, idle_options);
+  if (idle_server.Start().ok()) {
+    MeasureWarmLatency(&idle_server, *queries, 1);  // warm the cache
+    idle.baseline_p50_us =
+        MeasureWarmLatency(&idle_server, *queries, 3).P50();
+    idle.connections = static_cast<int>(4 * idle_options.max_sessions);
+    std::vector<std::unique_ptr<server::BlockingClient>> parked;
+    for (int i = 0; i < idle.connections; ++i) {
+      auto client = std::make_unique<server::BlockingClient>();
+      if (client->Connect(idle_server.port()).ok()) {
+        parked.push_back(std::move(client));
       }
     }
-
-    // Admission budget tied to the closed-loop warm p99 on this very
-    // configuration: ~30% of a round trip of queueing budget, leaving
-    // the rest for the request's own (heavy-tailed) service time — total
-    // admitted latency then stays within ~2x the closed-loop figure
-    // while everything beyond capacity sheds. (The model's estimate
-    // bounds the *mean* wait; the admitted tail runs a couple of
-    // mean-cutoffs above it, which the reduced budget absorbs.)
-    slo_budget_us = std::max(200.0, 0.3 * ol_warm_p99_us);
-    ol_options.admission.slo_budget_micros = slo_budget_us;
-    server::SofosServer ol_server(&engine, ol_options);
-    if (ol_server.Start().ok() && ol_capacity_qps > 0.0) {
-      uint64_t seed = 1234;
-      for (double multiplier : kOpenLoopMultipliers) {
-        // Let the previous point's queue drain and its sender threads
-        // exit before the next schedule starts, so points don't
-        // contaminate each other's latency tails.
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        char name[32];
-        std::snprintf(name, sizeof(name), "%.1fx", multiplier);
-        open_loop.push_back(RunOpenLoop(name, &ol_server, *queries,
-                                        multiplier * ol_capacity_qps, seed++));
-      }
-      ol_server.Stop();
-    } else {
-      std::fprintf(stderr, "open-loop server start failed\n");
-    }
-
-    // Idle connections: park 4x max_sessions sockets, then show a live
-    // client's warm latency and /healthz unmoved.
-    server::ServerOptions idle_options;
-    idle_options.io_mode = io_mode;
-    server::SofosServer idle_server(&engine, idle_options);
-    if (idle_server.Start().ok()) {
-      MeasureWarmLatency(&idle_server, *queries, 1);  // warm the cache
-      idle.baseline_p50_us =
-          MeasureWarmLatency(&idle_server, *queries, 3).P50();
-      idle.connections = static_cast<int>(4 * idle_options.max_sessions);
-      std::vector<std::unique_ptr<server::BlockingClient>> parked;
-      for (int i = 0; i < idle.connections; ++i) {
-        auto client = std::make_unique<server::BlockingClient>();
-        if (client->Connect(idle_server.port()).ok()) {
-          parked.push_back(std::move(client));
-        }
-      }
-      idle.with_idle_p50_us =
-          MeasureWarmLatency(&idle_server, *queries, 3).P50();
-      idle.healthz_ok =
-          HttpGet(idle_server.http_port(), "/healthz").find("HTTP/1.0 200") !=
-          std::string::npos;
-      parked.clear();
-      idle_server.Stop();
-    } else {
-      std::fprintf(stderr, "idle-connection server start failed\n");
-    }
+    idle.with_idle_p50_us =
+        MeasureWarmLatency(&idle_server, *queries, 3).P50();
+    idle.healthz_ok =
+        HttpGet(idle_server.http_port(), "/healthz").find("HTTP/1.0 200") !=
+        std::string::npos;
+    parked.clear();
+    idle_server.Stop();
+  } else {
+    std::fprintf(stderr, "idle-connection server start failed\n");
   }
 
   TablePrinter table({"phase", "requests", "errors", "wall ms", "qps",
@@ -696,7 +679,7 @@ int main(int argc, char** argv) {
   }
 
   if (argc > 1) {
-    WriteJson(argv[1], io_mode_name, phases, queries->size(), ab, open_loop,
+    WriteJson(argv[1], phases, queries->size(), ab, open_loop,
               ol_capacity_qps, ol_warm_p99_us, slo_budget_us, idle);
   }
 

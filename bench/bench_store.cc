@@ -4,10 +4,10 @@
 ///                 per-shard sorts)
 ///   ApplyDelta()  0.5% staged-delta merge cost + how many of the
 ///                 3 * shard_count buckets it actually rebuilt
-///   Clone()       COW snapshot clone vs the pre-COW DeepClone() baseline
+///   Clone()       COW snapshot clone: O(shard pointers), flat in |G|
 ///   publish       SofosEngine::PublishSnapshot() after a 0.5%
-///                 ApplyUpdates batch vs the same publish paying a deep
-///                 clone — the O(changed shards) headline number
+///                 ApplyUpdates batch — the O(changed shards) headline
+///                 number
 ///
 ///   ./bench_store [json_path]
 ///
@@ -38,18 +38,7 @@ struct ShardResult {
   double apply_delta_ms = 0.0;
   uint64_t shards_rebuilt = 0;
   double cow_clone_us = 0.0;
-  double deep_clone_us = 0.0;
   double publish_us = 0.0;
-
-  double CloneSpeedup() const {
-    return cow_clone_us > 0 ? deep_clone_us / cow_clone_us : 0.0;
-  }
-  /// Publish vs the same publish paying a deep clone instead of the COW
-  /// pointer copies (the pre-shard baseline).
-  double PublishSpeedup() const {
-    double baseline = publish_us - cow_clone_us + deep_clone_us;
-    return publish_us > 0 ? baseline / publish_us : 0.0;
-  }
 };
 
 struct DatasetResult {
@@ -91,7 +80,7 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
     }
     out->delta_ops = adds.size() + deletes.size();
 
-    std::vector<double> finalize_runs, merge_runs, cow_runs, deep_runs;
+    std::vector<double> finalize_runs, merge_runs, cow_runs;
     for (int rep = 0; rep < kRepetitions; ++rep) {
       std::vector<Triple> content = store.triples();
       store.ReplaceTriples(std::move(content));
@@ -109,10 +98,7 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
       WallTimer cow_timer;
       TripleStore cow = store.Clone();
       cow_runs.push_back(cow_timer.ElapsedMicros());
-      WallTimer deep_timer;
-      TripleStore deep = store.DeepClone();
-      deep_runs.push_back(deep_timer.ElapsedMicros());
-      if (cow.NumTriples() != deep.NumTriples()) return false;
+      if (cow.NumTriples() != store.NumTriples()) return false;
 
       // Invert the delta so every repetition starts from the same state.
       for (const Triple& t : deletes) store.StageAdd(t.s, t.p, t.o);
@@ -122,7 +108,6 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
     r.finalize_ms = bench::Median(finalize_runs);
     r.apply_delta_ms = bench::Median(merge_runs);
     r.cow_clone_us = bench::Median(cow_runs);
-    r.deep_clone_us = bench::Median(deep_runs);
 
     // ---- Engine level: PublishSnapshot after a 0.5% update batch ----
     core::SofosEngine engine;
@@ -179,13 +164,10 @@ void WriteJson(const std::string& path,
           f,
           "      {\"shard_count\": %zu, \"finalize_ms\": %.3f, "
           "\"apply_delta_ms\": %.3f, \"shards_rebuilt\": %llu,\n"
-          "       \"cow_clone_us\": %.1f, \"deep_clone_us\": %.1f, "
-          "\"clone_speedup\": %.1f, \"publish_us\": %.1f, "
-          "\"publish_speedup\": %.1f}%s\n",
+          "       \"cow_clone_us\": %.1f, \"publish_us\": %.1f}%s\n",
           r.shard_count, r.finalize_ms, r.apply_delta_ms,
           static_cast<unsigned long long>(r.shards_rebuilt), r.cow_clone_us,
-          r.deep_clone_us, r.CloneSpeedup(), r.publish_us, r.PublishSpeedup(),
-          j + 1 < d.shards.size() ? "," : "");
+          r.publish_us, j + 1 < d.shards.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", i + 1 < results.size() ? "," : "");
   }
@@ -207,8 +189,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(4);
   std::vector<DatasetResult> results;
   TablePrinter table({"dataset", "shards", "finalize ms", "delta ms",
-                      "rebuilt", "cow us", "deep us", "clone x", "publish us",
-                      "publish x"});
+                      "rebuilt", "cow us", "publish us"});
   for (const std::string& name : datagen::DatasetNames()) {
     DatasetResult result;
     result.name = name;
@@ -222,10 +203,7 @@ int main(int argc, char** argv) {
                     TablePrinter::Cell(r.apply_delta_ms, 2),
                     TablePrinter::Cell(r.shards_rebuilt),
                     TablePrinter::Cell(r.cow_clone_us, 1),
-                    TablePrinter::Cell(r.deep_clone_us, 1),
-                    TablePrinter::Cell(r.CloneSpeedup(), 1),
-                    TablePrinter::Cell(r.publish_us, 1),
-                    TablePrinter::Cell(r.PublishSpeedup(), 1)});
+                    TablePrinter::Cell(r.publish_us, 1)});
     }
     results.push_back(result);
   }
@@ -235,8 +213,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nReading: Clone() is O(shard pointers) regardless of |G| — the COW\n"
-      "column stays flat while DeepClone grows with the graph, so epoch\n"
-      "publication after a small ApplyUpdates batch no longer pays O(n).\n"
+      "column stays flat as the graph grows, so epoch publication after a\n"
+      "small ApplyUpdates batch does not pay O(n).\n"
       "ApplyDelta rebuilds only the buckets the delta hashes into\n"
       "(`rebuilt` of 3 * shard_count).\n");
   return 0;

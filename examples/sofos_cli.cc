@@ -603,9 +603,6 @@ class Cli {
       return Status::InvalidArgument("server already running (serve stop first)");
     }
     server::ServerOptions options;
-    // SOFOS_IO_MODE=thread|event selects the serve path (default: the
-    // epoll event loop), same switch the bench and test suites use.
-    options.io_mode = server::IoModeFromEnv(options.io_mode);
     if (!arg.empty()) {
       char* end = nullptr;
       long port = std::strtol(arg.c_str(), &end, 10);
@@ -618,12 +615,10 @@ class Cli {
     SOFOS_RETURN_IF_ERROR(server->Start());
     server_ = std::move(server);
     std::printf(
-        "serving on 127.0.0.1:%u [%s io] (line protocol: QUERY <sparql> | "
+        "serving on 127.0.0.1:%u (line protocol: QUERY <sparql> | "
         "UPDATE [n] [frac] | EXPLAIN [sparql] | ANALYZE [sparql] | TRACE "
         "<sparql> | STATS | METRICS | HISTORY [sec] | SLOW | QUIT)\n",
-        server_->port(),
-        options.io_mode == server::IoMode::kEventLoop ? "event-loop"
-                                                      : "thread-per-session");
+        server_->port());
     if (server_->http_port() != 0) {
       std::printf(
           "observability http on 127.0.0.1:%u (GET /metrics /stats "

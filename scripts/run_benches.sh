@@ -11,16 +11,14 @@
 #   BENCH_exec.json        — root-view query: vectorized batch engine at
 #                            1/2/4/8 morsel workers vs the row-at-a-time
 #                            Volcano executor
-#   BENCH_server.json      — online serving (epoll event-loop io): closed-
+#   BENCH_server.json      — online serving (epoll event loops): closed-
 #                            loop cold/warm/mixed phases, telemetry-overhead
 #                            A/B (median of interleaved rounds), open-loop
 #                            overload sweep with queue-model admission, and
-#                            the idle-connection phase; the legacy
-#                            thread-per-session path is re-run stdout-only
-#                            as a cross-check (SOFOS_IO_MODE=thread)
+#                            the idle-connection phase
 #   BENCH_store.json       — sharded COW TripleStore: Finalize/ApplyDelta/
 #                            Clone+publish at 1/2/4/8 shards with 0.5%
-#                            deltas, COW clone vs deep-clone baseline
+#                            deltas, COW clone and publish cost
 #   BENCH_scale.json       — million-triple scale: bytes/triple of the
 #                            compact CSR + front-coded layout vs sorted
 #                            runs, gen/load seconds, query p50/p95 and
@@ -45,11 +43,7 @@ mkdir -p "$OUT_DIR"
 "$BUILD_DIR/bench_parallel" "$OUT_DIR/BENCH_parallel.json"
 "$BUILD_DIR/bench_maintenance" "$OUT_DIR/BENCH_maintenance.json"
 "$BUILD_DIR/bench_exec" "$OUT_DIR/BENCH_exec.json"
-SOFOS_IO_MODE=event "$BUILD_DIR/bench_server" "$OUT_DIR/BENCH_server.json"
-# Cross-check the legacy thread-per-session path (stdout only — the JSON
-# artifact tracks the default event-loop io; the closed-loop phases are
-# what both modes share).
-SOFOS_IO_MODE=thread "$BUILD_DIR/bench_server"
+"$BUILD_DIR/bench_server" "$OUT_DIR/BENCH_server.json"
 "$BUILD_DIR/bench_store" "$OUT_DIR/BENCH_store.json"
 # SOFOS_SCALE_BIG=1 scripts/run_benches.sh adds the (minutes-long) 10m point.
 SOFOS_SCALE_BIG="${SOFOS_SCALE_BIG:-0}" \

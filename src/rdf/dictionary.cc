@@ -55,26 +55,6 @@ Dictionary& Dictionary::operator=(Dictionary&& other) noexcept {
   return *this;
 }
 
-Dictionary Dictionary::Clone() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  Dictionary copy;
-  copy.terms_ = terms_;
-  copy.index_ = index_;
-  copy.front_coded_ = front_coded_;
-  copy.packed_ = packed_;
-  copy.arena_ = arena_;
-  copy.prefix_ids_ = prefix_ids_;
-  copy.prefixes_.assign(prefixes_.size(), nullptr);
-  for (const auto& [key, id] : copy.prefix_ids_) {
-    copy.prefixes_[id - 1] = &key;  // re-point into the copied map's nodes
-  }
-  copy.probe_ = probe_;
-  // The decode cache is a per-dictionary materialization detail; the clone
-  // starts cold and refills lazily.
-  copy.decoded_.resize(packed_.size());
-  return copy;
-}
-
 uint64_t Dictionary::PackedHashLocked(const Packed& entry) const {
   // Replicates Term::Hash() from the packed fields. FNV-1a is
   // seed-chainable — Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b) — so the

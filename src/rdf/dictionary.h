@@ -76,12 +76,6 @@ class Dictionary {
   Dictionary(Dictionary&& other) noexcept;
   Dictionary& operator=(Dictionary&& other) noexcept;
 
-  /// Deep copy with identical id assignment (and the same storage mode).
-  /// Takes the shared lock, so it may run concurrently with lookups and
-  /// interning (terms interned after the clone starts are simply not part
-  /// of the copy). Used to build epoch snapshots for online serving.
-  Dictionary Clone() const;
-
   /// Returns the id of `term`, interning it first if needed.
   TermId Intern(const Term& term);
 

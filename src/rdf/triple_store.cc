@@ -182,27 +182,6 @@ TripleStore TripleStore::Clone() const {
   return copy;
 }
 
-TripleStore TripleStore::DeepClone() const {
-  SOFOS_CHECK(finalized_, "DeepClone() requires a finalized store");
-  SOFOS_CHECK(!HasStagedDelta(), "DeepClone() while a staged delta is pending");
-  TripleStore copy;
-  copy.dict_ = std::make_shared<Dictionary>(dict_->Clone());
-  copy.canonical_ = std::make_shared<const std::vector<Triple>>(*canonical_);
-  copy.shard_count_ = shard_count_;
-  for (int f = 0; f < kNumFamilies; ++f) {
-    copy.families_[f].reserve(families_[f].size());
-    for (const auto& shard : families_[f]) {
-      copy.families_[f].push_back(std::make_shared<const Shard>(*shard));
-    }
-  }
-  copy.bucket_nodes_ = bucket_nodes_;
-  copy.predicate_stats_ = predicate_stats_;
-  copy.num_nodes_ = num_nodes_;
-  copy.finalized_ = true;
-  copy.compact_layout_ = compact_layout_;
-  return copy;
-}
-
 const void* TripleStore::ShardIdentity(Family family, size_t shard) const {
   SOFOS_CHECK(finalized_, "ShardIdentity() requires a finalized store");
   return families_[family][shard].get();

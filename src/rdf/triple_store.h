@@ -157,12 +157,6 @@ class TripleStore {
   /// forever.
   TripleStore Clone() const;
 
-  /// The pre-COW baseline: a fully independent deep copy (own dictionary,
-  /// own canonical array, own shards). O(n). Kept for bench_store's
-  /// clone-vs-COW comparison and for callers that must sever the shared
-  /// dictionary.
-  TripleStore DeepClone() const;
-
   /// Interns `term` in the embedded dictionary.
   TermId Intern(const Term& term) { return dict_->Intern(term); }
 

@@ -55,9 +55,9 @@ struct AdmissionOptions {
   /// Load-derived retry hints are clamped to [min_retry_ms, max_retry_ms].
   int min_retry_ms = 5;
   int max_retry_ms = 2000;
-  /// Hint when the model has no data yet (and the floor for the
-  /// connection-level hint in thread-per-session mode). The server maps
-  /// ServerOptions::busy_retry_ms here.
+  /// Hint when the model has no data yet (and the floor for the hint
+  /// sent to connections rejected at the open-connection cap). The server
+  /// maps ServerOptions::busy_retry_ms here.
   int fallback_retry_ms = 50;
   /// Telemetry window the arrival/service rates are read over.
   double window_seconds = 10.0;
@@ -117,10 +117,10 @@ class AdmissionController {
   /// probe, so monitoring cannot skew the shed accounting.
   AdmissionDecision Peek(size_t in_flight_requests) const;
 
-  /// The connection-level retry hint for thread-per-session mode, where
-  /// rejection happens at accept time: the load-derived hint raised to at
-  /// least fallback_retry_ms (a long-lived session slot freeing up is not
-  /// predictable from request rates, so the static floor stays).
+  /// The retry hint for a connection rejected at accept time by the
+  /// open-connection cap: the load-derived hint raised to at least
+  /// fallback_retry_ms (a connection slot freeing up is not predictable
+  /// from request rates, so the static floor stays).
   int ConnectionRetryHintMs(size_t in_flight_requests);
 
   AdmissionStats Stats() const;

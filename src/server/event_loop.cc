@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 namespace sofos {
@@ -16,6 +17,10 @@ namespace {
 
 /// epoll_event.data.u64 value for the eventfd wakeup.
 constexpr uint64_t kWakeId = 1;
+
+/// How long a listener stays off epoll after accept() ran out of
+/// descriptors before the loop tries again.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
 bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -116,8 +121,9 @@ void EventLoop::Run() {
     ProcessMail(std::move(batch));
     if (stop_requested_) break;
 
+    const int timeout_ms = ResumeListeners();
     int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), -1);
+                         static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — only happens during teardown
@@ -133,7 +139,7 @@ void EventLoop::Run() {
       }
       auto lit = listeners_.find(id);
       if (lit != listeners_.end()) {
-        HandleAccept(lit->second.first, lit->second.second);
+        HandleAccept(&lit->second);
         continue;
       }
       auto cit = conns_.find(id);
@@ -158,7 +164,7 @@ void EventLoop::Run() {
     open_connections_.fetch_sub(1, std::memory_order_relaxed);
   }
   conns_.clear();
-  for (auto& [id, lf] : listeners_) ::close(lf.first);
+  for (auto& [id, listener] : listeners_) ::close(listener.fd);
   listeners_.clear();
   // Mail that raced with stop never reaches ProcessMail: close handed-off
   // fds and give back their AddConnection() handoff counts.
@@ -191,15 +197,11 @@ void EventLoop::ProcessMail(std::vector<Mail> batch) {
           break;
         }
         const uint64_t id = next_id_++;
-        struct epoll_event ev;
-        ::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN;
-        ev.data.u64 = id;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, mail.fd, &ev) != 0) {
+        if (!WatchListener(id, mail.fd)) {
           ::close(mail.fd);
           break;
         }
-        listeners_.emplace(id, std::make_pair(mail.fd, mail.conn_kind));
+        listeners_.emplace(id, Listener{mail.fd, mail.conn_kind, {}});
         break;
       }
       case Mail::Kind::kAddConn: {
@@ -253,19 +255,56 @@ void EventLoop::ProcessMail(std::vector<Mail> batch) {
   }
 }
 
-void EventLoop::HandleAccept(int listen_fd, ConnKind kind) {
+bool EventLoop::WatchListener(uint64_t id, int fd) {
+  struct epoll_event ev;
+  ::memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+void EventLoop::HandleAccept(Listener* listener) {
   while (true) {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
+    int fd = ::accept(listener->fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // EAGAIN or listener gone
+      if (errno == EMFILE || errno == ENFILE) {
+        // The connection stays queued and the level-triggered listener
+        // stays readable: stop watching it until the back-off elapses,
+        // or the loop would spin on accept() until a descriptor frees.
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener->fd, nullptr);
+        listener->paused_until =
+            std::chrono::steady_clock::now() + kAcceptBackoff;
+      }
+      return;  // EAGAIN, descriptor exhaustion, or listener gone
     }
     if (on_accept_) {
-      on_accept_(fd, kind);
+      on_accept_(fd, listener->kind);
     } else {
-      AddConnection(fd, kind);
+      AddConnection(fd, listener->kind);
     }
   }
+}
+
+int EventLoop::ResumeListeners() {
+  int timeout_ms = -1;
+  for (auto& [id, listener] : listeners_) {
+    if (!listener.paused_until.has_value()) continue;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= *listener.paused_until) {
+      if (WatchListener(id, listener.fd)) {
+        listener.paused_until.reset();
+        continue;
+      }
+      listener.paused_until = now + kAcceptBackoff;  // retry the re-arm
+    }
+    const int due_ms = static_cast<int>(
+        std::chrono::ceil<std::chrono::milliseconds>(*listener.paused_until -
+                                                     now)
+            .count());
+    timeout_ms = timeout_ms < 0 ? due_ms : std::min(timeout_ms, due_ms);
+  }
+  return timeout_ms;
 }
 
 void EventLoop::HandleReadable(uint64_t id, Conn* conn) {

@@ -15,6 +15,12 @@
 //     dispatches the request to a worker pool, whose task calls
 //     Respond() later from its own thread.
 //
+// When accept() runs out of descriptors (EMFILE/ENFILE) the pending
+// connection keeps the level-triggered listener readable, so the loop
+// takes the listener off epoll and re-arms it after a short back-off
+// instead of spinning; the connection is accepted once a descriptor
+// frees up.
+//
 // One request is in flight per connection at a time: the loop stops
 // framing further requests on a connection until the response for the
 // current one arrives, which keeps responses ordered without any
@@ -33,10 +39,12 @@
 #define SOFOS_SERVER_EVENT_LOOP_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,8 +71,7 @@ struct EventLoopOptions {
   /// stops reading the connection until the buffer drains.
   size_t max_buffered_bytes = (1u << 20) + (64u << 10);
   /// Sent verbatim before closing when a line connection exceeds
-  /// max_request_bytes (the server passes the framed ERR response the
-  /// thread-per-session path sends in the same situation).
+  /// max_request_bytes (the server passes a framed ERR response).
   std::string overflow_response;
 };
 
@@ -131,6 +138,14 @@ class EventLoop {
     explicit Conn(size_t max_bytes) : parser(max_bytes) {}
   };
 
+  struct Listener {
+    int fd = -1;
+    ConnKind kind = ConnKind::kLine;
+    /// Set while the listener is off epoll after accept() ran out of
+    /// descriptors; Run() re-arms it at this time.
+    std::optional<std::chrono::steady_clock::time_point> paused_until;
+  };
+
   struct Mail {
     enum class Kind { kAddConn, kAddListener, kRespond, kStop };
     Kind kind = Kind::kStop;
@@ -144,7 +159,12 @@ class EventLoop {
   void Run();
   void Post(Mail mail);
   void ProcessMail(std::vector<Mail> batch);
-  void HandleAccept(int listen_fd, ConnKind kind);
+  /// Registers a listener with epoll (level-triggered EPOLLIN).
+  bool WatchListener(uint64_t id, int fd);
+  void HandleAccept(Listener* listener);
+  /// Re-arms paused listeners whose back-off has elapsed; returns the
+  /// epoll_wait timeout until the next one is due (-1 = none paused).
+  int ResumeListeners();
   void HandleReadable(uint64_t id, Conn* conn);
   /// Frames and dispatches as many requests as the one-in-flight rule
   /// allows from the connection's read buffer.
@@ -171,7 +191,7 @@ class EventLoop {
 
   /// Loop-thread state.
   std::map<uint64_t, Conn> conns_;
-  std::map<uint64_t, std::pair<int, ConnKind>> listeners_;  // id -> fd,kind
+  std::map<uint64_t, Listener> listeners_;
   uint64_t next_id_ = 16;  // ids below are reserved (wake/listeners)
   bool stop_requested_ = false;
 

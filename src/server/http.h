@@ -7,8 +7,7 @@
 // interface.
 //
 // `HttpRequestParser` is incremental so the epoll event loop can feed it
-// whatever bytes recv() produced and resume later — the same parser also
-// backs the blocking thread-per-session HTTP path.
+// whatever bytes recv() produced and resume later.
 #ifndef SOFOS_SERVER_HTTP_H_
 #define SOFOS_SERVER_HTTP_H_
 

@@ -12,15 +12,14 @@ namespace server {
 /// SIGPIPE). Shared by both protocol ends.
 bool SendAll(int fd, const std::string& data);
 
-/// Buffered newline-framed reader over a blocking socket — the one line
-/// framer both the server session loop and BlockingClient use, so framing
-/// rules (CR stripping, length cap, EINTR) cannot diverge between them.
+/// Buffered newline-framed reader over a blocking socket (BlockingClient's
+/// response framer): CR stripping, a length cap, EINTR retries.
 class LineReader {
  public:
   enum class ReadResult {
     kLine,     // *line holds one complete line (terminator stripped)
     kEof,      // orderly close before a complete line
-    kError,    // recv failed (connection reset, or shutdown() from Stop)
+    kError,    // recv failed (connection reset)
     kTooLong,  // buffered more than max_line bytes with no newline
   };
 

@@ -3,17 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -28,13 +24,6 @@ namespace server {
 namespace {
 
 constexpr size_t kMaxRequestLine = 1u << 20;  // 1 MiB: plenty for SPARQL text
-
-/// The framed response for an over-long request line — shared verbatim by
-/// the thread-per-session reader and the event loop's overflow path so
-/// the two modes stay byte-identical.
-std::string TooLongResponse() {
-  return FormatError("request line too long") + "\n" + kEndMarker + "\n";
-}
 
 /// 503 body + Retry-After for shedding HTTP /query requests.
 std::string HttpOverloadedResponse(int retry_ms) {
@@ -101,21 +90,6 @@ Result<int> BindLoopback(uint16_t port, uint16_t* bound_port) {
 
 }  // namespace
 
-IoMode IoModeFromEnv(IoMode fallback) {
-  const char* env = std::getenv("SOFOS_IO_MODE");
-  if (env == nullptr) return fallback;
-  std::string v(env);
-  for (char& c : v) c = static_cast<char>(std::tolower(
-                        static_cast<unsigned char>(c)));
-  if (v == "thread" || v == "thread_per_session" || v == "tps") {
-    return IoMode::kThreadPerSession;
-  }
-  if (v == "event" || v == "event_loop" || v == "epoll") {
-    return IoMode::kEventLoop;
-  }
-  return fallback;
-}
-
 SofosServer::SofosServer(core::SofosEngine* engine, const ServerOptions& options)
     : engine_(engine),
       options_(options),
@@ -134,9 +108,9 @@ Status SofosServer::Start() {
     SOFOS_RETURN_IF_ERROR(PublishAndInvalidate());
   }
 
-  // The queue-model admission controller spans both io modes: per-request
-  // shedding in event mode, load-derived connection retry hints in thread
-  // mode. c = the worker pool size; the static busy_retry_ms becomes the
+  // The queue-model admission controller: per-request shedding, plus the
+  // retry hint for connections rejected at the max_connections cap.
+  // c = the worker pool size; the static busy_retry_ms becomes the
   // model's no-data fallback.
   {
     AdmissionOptions aopts = options_.admission;
@@ -159,39 +133,38 @@ Status SofosServer::Start() {
     http_listen_fd_ = *http_fd;
   }
 
-  if (options_.io_mode == IoMode::kEventLoop) {
-    // The loops own every socket, listeners included — no accept threads.
-    // loops_ must be fully populated *before* the metrics collector below
-    // is registered and the telemetry sampler starts: both read loops_
-    // (via open_connections()) from other threads, and it is the
-    // collector registration / sampler-thread creation that publishes
-    // the finished vector to them. The listener fds are handed over only
-    // at the end of Start(), so no callback fires before running_ flips.
-    EventLoopOptions lopts;
-    lopts.max_request_bytes = kMaxRequestLine;
-    lopts.overflow_response = TooLongResponse();
-    const unsigned n_loops = std::max(1u, options_.io_threads);
-    for (unsigned i = 0; i < n_loops; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>(
-          lopts,
-          [this](EventLoop* loop, uint64_t conn, std::string line) {
-            OnLineRequest(loop, conn, std::move(line));
-          },
-          [this](EventLoop* loop, uint64_t conn, HttpRequest request) {
-            OnHttpRequest(loop, conn, std::move(request));
-          },
-          [this](int fd, ConnKind kind) { OnAccept(fd, kind); }));
-      Status started = loops_.back()->Start();
-      if (!started.ok()) {
-        loops_.clear();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        if (http_listen_fd_ >= 0) {
-          ::close(http_listen_fd_);
-          http_listen_fd_ = -1;
-        }
-        return started;
+  // The loops own every socket, listeners included — no accept threads.
+  // loops_ must be fully populated *before* the metrics collector below
+  // is registered and the telemetry sampler starts: both read loops_
+  // (via open_connections()) from other threads, and it is the
+  // collector registration / sampler-thread creation that publishes
+  // the finished vector to them. The listener fds are handed over only
+  // at the end of Start(), so no callback fires before running_ flips.
+  EventLoopOptions lopts;
+  lopts.max_request_bytes = kMaxRequestLine;
+  lopts.overflow_response =
+      FormatError("request line too long") + "\n" + kEndMarker + "\n";
+  const unsigned n_loops = std::max(1u, options_.io_threads);
+  for (unsigned i = 0; i < n_loops; ++i) {
+    loops_.push_back(std::make_unique<EventLoop>(
+        lopts,
+        [this](EventLoop* loop, uint64_t conn, std::string line) {
+          OnLineRequest(loop, conn, std::move(line));
+        },
+        [this](EventLoop* loop, uint64_t conn, HttpRequest request) {
+          OnHttpRequest(loop, conn, std::move(request));
+        },
+        [this](int fd, ConnKind kind) { OnAccept(fd, kind); }));
+    Status started = loops_.back()->Start();
+    if (!started.ok()) {
+      loops_.clear();
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      if (http_listen_fd_ >= 0) {
+        ::close(http_listen_fd_);
+        http_listen_fd_ = -1;
       }
+      return started;
     }
   }
 
@@ -290,93 +263,41 @@ Status SofosServer::Start() {
   }
 
   running_ = true;
-  if (options_.io_mode == IoMode::kEventLoop) {
-    loops_[0]->AddListener(listen_fd_, ConnKind::kLine);
-    if (http_listen_fd_ >= 0) {
-      loops_[0]->AddListener(http_listen_fd_, ConnKind::kHttp);
-    }
-  } else {
-    listener_ = std::thread([this] { ListenLoop(); });
-    if (http_listen_fd_ >= 0) {
-      http_listener_ = std::thread([this] { HttpListenLoop(); });
-    }
+  loops_[0]->AddListener(listen_fd_, ConnKind::kLine);
+  if (http_listen_fd_ >= 0) {
+    loops_[0]->AddListener(http_listen_fd_, ConnKind::kHttp);
   }
   return Status::OK();
 }
 
 void SofosServer::Stop() {
-  if (!running_.exchange(false)) {
-    // Never started or already stopped; still reap listeners that raced.
-    if (listener_.joinable()) listener_.join();
-    if (http_listener_.joinable()) http_listener_.join();
-    return;
-  }
+  if (!running_.exchange(false)) return;  // never started or already stopped
 
-  if (!loops_.empty()) {
-    // Event mode. running_ is already false, so the loop threads shed
-    // every *new* request from here on; requests already dispatched to
-    // the pool finish and Respond() — drain them before tearing the
-    // loops down (a response must never chase a destroyed loop).
-    {
-      std::unique_lock<std::mutex> lock(sessions_mu_);
-      sessions_cv_.wait(lock, [this] { return in_flight_requests_ == 0; });
-    }
-    if (telemetry_ != nullptr) telemetry_->StopSampler();
-    // Stopping a loop closes every socket it owns — connections and the
-    // listeners we transferred in Start().
-    for (auto& loop : loops_) loop->Stop();
-    loops_.clear();
-    listen_fd_ = -1;
-    http_listen_fd_ = -1;
-    if (pool_collector_id_ != 0) {
-      engine_->metrics()->UnregisterCollector(pool_collector_id_);
-      pool_collector_id_ = 0;
-    }
-    pool_.reset();
-    if (metrics_collector_id_ != 0) {
-      engine_->metrics()->UnregisterCollector(metrics_collector_id_);
-      metrics_collector_id_ = 0;
-    }
-    return;
+  // running_ is already false, so the loop threads shed every *new*
+  // request from here on; requests already dispatched to the pool finish
+  // and Respond() — drain them before tearing the loops down (a response
+  // must never chase a destroyed loop).
+  {
+    std::unique_lock<std::mutex> lock(in_flight_mu_);
+    in_flight_cv_.wait(lock, [this] { return in_flight_requests_ == 0; });
   }
-
-  // Thread-per-session mode: wake the listeners out of accept(), then
-  // reap them.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (listener_.joinable()) listener_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (http_listen_fd_ >= 0) {
-    ::shutdown(http_listen_fd_, SHUT_RDWR);
-    if (http_listener_.joinable()) http_listener_.join();
-    ::close(http_listen_fd_);
-    http_listen_fd_ = -1;
-  }
-
   // The sampler reads the registry through collectors that touch server
   // state; quiesce it before that state starts tearing down. The history
   // itself stays readable after Stop() (the CLI renders it post-serve).
   if (telemetry_ != nullptr) telemetry_->StopSampler();
-
-  // Unblock every live session parked in recv(); each then finishes its
-  // in-flight response and exits. Queued-but-unstarted sessions run to the
-  // same immediate end once a worker frees up.
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  {
-    std::unique_lock<std::mutex> lock(sessions_mu_);
-    sessions_cv_.wait(lock, [this] { return admitted_ == 0; });
-  }
+  // Stopping a loop closes every socket it owns — connections and the
+  // listeners we transferred in Start().
+  for (auto& loop : loops_) loop->Stop();
+  loops_.clear();
+  listen_fd_ = -1;
+  http_listen_fd_ = -1;
   // The pool bridge captures the pool; it must unregister before the
   // workers join and the pool dies.
   if (pool_collector_id_ != 0) {
     engine_->metrics()->UnregisterCollector(pool_collector_id_);
     pool_collector_id_ = 0;
   }
-  pool_.reset();  // all tasks done; workers join
-
+  pool_.reset();
   // The collector closure captures `this`; it must not outlive the server
   // in the engine's registry (the engine usually does).
   if (metrics_collector_id_ != 0) {
@@ -413,108 +334,6 @@ Status SofosServer::PublishAndInvalidate(
   }
   cache_.EvictObsolete(snapshot->epoch());
   return Status::OK();
-}
-
-void SofosServer::ListenLoop() {
-  while (running_) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_) break;  // Stop() shut the listener down
-      // Transient per-connection failures must not kill the listener: a
-      // peer resetting mid-handshake (ECONNABORTED) is routine under the
-      // BUSY-churn load this server sheds, and fd exhaustion recovers as
-      // sessions close.
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;  // the listening socket itself is dead
-    }
-    if (!running_) {
-      ::close(fd);
-      break;
-    }
-    bool admit;
-    unsigned admitted_snapshot;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      admit = admitted_ < options_.max_sessions + options_.queue_capacity;
-      admitted_snapshot = admitted_;
-      if (admit) {
-        ++admitted_;
-        session_fds_.insert(fd);
-        metrics_.SetQueueDepth(static_cast<int64_t>(admitted_ - active_));
-      }
-    }
-    if (!admit) {
-      metrics_.RecordRejected();
-      // Load-derived hint, floored at the configured busy_retry_ms: the
-      // model estimates request-queue drain, the floor covers the fact
-      // that a *session* slot freeing up is not rate-predictable.
-      SendAll(fd, FormatBusy(admission_->ConnectionRetryHintMs(
-                      admitted_snapshot)) +
-                      "\n" + kEndMarker + "\n");
-      ::close(fd);
-      continue;
-    }
-    metrics_.RecordAccepted();
-    pool_->Submit([this, fd] { ServeSession(fd); });
-  }
-}
-
-void SofosServer::ServeSession(int fd) {
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    ++active_;
-    metrics_.SetQueueDepth(static_cast<int64_t>(admitted_ - active_));
-    metrics_.SetActiveSessions(static_cast<int64_t>(active_));
-  }
-
-  LineReader reader(fd, kMaxRequestLine);
-  bool open = true;
-  while (open) {
-    std::string line;
-    LineReader::ReadResult read = reader.ReadLine(&line);
-    if (read == LineReader::ReadResult::kTooLong) {
-      SendAll(fd, FormatError("request line too long") + "\n" + kEndMarker +
-                      "\n");
-      break;
-    }
-    // kEof: peer closed; kError: reset or Stop() shutdown. Either way the
-    // session is over.
-    if (read != LineReader::ReadResult::kLine) break;
-    if (StrTrim(line).empty()) continue;  // blank keep-alive lines are free
-
-    auto request = ParseRequest(line);
-    if (!request.ok()) {
-      metrics_.RecordProtocolError();
-      open = SendAll(fd, FormatError(request.status().ToString()) + "\n" +
-                             kEndMarker + "\n");
-      continue;
-    }
-
-    if (request->verb == Verb::kQuit) {
-      SendAll(fd, std::string("OK BYE\n") + kEndMarker + "\n");
-      break;
-    }
-    open = SendAll(fd, ExecuteRequest(*request));
-  }
-
-  // Deregister strictly *before* closing: once close() frees the fd
-  // number, a concurrent accept() may reuse it and re-insert it into
-  // session_fds_ — erasing afterwards would strip the new session's entry
-  // and leave it invisible to Stop()'s shutdown sweep.
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    session_fds_.erase(fd);
-    --active_;
-    --admitted_;
-    metrics_.SetQueueDepth(static_cast<int64_t>(admitted_ - active_));
-    metrics_.SetActiveSessions(static_cast<int64_t>(active_));
-  }
-  ::close(fd);
-  sessions_cv_.notify_all();
 }
 
 std::string SofosServer::ExecuteRequest(const Request& request) {
@@ -563,7 +382,7 @@ std::string SofosServer::ExecuteRequest(const Request& request) {
       always_ok = true;
       break;
     case Verb::kQuit:
-      // Both io paths answer QUIT before reaching here.
+      // OnLineRequest answers QUIT before reaching here.
       return std::string("OK BYE\n") + kEndMarker + "\n";
   }
   const double micros = timer.ElapsedMicros();
@@ -574,18 +393,14 @@ std::string SofosServer::ExecuteRequest(const Request& request) {
 }
 
 size_t SofosServer::InFlightRequests() const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
+  std::lock_guard<std::mutex> lock(in_flight_mu_);
   return in_flight_requests_;
 }
 
 size_t SofosServer::open_connections() const {
-  if (!loops_.empty()) {
-    size_t total = 0;
-    for (const auto& loop : loops_) total += loop->open_connections();
-    return total;
-  }
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return admitted_;
+  size_t total = 0;
+  for (const auto& loop : loops_) total += loop->open_connections();
+  return total;
 }
 
 void SofosServer::OnAccept(int fd, ConnKind kind) {
@@ -710,7 +525,7 @@ void SofosServer::OnHttpRequest(EventLoop* loop, uint64_t conn,
 void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
                                  Request request, std::string http_sparql) {
   {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
+    std::lock_guard<std::mutex> lock(in_flight_mu_);
     if (!running_) {
       // Raced with Stop() past its drain wait: answer without dispatching
       // (the pool may be tearing down).
@@ -736,7 +551,7 @@ void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
                                        : ExecuteRequest(request);
         loop->Respond(conn, std::move(response), /*close_after_flush=*/is_http);
         {
-          std::lock_guard<std::mutex> lock(sessions_mu_);
+          std::lock_guard<std::mutex> lock(in_flight_mu_);
           --in_flight_requests_;
           const unsigned in_flight = in_flight_requests_;
           const unsigned servers = std::max(1u, options_.max_sessions);
@@ -745,7 +560,7 @@ void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
           metrics_.SetActiveSessions(
               static_cast<int64_t>(in_flight < servers ? in_flight : servers));
         }
-        sessions_cv_.notify_all();
+        in_flight_cv_.notify_all();
       });
 }
 
@@ -1153,134 +968,27 @@ void SofosServer::HandleSlow(std::string* out) {
 }
 
 std::string SofosServer::HealthJson(bool* healthy) const {
-  // Healthy = a new request would be admitted right now. Thread mode uses
-  // the exact session-slot test ListenLoop applies; event mode asks the
-  // queue-model estimator (Peek: no counters touched, so scraping /healthz
-  // never skews shed statistics). Either way the health probe stays
-  // readable under saturation: the thread-mode HTTP listener serves
-  // synchronously off the session pool, and the event loop never blocks
-  // on worker threads.
-  bool ok = true;
-  unsigned admitted = 0;
-  double estimated_wait_us = 0.0;
-  double utilization = 0.0;
-  const unsigned capacity = options_.max_sessions + options_.queue_capacity;
-  if (!loops_.empty()) {
-    const size_t in_flight = InFlightRequests();
-    admitted = static_cast<unsigned>(in_flight);
-    AdmissionDecision peek = admission_->Peek(in_flight);
-    ok = peek.admit;
-    estimated_wait_us = peek.estimated_wait_micros;
-    utilization = peek.utilization;
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      admitted = admitted_;
-    }
-    ok = admitted < capacity;
-  }
-  if (healthy != nullptr) *healthy = ok;
+  // Healthy = a new request would be admitted right now, as the
+  // queue-model estimator sees it (Peek: no counters touched, so scraping
+  // /healthz never skews shed statistics). The probe stays readable under
+  // saturation because the event loop never blocks on worker threads.
+  const size_t in_flight = InFlightRequests();
+  const AdmissionDecision peek = admission_->Peek(in_flight);
+  if (healthy != nullptr) *healthy = peek.admit;
   std::shared_ptr<const core::EngineSnapshot> snapshot =
       engine_->CurrentSnapshot();
   return StrFormat(
-      "{\"status\":\"%s\",\"epoch\":%llu,\"admitted\":%u,"
-      "\"capacity\":%u,\"estimated_wait_us\":%.1f,\"utilization\":%.3f,"
+      "{\"status\":\"%s\",\"epoch\":%llu,\"in_flight\":%zu,"
+      "\"estimated_wait_us\":%.1f,\"utilization\":%.3f,"
       "\"open_connections\":%zu,\"update_batches\":%llu,"
       "\"telemetry_samples\":%zu}",
-      ok ? "ok" : "overloaded",
+      peek.admit ? "ok" : "overloaded",
       static_cast<unsigned long long>(snapshot ? snapshot->epoch() : 0),
-      admitted, capacity, estimated_wait_us, utilization, open_connections(),
+      in_flight, peek.estimated_wait_micros, peek.utilization,
+      open_connections(),
       static_cast<unsigned long long>(
           update_batches_applied_.load(std::memory_order_relaxed)),
       telemetry_ != nullptr ? telemetry_->size() : static_cast<size_t>(0));
-}
-
-void SofosServer::HttpListenLoop() {
-  while (running_) {
-    int fd = ::accept(http_listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;
-    }
-    if (!running_) {
-      ::close(fd);
-      break;
-    }
-    // Synchronous, one request per connection: observability responses
-    // are small and generated from in-memory state, so a scraper cannot
-    // stall the listener for long — and a recv timeout bounds a client
-    // that connects and then says nothing.
-    ServeHttp(fd);
-    ::close(fd);
-  }
-}
-
-void SofosServer::ServeHttp(int fd) {
-  timeval timeout{};
-  timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-  // The same incremental parser the event loop uses, driven by blocking
-  // reads: byte-identical request handling across io modes.
-  HttpRequestParser parser(kMaxRequestLine + (1u << 20));
-  HttpRequest request;
-  std::string buffer;
-  HttpRequestParser::State state = HttpRequestParser::State::kNeedMore;
-  char chunk[4096];
-  while (state == HttpRequestParser::State::kNeedMore) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return;  // timeout, disconnect, or error: nothing to answer
-    buffer.append(chunk, static_cast<size_t>(n));
-    state = parser.Consume(&buffer, &request);
-  }
-  if (state == HttpRequestParser::State::kError) {
-    SendAll(fd, FormatHttpResponse("400 Bad Request", "text/plain",
-                                   parser.error() + "\n"));
-    return;
-  }
-
-  if (request.path == "/query") {
-    std::string sparql;
-    if (request.method == "GET") {
-      auto it = request.params.find("q");
-      if (it != request.params.end()) sparql = it->second;
-    } else if (request.method == "POST") {
-      sparql = request.body;
-    } else {
-      SendAll(fd, FormatHttpResponse("405 Method Not Allowed", "text/plain",
-                                     "GET or POST /query\n"));
-      return;
-    }
-    if (StrTrim(sparql).empty()) {
-      SendAll(fd, FormatHttpResponse(
-                      "400 Bad Request", "application/json",
-                      "{\"error\":\"missing query: GET /query?q=... or "
-                      "POST body\"}\n"));
-      return;
-    }
-    // Thread-mode admission for the HTTP surface: the same session-slot
-    // test the line listener applies, since the query runs synchronously
-    // on this listener thread rather than through the pool.
-    unsigned admitted = 0;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      admitted = admitted_;
-    }
-    if (admitted >= options_.max_sessions + options_.queue_capacity) {
-      metrics_.RecordRejected();
-      SendAll(fd, HttpOverloadedResponse(
-                      admission_->ConnectionRetryHintMs(admitted)));
-      return;
-    }
-    SendAll(fd, HttpQueryResponse(std::string(StrTrim(sparql))));
-    return;
-  }
-  SendAll(fd, HttpObservabilityResponse(request));
 }
 
 std::string SofosServer::HttpObservabilityResponse(const HttpRequest& request) {

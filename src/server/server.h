@@ -7,9 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -27,50 +25,27 @@
 namespace sofos {
 namespace server {
 
-/// How connections map to threads.
-enum class IoMode {
-  /// Legacy: each accepted fd occupies one worker for its whole lifetime.
-  /// Concurrency = pool size; admission is per *connection*.
-  kThreadPerSession,
-  /// Default: epoll event-loop threads own the sockets; only parsed
-  /// requests hit the worker pool, so idle connections are nearly free
-  /// and admission is per *request* (shed with BUSY, connection kept).
-  kEventLoop,
-};
-
-/// Resolves the SOFOS_IO_MODE environment override ("thread" /
-/// "thread_per_session" vs "event" / "event_loop" / "epoll", case
-/// insensitive); anything else — including unset — returns `fallback`.
-/// Used by the CLI `serve` command and bench_server so CI can run both
-/// paths without a rebuild.
-IoMode IoModeFromEnv(IoMode fallback);
-
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back with
   /// port() after Start()).
   uint16_t port = 0;
-  /// Concurrently *served* sessions — the size of the session worker pool.
+  /// Requests executed concurrently — the size of the worker pool, and
+  /// the queue model's server count c.
   unsigned max_sessions = 8;
-  /// Accepted-but-waiting sessions beyond max_sessions (the admission
-  /// queue). In thread-per-session mode, connections arriving past
-  /// max_sessions + queue_capacity are rejected with `BUSY retry_ms=...`
-  /// and closed; in event-loop mode the same figure caps the in-flight
-  /// *requests* the queue model tolerates before its SLO math sheds.
-  unsigned queue_capacity = 16;
   /// The retry hint floor for BUSY rejections: the admission controller's
   /// fallback while its model has no data, and the minimum hint for
-  /// connection-level rejections (see AdmissionController).
+  /// connections rejected at the max_connections cap (see
+  /// AdmissionController).
   int busy_retry_ms = 50;
 
   /// ---- I/O architecture ----
 
-  IoMode io_mode = IoMode::kEventLoop;
-  /// Event-loop threads (event mode only). Connections are spread
-  /// round-robin; each loop multiplexes its share with epoll.
+  /// Event-loop threads. Connections are spread round-robin; each loop
+  /// multiplexes its share with epoll.
   unsigned io_threads = 2;
-  /// Open-connection cap in event mode (0 = default 4096). Accepts past
-  /// the cap get BUSY/503 + close — this bounds fd/buffer usage, not
-  /// concurrency; mostly-idle connections below it cost no threads.
+  /// Open-connection cap (0 = default 4096). Accepts past the cap get
+  /// BUSY/503 + close — this bounds fd/buffer usage, not concurrency;
+  /// mostly-idle connections below it cost no threads.
   unsigned max_connections = 0;
   /// Queue-model admission tuning (SLO budget, retry clamps, telemetry
   /// window). `servers` and `fallback_retry_ms` are overwritten from
@@ -109,23 +84,16 @@ struct ServerOptions {
 /// line protocol of server/protocol.h over localhost, plus an HTTP port
 /// carrying the observability GETs and the /query JSON adapter.
 ///
-/// Architecture (IoMode::kEventLoop, the default): a small set of epoll
-/// event-loop threads own every socket — they accept, frame requests from
-/// non-blocking reads, and write responses with EPOLLOUT backpressure —
-/// and only parsed requests are dispatched to the worker pool
-/// (common/thread_pool.h, max_sessions workers). Connection count is
-/// therefore decoupled from thread count: thousands of mostly-idle
-/// clients cost buffers, not workers. Admission is per *request* through
-/// an M/M/c queue model (server/admission.h): estimated-wait-over-SLO
-/// arrivals get `BUSY retry_ms=<load-derived>` and the connection stays
-/// open.
-///
-/// IoMode::kThreadPerSession keeps the legacy shape — one listener thread
-/// admits each connection to a pool worker for its whole lifetime; the
-/// bounded in-flight count (max_sessions + queue_capacity) sheds
-/// saturated arrivals with BUSY + close. Protocol responses are
-/// byte-identical between the modes (asserted test-side); only admission
-/// timing and connection capacity differ.
+/// Architecture: a small set of epoll event-loop threads own every
+/// socket — they accept, frame requests from non-blocking reads, and
+/// write responses with EPOLLOUT backpressure — and only parsed requests
+/// are dispatched to the worker pool (common/thread_pool.h, max_sessions
+/// workers). Connection count is therefore decoupled from thread count:
+/// thousands of mostly-idle clients cost buffers, not workers. Admission
+/// is per *request* through an M/M/c queue model (server/admission.h):
+/// estimated-wait-over-SLO arrivals get `BUSY retry_ms=<load-derived>`
+/// and the connection stays open. Only the open-connection cap
+/// (max_connections) rejects at accept time, with BUSY/503 + close.
 ///
 /// Serving coexists with updates through the engine's epoch snapshots:
 /// QUERY/EXPLAIN sessions resolve SofosEngine::CurrentSnapshot() and run
@@ -151,12 +119,12 @@ class SofosServer {
   SofosServer(const SofosServer&) = delete;
   SofosServer& operator=(const SofosServer&) = delete;
 
-  /// Binds 127.0.0.1, publishes the initial snapshot, spawns the listener
-  /// and the session pool.
+  /// Binds 127.0.0.1, publishes the initial snapshot, starts the event
+  /// loops and the worker pool.
   Status Start();
 
-  /// Stops accepting, shuts down live sessions, waits for in-flight work.
-  /// Idempotent.
+  /// Stops accepting, waits for in-flight requests, closes every
+  /// connection. Idempotent.
   void Stop();
 
   bool running() const { return running_; }
@@ -183,8 +151,7 @@ class SofosServer {
 
   /// The queue-model admission controller (valid after Start()).
   AdmissionController* admission() { return admission_.get(); }
-  /// Live connections: event mode sums the loops' open sockets; thread
-  /// mode reports admitted sessions.
+  /// Live connections: the sum of the loops' open sockets.
   size_t open_connections() const;
 
   /// The telemetry history (null unless running with enable_telemetry).
@@ -217,16 +184,10 @@ class SofosServer {
     std::string body;  // FormatQueryBody bytes (TSV)
   };
 
-  void ListenLoop();
-  void ServeSession(int fd);
-  void HttpListenLoop();
-  void ServeHttp(int fd);
   /// The /healthz body; sets *healthy to the admission verdict.
   std::string HealthJson(bool* healthy) const;
   /// The STATS body (shared by the STATS verb and GET /stats).
   std::string StatsJson() const;
-
-  /// ---- Event-loop mode ----
 
   /// Loop-thread callbacks: frame-level admission + dispatch.
   void OnAccept(int fd, ConnKind kind);
@@ -242,10 +203,9 @@ class SofosServer {
   /// live input.
   size_t InFlightRequests() const;
 
-  /// Runs one parsed non-QUIT request and returns the framed response —
-  /// the single execution path both io modes share (byte-identity between
-  /// them rests on this). Records endpoint metrics and feeds the
-  /// admission controller's service-time EWMA.
+  /// Runs one parsed non-QUIT request and returns the framed response.
+  /// Records endpoint metrics and feeds the admission controller's
+  /// service-time EWMA.
   std::string ExecuteRequest(const Request& request);
 
   /// The shared QUERY execution: cache lookup/fill, workload recording,
@@ -257,8 +217,7 @@ class SofosServer {
   /// Full response for the observability GETs (/metrics /stats /history
   /// /slow /healthz, plus 404/405 fallbacks). Never runs engine work.
   std::string HttpObservabilityResponse(const HttpRequest& request);
-  /// Full response for GET/POST /query (runs the query — pool-side in
-  /// event mode, inline on the HTTP thread in thread mode).
+  /// Full response for GET/POST /query (runs the query on a pool worker).
   std::string HttpQueryResponse(const std::string& sparql);
 
   /// Request handlers append "header\n[body...]\nEND\n" to *out.
@@ -303,24 +262,22 @@ class SofosServer {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread listener_;
   std::unique_ptr<ThreadPool> pool_;
 
   /// Queue-model admission (created in Start(), kept across Stop() so
   /// late Stats() reads stay valid).
   std::unique_ptr<AdmissionController> admission_;
 
-  /// Event-loop mode: the loops own every socket (listeners included).
+  /// The loops own every socket (listeners included).
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<unsigned> next_loop_{0};  // round-robin connection placement
   unsigned max_connections_ = 0;        // resolved from options at Start()
 
-  /// HTTP observability listener (second port, own thread, serves each
-  /// connection synchronously — deliberately NOT on the session pool so
-  /// /healthz stays responsive when the pool is saturated).
+  /// HTTP listener (second port). Observability GETs are answered on the
+  /// loop thread, never queued on the pool, so /healthz stays responsive
+  /// while the pool is saturated.
   int http_listen_fd_ = -1;
   uint16_t http_port_ = 0;
-  std::thread http_listener_;
 
   /// Telemetry history + background sampler (enable_telemetry).
   std::unique_ptr<TelemetryHistory> telemetry_;
@@ -334,16 +291,11 @@ class SofosServer {
   /// on the writer — the same rule the snapshots enforce for queries).
   std::atomic<uint64_t> update_batches_applied_{0};
 
-  /// Admission bookkeeping. Thread mode: admitted/active *sessions* plus
-  /// their fds (so Stop() can unblock recv()). Event mode: in-flight
-  /// dispatched *requests* (running + pool-queued) — Stop() drains this
-  /// to zero before tearing the loops down.
-  mutable std::mutex sessions_mu_;
-  std::condition_variable sessions_cv_;
-  unsigned admitted_ = 0;  // submitted sessions not yet finished
-  unsigned active_ = 0;    // sessions currently on a worker
-  unsigned in_flight_requests_ = 0;  // event mode
-  std::set<int> session_fds_;
+  /// In-flight dispatched requests (running + pool-queued) — Stop()
+  /// drains this to zero before tearing the loops down.
+  mutable std::mutex in_flight_mu_;
+  std::condition_variable in_flight_cv_;
+  unsigned in_flight_requests_ = 0;
 
   mutable std::mutex retained_mu_;
   std::map<uint64_t, std::shared_ptr<const core::EngineSnapshot>> retained_;

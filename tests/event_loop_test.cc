@@ -1,14 +1,17 @@
 /// Event-driven serve path tests: the M/M/c admission estimator (Erlang-C
 /// math, cold start, shed/recover), the epoll event loop's connection
 /// handling (slow-loris dribble, mid-write disconnect, idle connections
-/// far beyond the worker pool), per-request BUSY shedding under open-loop
-/// saturation, the HTTP/JSON query adapter, client retry pushback, and
-/// byte-identity of the line protocol across io modes. Runs under the
-/// TSan lane (scripts/run_tsan.sh, label `server`).
+/// far beyond the worker pool, accept back-off when descriptors run
+/// out), per-request BUSY shedding and the /healthz flip under
+/// saturation, the HTTP/JSON query adapter, client retry pushback, and a
+/// scripted line-protocol transcript. Runs under the TSan lane
+/// (scripts/run_tsan.sh, label `server`).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/engine.h"
 #include "core/facet.h"
 #include "datagen/registry.h"
@@ -38,7 +42,6 @@ using server::BlockingClient;
 using server::ErlangC;
 using server::HttpRequest;
 using server::HttpRequestParser;
-using server::IoMode;
 using server::ServerOptions;
 using server::SofosServer;
 
@@ -208,13 +211,6 @@ std::string UrlEncode(const std::string& in) {
   return out;
 }
 
-/// QUERY headers carry a wall-clock micros figure; normalize it so two
-/// executions of the same query compare equal.
-std::string MaskMicros(const std::string& header) {
-  size_t at = header.find("micros=");
-  return at == std::string::npos ? header : header.substr(0, at) + "micros=X";
-}
-
 // ---- Idle-connection capacity (the tentpole's headline claim) -------------
 
 TEST_F(EventLoopServerTest, IdleConnectionsFarBeyondPoolAllServed) {
@@ -225,9 +221,8 @@ TEST_F(EventLoopServerTest, IdleConnectionsFarBeyondPoolAllServed) {
   SOFOS_ASSERT_OK(server.Start());
 
   // 4x max_sessions concurrent connections (the acceptance floor), all
-  // held open at once. Thread-per-session would reject everything past
-  // max_sessions + queue_capacity; the event loop parks them for the
-  // price of a buffer each.
+  // held open at once; the event loop parks them for the price of a
+  // buffer each.
   constexpr int kConnections = 16;
   std::vector<std::unique_ptr<BlockingClient>> clients;
   for (int i = 0; i < kConnections; ++i) {
@@ -361,8 +356,26 @@ TEST_F(EventLoopServerTest, OverloadShedsWithBusyThenRecovers) {
   SOFOS_ASSERT_OK(server.Start());
 
   std::string sparql = engine_.facet().ToSparql();  // the widest query
-  constexpr int kClients = 6, kRequests = 20;
+  // The flood runs kRequests per client, and longer (up to kMaxRequests)
+  // until the /healthz poller below has seen the 503.
+  constexpr int kClients = 6, kRequests = 20, kMaxRequests = 1000;
   std::atomic<uint64_t> busy{0}, served{0}, errors{0};
+  std::atomic<bool> flood_done{false}, saw_503{false};
+  std::string overloaded_health;
+  // /healthz is answered on the loop thread, never queued behind the one
+  // busy worker, so it reports the saturation while the flood lasts.
+  std::thread poller([&] {
+    while (!flood_done && !saw_503) {
+      std::string health =
+          RawHttp(server.http_port(), "GET /healthz HTTP/1.0\r\n\r\n");
+      if (health.find("HTTP/1.0 503") != std::string::npos) {
+        overloaded_health = health;
+        saw_503 = true;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+  });
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&] {
@@ -371,7 +384,7 @@ TEST_F(EventLoopServerTest, OverloadShedsWithBusyThenRecovers) {
         ++errors;
         return;
       }
-      for (int i = 0; i < kRequests; ++i) {
+      for (int i = 0; i < kRequests || (!saw_503 && i < kMaxRequests); ++i) {
         auto response = client.Roundtrip("QUERY " + sparql);
         if (!response.ok()) {
           ++errors;
@@ -390,9 +403,15 @@ TEST_F(EventLoopServerTest, OverloadShedsWithBusyThenRecovers) {
     });
   }
   for (auto& t : threads) t.join();
+  flood_done = true;
+  poller.join();
 
   EXPECT_EQ(errors, 0u);
   EXPECT_GT(served, 0u);
+  EXPECT_TRUE(saw_503);
+  EXPECT_NE(overloaded_health.find("\"status\":\"overloaded\""),
+            std::string::npos)
+      << overloaded_health;
   // 6 closed-loop clients against 1 worker with a ~zero SLO budget: the
   // queue model must have shed something.
   EXPECT_GT(busy, 0u);
@@ -406,6 +425,15 @@ TEST_F(EventLoopServerTest, OverloadShedsWithBusyThenRecovers) {
   SOFOS_ASSERT_OK_AND_ASSIGN(auto response,
                              after.SendWithRetry("QUERY " + sparql, 10));
   EXPECT_TRUE(response.ok() && !response.busy()) << response.header;
+  // ...and /healthz is green again.
+  std::string health;
+  for (int i = 0; i < 100; ++i) {
+    health = RawHttp(server.http_port(), "GET /healthz HTTP/1.0\r\n\r\n");
+    if (health.find("HTTP/1.0 200") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos) << health;
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
   after.Roundtrip("QUIT");
   server.Stop();
 }
@@ -554,51 +582,127 @@ TEST(HttpRequestParserTest, IncrementalParseAndErrors) {
             HttpRequestParser::State::kError);
 }
 
-// ---- Byte-identity across io modes ----------------------------------------
+// ---- Line-protocol transcript ---------------------------------------------
 
-TEST_F(EventLoopServerTest, IoModesAnswerByteIdentically) {
-  // The same scripted session against both io modes: every framed
-  // response must match byte for byte (modulo the wall-clock micros
-  // figure in QUERY headers).
-  std::vector<std::string> script = {
-      "QUERY " + engine_.facet().CanonicalQuerySparql(1),
-      "QUERY " + engine_.facet().CanonicalQuerySparql(1),  // cache hit
-      "QUERY " + engine_.facet().CanonicalQuerySparql(2),
-      "EXPLAIN",
-      "QUERY",          // usage error
-      "NOPE",           // protocol error
-      "UPDATE 1 junk",  // strict-parse error
-      "HISTORY -1",     // usage error
+TEST_F(EventLoopServerTest, LineProtocolTranscript) {
+  // One scripted session; each response header must say what happened.
+  const std::string q1 = "QUERY " + engine_.facet().CanonicalQuerySparql(1);
+  const std::string q2 = "QUERY " + engine_.facet().CanonicalQuerySparql(2);
+  struct Step {
+    std::string request;
+    std::string header_prefix;
+    std::string header_contains;  // empty = prefix check only
+  };
+  const std::vector<Step> script = {
+      {q1, "OK QUERY", "cached=0"},
+      {q1, "OK QUERY", "cached=1"},  // cache hit
+      {q2, "OK QUERY", "cached=0"},
+      {"EXPLAIN", "OK EXPLAIN", ""},
+      {"QUERY", "ERR", ""},          // usage error
+      {"NOPE", "ERR", ""},           // protocol error
+      {"UPDATE 1 junk", "ERR", ""},  // strict-parse error
+      {"HISTORY -1", "ERR", ""},     // usage error
   };
 
-  auto run = [&](IoMode mode) {
-    ServerOptions options;
-    options.io_mode = mode;
-    options.enable_http = false;
-    SofosServer server(&engine_, options);
-    EXPECT_TRUE(server.Start().ok());
-    BlockingClient client;
-    EXPECT_TRUE(client.Connect(server.port()).ok());
-    std::vector<std::string> transcript;
-    for (const std::string& line : script) {
-      auto response = client.Roundtrip(line);
-      EXPECT_TRUE(response.ok()) << line;
-      if (!response.ok()) break;
-      transcript.push_back(MaskMicros(response->header) + "\n" +
-                           response->BodyText());
+  ServerOptions options;
+  options.enable_http = false;
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+  BlockingClient client;
+  SOFOS_ASSERT_OK(client.Connect(server.port()));
+  std::vector<server::ClientResponse> responses;
+  for (const Step& step : script) {
+    SOFOS_ASSERT_OK_AND_ASSIGN(auto response, client.Roundtrip(step.request));
+    EXPECT_EQ(response.header.rfind(step.header_prefix, 0), 0u)
+        << step.request << " -> " << response.header;
+    EXPECT_NE(response.header.find(step.header_contains), std::string::npos)
+        << step.request << " -> " << response.header;
+    if (step.header_prefix == "ERR") {
+      EXPECT_TRUE(response.body.empty()) << step.request;
     }
-    client.Roundtrip("QUIT");
-    server.Stop();
-    return transcript;
-  };
-
-  std::vector<std::string> event = run(IoMode::kEventLoop);
-  std::vector<std::string> thread = run(IoMode::kThreadPerSession);
-  ASSERT_EQ(event.size(), script.size());
-  ASSERT_EQ(thread.size(), script.size());
-  for (size_t i = 0; i < script.size(); ++i) {
-    EXPECT_EQ(event[i], thread[i]) << "request: " << script[i];
+    responses.push_back(std::move(response));
   }
+  // The hit replays the miss's body byte for byte; the rejected UPDATE
+  // applied nothing.
+  EXPECT_EQ(responses[1].BodyText(), responses[0].BodyText());
+  EXPECT_EQ(server.update_batches_applied(), 0u);
+  client.Roundtrip("QUIT");
+  server.Stop();
+}
+
+// ---- Descriptor exhaustion ------------------------------------------------
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+TEST_F(EventLoopServerTest, AcceptBacksOffWhileOutOfDescriptors) {
+  ServerOptions options;
+  options.io_threads = 1;
+  options.enable_http = false;
+  options.enable_telemetry = false;  // no sampler thread in the CPU figure
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+
+  // Client sockets for the connections that will wait in the backlog,
+  // created while descriptors are still available: connect() needs none.
+  constexpr int kPending = 4;
+  std::vector<int> pending;
+  for (int i = 0; i < kPending; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    pending.push_back(fd);
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+  // dup() returns the lowest free descriptor, so every number below it is
+  // taken: with the soft limit there, the server's accept() gets EMFILE.
+  const int lowest_free = ::dup(pending[0]);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (int fd : pending) {
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+
+  // The queued connections keep the listener readable for the whole
+  // window; a loop that retries accept() at once spins a core.
+  WallTimer wall;
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_seconds = ProcessCpuSeconds() - cpu_before;
+  const double wall_seconds = wall.ElapsedSeconds();
+  const uint64_t accepted_while_exhausted = server.metrics().accepted();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_EQ(accepted_while_exhausted, 0u);  // accept() failed throughout
+  EXPECT_LT(cpu_seconds, 0.25 * wall_seconds)
+      << "cpu " << cpu_seconds << " s over " << wall_seconds << " s wall";
+
+  // With descriptors back, the queued connections and a fresh one are
+  // accepted, and the fresh one is served.
+  BlockingClient fresh;
+  SOFOS_ASSERT_OK(fresh.Connect(server.port()));
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto response, fresh.Roundtrip("STATS"));
+  EXPECT_TRUE(response.ok()) << response.header;
+  EXPECT_GE(server.metrics().accepted(), static_cast<uint64_t>(kPending + 1));
+  for (int fd : pending) ::close(fd);
+  fresh.Roundtrip("QUIT");
+  server.Stop();
 }
 
 }  // namespace

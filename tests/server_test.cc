@@ -506,19 +506,17 @@ TEST_F(ServerTest, UpdateBumpsEpochAndInvalidatesCache) {
 
 TEST_F(ServerTest, SaturationRejectsWithRetryHint) {
   ServerOptions options;
-  // Thread-per-session semantics: admission happens per *connection* at
-  // accept time. Event-loop mode admits per request (see
-  // event_loop_test.cc), so a second idle connection is not rejected.
-  options.io_mode = server::IoMode::kThreadPerSession;
-  options.max_sessions = 1;
-  options.queue_capacity = 0;
+  // Admission happens per *request*, so only the open-connection cap
+  // rejects at accept time: with room for one connection, the second is
+  // answered BUSY and closed.
+  options.max_connections = 1;
   options.busy_retry_ms = 77;
   SofosServer server(&engine_, options);
   SOFOS_ASSERT_OK(server.Start());
 
   BlockingClient first;
   SOFOS_ASSERT_OK(first.Connect(server.port()));
-  // Roundtrip proves the session is admitted and being served.
+  // Roundtrip proves the connection is accepted and being served.
   SOFOS_ASSERT_OK_AND_ASSIGN(auto stats, first.Roundtrip("STATS"));
   ASSERT_TRUE(stats.ok());
 
@@ -526,15 +524,17 @@ TEST_F(ServerTest, SaturationRejectsWithRetryHint) {
   SOFOS_ASSERT_OK(second.Connect(server.port()));
   SOFOS_ASSERT_OK_AND_ASSIGN(auto busy, second.Roundtrip("STATS"));
   EXPECT_TRUE(busy.busy()) << busy.header;
-  // The hint is load-derived but floored at busy_retry_ms; with the one
-  // admitted session idle it is exactly the floor, though a slow run
-  // (TSan) may push the queue-model estimate above it.
+  // The hint is load-derived but floored at busy_retry_ms; with no
+  // request in flight it is exactly the floor, though a slow run (TSan)
+  // may push the queue-model estimate above it.
   size_t hint_at = busy.header.find("retry_ms=");
   ASSERT_NE(hint_at, std::string::npos) << busy.header;
   EXPECT_GE(std::atoi(busy.header.c_str() + hint_at + 9), 77) << busy.header;
   EXPECT_GE(server.metrics().rejected(), 1u);
+  // The rejected connection was closed after the BUSY line.
+  EXPECT_FALSE(second.Roundtrip("STATS").ok());
 
-  // Once the first session leaves, capacity frees up.
+  // Once the first connection leaves, capacity frees up.
   SOFOS_ASSERT_OK_AND_ASSIGN(auto bye, first.Roundtrip("QUIT"));
   ASSERT_TRUE(bye.ok());
   bool served = false;

@@ -222,15 +222,6 @@ TEST(CowTest, CloneAliasesEveryShardAndTheCanonicalArray) {
                 store.ShardIdentity(static_cast<TripleStore::Family>(f), k));
     }
   }
-  // DeepClone shares nothing.
-  TripleStore deep = store.DeepClone();
-  EXPECT_NE(deep.CanonicalIdentity(), store.CanonicalIdentity());
-  for (int f = 0; f < TripleStore::kNumFamilies; ++f) {
-    for (size_t k = 0; k < 8; ++k) {
-      EXPECT_NE(deep.ShardIdentity(static_cast<TripleStore::Family>(f), k),
-                store.ShardIdentity(static_cast<TripleStore::Family>(f), k));
-    }
-  }
 }
 
 TEST(CowTest, ApplyDeltaRebuildsOnlyTouchedShards) {
@@ -304,14 +295,9 @@ TEST(CowTest, CloneSharesTheAppendOnlyDictionary) {
   TripleStore clone = store.Clone();
   size_t before = clone.NumTerms();
   TermId id = store.Intern(Iri("interned-after-clone"));
-  // Shared dictionary: the clone sees the new term under the same id...
+  // Shared dictionary: the clone sees the new term under the same id.
   EXPECT_EQ(clone.NumTerms(), before + 1);
   EXPECT_EQ(clone.dictionary().term(id), Iri("interned-after-clone"));
-  // ...but a DeepClone is severed.
-  TripleStore deep = store.DeepClone();
-  size_t deep_before = deep.NumTerms();
-  store.Intern(Iri("interned-after-deep-clone"));
-  EXPECT_EQ(deep.NumTerms(), deep_before);
 }
 
 /// Full-pipeline shard invariance: profile, selection, materialization,

@@ -6,9 +6,10 @@
 /// replay invariant: re-running the exported workload reproduces the
 /// recorded routing decisions), the server's HISTORY/SLOW verbs,
 /// slow-query capture rate limiting, the HTTP observability endpoint
-/// (/metrics /stats /history /slow /healthz, including the saturation
-/// flip to 503), and a concurrent sampler-vs-traffic stress that runs
-/// under the TSan lane (scripts/run_tsan.sh, label `telemetry`).
+/// (/metrics /stats /history /slow /healthz; the saturation flip to 503
+/// is covered in event_loop_test.cc), and a concurrent sampler-vs-traffic
+/// stress that runs under the TSan lane (scripts/run_tsan.sh, label
+/// `telemetry`).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -592,48 +593,6 @@ TEST_F(TelemetryServerTest, HttpEndpointsRoundTrip) {
             std::string::npos);
 
   client.Roundtrip("QUIT");
-  server.Stop();
-}
-
-TEST_F(TelemetryServerTest, HealthzFlipsTo503UnderSaturation) {
-  ServerOptions options;
-  // Thread-per-session semantics: one admitted *connection* fills the
-  // capacity. Event-loop mode decouples connections from concurrency
-  // (idle connections are free), so its /healthz flip is covered by the
-  // open-loop saturation test in event_loop_test.cc instead.
-  options.io_mode = server::IoMode::kThreadPerSession;
-  options.max_sessions = 1;
-  options.queue_capacity = 0;
-  SofosServer server(&engine_, options);
-  SOFOS_ASSERT_OK(server.Start());
-
-  // One admitted session fills the whole capacity: a new connection would
-  // be rejected, so /healthz must report overloaded — and it must do so
-  // *while* the only session worker is occupied, which is exactly why the
-  // HTTP listener serves off its own thread.
-  BlockingClient client;
-  SOFOS_ASSERT_OK(client.Connect(server.port()));
-  SOFOS_ASSERT_OK_AND_ASSIGN(auto stats, client.Roundtrip("STATS"));
-  ASSERT_TRUE(stats.ok());
-
-  std::string health;
-  for (int i = 0; i < 100; ++i) {  // admission is recorded on accept
-    health = HttpGet(server.http_port(), "/healthz");
-    if (health.find("HTTP/1.0 503") != std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_NE(health.find("HTTP/1.0 503"), std::string::npos) << health;
-  EXPECT_NE(health.find("\"status\":\"overloaded\""), std::string::npos);
-
-  // Session ends -> capacity frees -> healthy again.
-  client.Roundtrip("QUIT");
-  for (int i = 0; i < 100; ++i) {
-    health = HttpGet(server.http_port(), "/healthz");
-    if (health.find("HTTP/1.0 200") != std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos) << health;
-
   server.Stop();
 }
 
