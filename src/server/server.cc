@@ -336,14 +336,15 @@ Status SofosServer::PublishAndInvalidate(
   return Status::OK();
 }
 
-std::string SofosServer::ExecuteRequest(const Request& request) {
+std::string SofosServer::ExecuteRequest(const Request& request,
+                                        ExecutedQuery* executed) {
   std::string response;
   Endpoint endpoint = Endpoint::kStats;
   bool always_ok = false;  // STATS/METRICS/SLOW cannot fail
   WallTimer timer;
   switch (request.verb) {
     case Verb::kQuery:
-      HandleQuery(request.arg, &response);
+      HandleQuery(request.arg, &response, executed);
       endpoint = Endpoint::kQuery;
       break;
     case Verb::kUpdate:
@@ -547,9 +548,20 @@ void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
   pool_->Submit(
       [this, loop, conn, request = std::move(request),
        http_sparql = std::move(http_sparql), is_http] {
-        std::string response = is_http ? HttpQueryResponse(http_sparql)
-                                       : ExecuteRequest(request);
+        ExecutedQuery executed;
+        std::string response = is_http
+                                   ? HttpQueryResponse(http_sparql, &executed)
+                                   : ExecuteRequest(request, &executed);
         loop->Respond(conn, std::move(response), /*close_after_flush=*/is_http);
+        // The capture re-runs the query, so it waits until the reply is
+        // out: the client never waits for it, and its time stays out of
+        // the endpoint histogram and the admission EWMA. It still counts
+        // as in flight, so Stop() drains it.
+        if (executed.snapshot != nullptr) {
+          MaybeCaptureSlowQuery(executed.snapshot,
+                                is_http ? http_sparql : request.arg,
+                                executed.micros);
+        }
         {
           std::lock_guard<std::mutex> lock(in_flight_mu_);
           --in_flight_requests_;
@@ -564,8 +576,9 @@ void SofosServer::DispatchToPool(EventLoop* loop, uint64_t conn,
       });
 }
 
-void SofosServer::HandleQuery(const std::string& arg, std::string* out) {
-  QueryOutcome result = ExecuteQuery(arg);
+void SofosServer::HandleQuery(const std::string& arg, std::string* out,
+                              ExecutedQuery* executed) {
+  QueryOutcome result = ExecuteQuery(arg, executed);
   if (!result.ok) {
     *out = FormatError(result.error) + "\n" + kEndMarker + "\n";
     return;
@@ -575,7 +588,8 @@ void SofosServer::HandleQuery(const std::string& arg, std::string* out) {
          "\n" + result.body + kEndMarker + "\n";
 }
 
-SofosServer::QueryOutcome SofosServer::ExecuteQuery(const std::string& arg) {
+SofosServer::QueryOutcome SofosServer::ExecuteQuery(const std::string& arg,
+                                                    ExecutedQuery* executed) {
   QueryOutcome result;
   if (arg.empty()) {
     result.error = "usage: QUERY <sparql>";
@@ -662,7 +676,8 @@ SofosServer::QueryOutcome SofosServer::ExecuteQuery(const std::string& arg) {
                   outcome->micros, /*ttl_seconds=*/-1.0,
                   outcome->used_view ? view : "");
   }
-  MaybeCaptureSlowQuery(snapshot, arg, outcome->micros);
+  executed->snapshot = std::move(snapshot);
+  executed->micros = outcome->micros;
   return result;
 }
 
@@ -672,8 +687,9 @@ void SofosServer::MaybeCaptureSlowQuery(
   if (!slow_log_.ShouldCapture(observed_micros)) return;
   // One bounded, rate-limited diagnostic re-run: EXPLAIN ANALYZE for the
   // per-operator actuals, a traced Answer for the span tree. The re-run
-  // is strictly extra work (the client already has its response), which
-  // is why ShouldCapture() gates it behind the interval rate limit.
+  // is strictly extra work (DispatchToPool calls this after Respond(), so
+  // the client already has its response), which is why ShouldCapture()
+  // gates it behind the interval rate limit.
   SlowQueryRecord record;
   record.query = arg;
   record.micros = observed_micros;
@@ -1032,9 +1048,10 @@ std::string SofosServer::HttpObservabilityResponse(const HttpRequest& request) {
       "endpoints: /query /metrics /stats /history /slow /healthz\n");
 }
 
-std::string SofosServer::HttpQueryResponse(const std::string& sparql) {
+std::string SofosServer::HttpQueryResponse(const std::string& sparql,
+                                           ExecutedQuery* executed) {
   WallTimer timer;
-  QueryOutcome result = ExecuteQuery(sparql);
+  QueryOutcome result = ExecuteQuery(sparql, executed);
   std::string response;
   if (!result.ok) {
     response = FormatHttpResponse(

@@ -203,14 +203,21 @@ class SofosServer {
   /// live input.
   size_t InFlightRequests() const;
 
+  /// A query the engine ran (not a cache hit), kept so slow-query capture
+  /// can run after the reply is sent. `snapshot` is null when none ran.
+  struct ExecutedQuery {
+    std::shared_ptr<const core::EngineSnapshot> snapshot;
+    double micros = 0.0;
+  };
+
   /// Runs one parsed non-QUIT request and returns the framed response.
   /// Records endpoint metrics and feeds the admission controller's
-  /// service-time EWMA.
-  std::string ExecuteRequest(const Request& request);
+  /// service-time EWMA. A QUERY the engine ran is reported in *executed.
+  std::string ExecuteRequest(const Request& request, ExecutedQuery* executed);
 
-  /// The shared QUERY execution: cache lookup/fill, workload recording,
-  /// slow-query capture.
-  QueryOutcome ExecuteQuery(const std::string& arg);
+  /// The shared QUERY execution: cache lookup/fill and workload recording.
+  /// Fills *executed when the engine ran the query.
+  QueryOutcome ExecuteQuery(const std::string& arg, ExecutedQuery* executed);
 
   /// ---- HTTP ----
 
@@ -218,10 +225,12 @@ class SofosServer {
   /// /slow /healthz, plus 404/405 fallbacks). Never runs engine work.
   std::string HttpObservabilityResponse(const HttpRequest& request);
   /// Full response for GET/POST /query (runs the query on a pool worker).
-  std::string HttpQueryResponse(const std::string& sparql);
+  std::string HttpQueryResponse(const std::string& sparql,
+                                ExecutedQuery* executed);
 
   /// Request handlers append "header\n[body...]\nEND\n" to *out.
-  void HandleQuery(const std::string& arg, std::string* out);
+  void HandleQuery(const std::string& arg, std::string* out,
+                   ExecutedQuery* executed);
   void HandleUpdate(const std::string& arg, std::string* out);
   void HandleExplain(const std::string& arg, std::string* out);
   void HandleAnalyze(const std::string& arg, std::string* out);
@@ -233,7 +242,8 @@ class SofosServer {
 
   /// Slow-query capture: when the observed latency crosses the threshold
   /// (and the rate limit admits), re-runs `arg` once under EXPLAIN
-  /// ANALYZE + tracing on `snapshot` and retains the diagnostics.
+  /// ANALYZE + tracing on `snapshot` and retains the diagnostics. Runs on
+  /// the pool worker after the reply has been handed to the event loop.
   void MaybeCaptureSlowQuery(
       const std::shared_ptr<const core::EngineSnapshot>& snapshot,
       const std::string& arg, double observed_micros);

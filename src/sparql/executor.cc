@@ -115,18 +115,11 @@ struct AggAccum {
   std::unordered_set<TermId> distinct_ids;
 };
 
-Status AggAccumulate(const Expr& spec, const Row& in, const ExprEvaluator& eval,
-                     Dictionary* dict, AggAccum* acc) {
-  if (spec.count_star) {
-    ++acc->count;
-    return Status::OK();
-  }
-  auto value = eval.Eval(*spec.agg_arg, in);
-  // SPARQL semantics: rows whose aggregate expression errors (including
-  // unbound) are skipped by the aggregate, not the whole group.
-  if (!value.ok() || value.value().is_unbound()) return Status::OK();
-  const Value& v = value.value();
-
+/// Accumulates one bound, error-free argument value `v` of a non-COUNT(*)
+/// aggregate. The batch engine calls this directly for bare-variable
+/// arguments it decodes itself; AggAccumulate calls it for everything else.
+Status AggAccumulateValue(const Expr& spec, const Value& v, Dictionary* dict,
+                          AggAccum* acc) {
   if (spec.agg_distinct) {
     SOFOS_ASSIGN_OR_RETURN(Term term, v.ToTerm());
     TermId id = dict->Intern(term);
@@ -161,6 +154,19 @@ Status AggAccumulate(const Expr& spec, const Row& in, const ExprEvaluator& eval,
       break;
   }
   return Status::OK();
+}
+
+Status AggAccumulate(const Expr& spec, const Row& in, const ExprEvaluator& eval,
+                     Dictionary* dict, AggAccum* acc) {
+  if (spec.count_star) {
+    ++acc->count;
+    return Status::OK();
+  }
+  auto value = eval.Eval(*spec.agg_arg, in);
+  // SPARQL semantics: rows whose aggregate expression errors (including
+  // unbound) are skipped by the aggregate, not the whole group.
+  if (!value.ok() || value.value().is_unbound()) return Status::OK();
+  return AggAccumulateValue(spec, value.value(), dict, acc);
 }
 
 Result<TermId> AggFinalize(const Expr& spec, const AggAccum& acc,
@@ -967,15 +973,22 @@ class BatchJoinOp : public BatchOperator {
 
 /// FILTER/HAVING over batches: refines the selection vector in place, never
 /// moves row data. Skips fully-filtered batches instead of emitting them.
+/// Conjuncts inside the FilterKernel grammar are compiled once here and
+/// evaluated on the batch's TermIds; the rest go through ExprEvaluator on
+/// a gathered row.
 class BatchFilterOp : public BatchOperator {
  public:
   BatchFilterOp(std::unique_ptr<BatchOperator> child,
-                std::vector<const Expr*> filters, const Dictionary* dict,
+                const std::vector<const Expr*>& filters, const Dictionary* dict,
                 const VariableTable* vars, ExecStats* stats, int agg_base = -1)
       : child_(std::move(child)),
-        filters_(std::move(filters)),
         eval_(dict, vars, agg_base),
-        stats_(stats) {}
+        cache_(dict),
+        stats_(stats) {
+    for (const Expr* f : filters) {
+      conjuncts_.push_back({f, FilterKernel::Compile(*f, *vars, *dict)});
+    }
+  }
 
   Result<bool> Next(RowBatch* out) override {
     while (true) {
@@ -983,16 +996,24 @@ class BatchFilterOp : public BatchOperator {
       if (!has) return false;
       std::vector<uint32_t> keep;
       keep.reserve(out->ActiveCount());
+      const TermId* cols = out->Col(0);
       for (size_t i = 0; i < out->ActiveCount(); ++i) {
         uint32_t r = out->ActiveIndex(i);
-        out->GatherRow(r, &scratch_);
+        bool gathered = false;
         bool pass = true;
-        for (const Expr* f : filters_) {
-          auto verdict = eval_.EvalBool(*f, scratch_);
-          if (!verdict.ok() || !verdict.value()) {
-            pass = false;
-            break;
+        for (const Conjunct& c : conjuncts_) {
+          if (c.kernel != nullptr) {
+            pass = c.kernel->Eval(cols, out->capacity(), r, &cache_) ==
+                   FilterKernel::Verdict::kTrue;
+          } else {
+            if (!gathered) {
+              out->GatherRow(r, &scratch_);
+              gathered = true;
+            }
+            auto verdict = eval_.EvalBool(*c.expr, scratch_);
+            pass = verdict.ok() && verdict.value();
           }
+          if (!pass) break;
         }
         if (pass) {
           keep.push_back(r);
@@ -1007,17 +1028,27 @@ class BatchFilterOp : public BatchOperator {
   }
 
  private:
+  struct Conjunct {
+    const Expr* expr;
+    std::unique_ptr<const FilterKernel> kernel;  // null: use ExprEvaluator
+  };
+
   std::unique_ptr<BatchOperator> child_;
-  std::vector<const Expr*> filters_;
+  std::vector<Conjunct> conjuncts_;
   ExprEvaluator eval_;
+  TermValueCache cache_;
   ExecStats* stats_;
   Row scratch_;
 };
 
 /// Hash aggregation over batches. Accumulation runs in stream order with
-/// the shared AggAccumulate (identical values, including float addition
-/// order, to the row engine); output groups are sorted by key, matching the
-/// row engine's std::map materialization byte for byte.
+/// the shared AggAccumulateValue (identical values, including float
+/// addition order, to the row engine); output groups are sorted by key,
+/// matching the row engine's std::map materialization byte for byte.
+/// A bare-variable argument is read from its column: non-DISTINCT
+/// COUNT(?v) counts bound ids, every other aggregate decodes the id
+/// through the operator's TermValueCache. Other arguments are evaluated
+/// by ExprEvaluator on a gathered row.
 class BatchAggregateOp : public BatchOperator {
  public:
   BatchAggregateOp(std::unique_ptr<BatchOperator> child, const Plan* plan,
@@ -1026,9 +1057,18 @@ class BatchAggregateOp : public BatchOperator {
       : child_(std::move(child)),
         plan_(plan),
         eval_(dict, &plan->pattern_vars),
+        cache_(dict),
         dict_(mutable_dict),
         batch_size_(batch_size),
-        stats_(stats) {}
+        stats_(stats) {
+    for (const Expr* spec : plan->agg_specs) {
+      const bool bare_var =
+          !spec->count_star && spec->agg_arg->kind == Expr::Kind::kVar;
+      arg_slots_.push_back(
+          bare_var ? plan->pattern_vars.Get(spec->agg_arg->var).value_or(-1)
+                   : -1);
+    }
+  }
 
   Result<bool> Next(RowBatch* out) override {
     if (!materialized_) {
@@ -1074,10 +1114,27 @@ class BatchAggregateOp : public BatchOperator {
           groups.emplace_back(key, std::vector<AggAccum>(num_aggs));
         }
         std::vector<AggAccum>& accums = groups[it->second].second;
-        in.GatherRow(r, &scratch_);
+        bool gathered = false;
         for (size_t a = 0; a < num_aggs; ++a) {
-          SOFOS_RETURN_IF_ERROR(AggAccumulate(*plan_->agg_specs[a], scratch_,
-                                              eval_, dict_, &accums[a]));
+          const Expr& spec = *plan_->agg_specs[a];
+          const int slot = arg_slots_[a];
+          if (slot < 0) {
+            if (!spec.count_star && !gathered) {
+              in.GatherRow(r, &scratch_);
+              gathered = true;
+            }
+            SOFOS_RETURN_IF_ERROR(
+                AggAccumulate(spec, scratch_, eval_, dict_, &accums[a]));
+            continue;
+          }
+          const TermId id = in.At(static_cast<size_t>(slot), r);
+          if (id == kNullTermId) continue;  // unbound arguments are skipped
+          if (spec.agg == AggKind::kCount && !spec.agg_distinct) {
+            ++accums[a].count;
+            continue;
+          }
+          SOFOS_RETURN_IF_ERROR(
+              AggAccumulateValue(spec, cache_.Get(id), dict_, &accums[a]));
         }
       }
     }
@@ -1112,6 +1169,10 @@ class BatchAggregateOp : public BatchOperator {
   std::unique_ptr<BatchOperator> child_;
   const Plan* plan_;
   ExprEvaluator eval_;
+  TermValueCache cache_;
+  /// Per aggregate: the slot of a bare-variable argument that the pattern
+  /// binds, read from the batch; -1 for COUNT(*) and every other argument.
+  std::vector<int> arg_slots_;
   Dictionary* dict_;
   size_t batch_size_;
   ExecStats* stats_;

@@ -208,5 +208,136 @@ Result<Value> ExprEvaluator::EvalFunction(const Expr& expr, const Row& row) cons
   return Status::Unimplemented("function " + name + " is not supported");
 }
 
+const Value& TermValueCache::Get(TermId id) {
+  if (entries_.empty()) entries_.resize(kSlots);
+  Entry& entry = entries_[id & (kSlots - 1)];
+  if (entry.id != id) {
+    entry.value = Value::FromTerm(dict_->term(id));
+    entry.id = id;
+  }
+  return entry.value;
+}
+
+namespace {
+
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<const FilterKernel> FilterKernel::Compile(
+    const Expr& expr, const VariableTable& vars, const Dictionary& dict) {
+  std::unique_ptr<FilterKernel> kernel(new FilterKernel());
+  if (kernel->Build(expr, vars, dict) != 0) return nullptr;
+  return kernel;
+}
+
+int FilterKernel::Build(const Expr& expr, const VariableTable& vars,
+                        const Dictionary& dict) {
+  if (expr.kind != Expr::Kind::kBinary) return -1;
+  const int index = static_cast<int>(nodes_.size());
+  if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
+    nodes_.emplace_back();
+    const int lhs = Build(*expr.lhs, vars, dict);
+    if (lhs < 0) return -1;
+    const int rhs = Build(*expr.rhs, vars, dict);
+    if (rhs < 0) return -1;
+    Node& node = nodes_[static_cast<size_t>(index)];
+    node.kind = expr.bop == BinaryOp::kAnd ? Node::Kind::kAnd : Node::Kind::kOr;
+    node.lhs = static_cast<uint32_t>(lhs);
+    node.rhs = static_cast<uint32_t>(rhs);
+    return index;
+  }
+  if (!IsComparison(expr.bop)) return -1;
+  const bool var_on_left = expr.lhs->kind == Expr::Kind::kVar &&
+                           expr.rhs->kind == Expr::Kind::kLiteral;
+  const bool var_on_right = expr.lhs->kind == Expr::Kind::kLiteral &&
+                            expr.rhs->kind == Expr::Kind::kVar;
+  if (!var_on_left && !var_on_right) return -1;
+  const Expr& var = var_on_left ? *expr.lhs : *expr.rhs;
+  const Term& literal = var_on_left ? expr.rhs->literal : expr.lhs->literal;
+
+  const std::optional<int> slot = vars.Get(var.var);
+  if (!slot.has_value()) return -1;  // never bound: rare, left to ExprEvaluator
+
+  Node node;
+  node.op = expr.bop;
+  node.var_on_left = var_on_left;
+  node.slot = *slot;
+  // Equality against an IRI is equality of ids: the dictionary holds one
+  // id per IRI, and Value::Compare never finds an IRI equal to a
+  // non-IRI value.
+  if ((expr.bop == BinaryOp::kEq || expr.bop == BinaryOp::kNe) &&
+      literal.is_iri()) {
+    node.kind = expr.bop == BinaryOp::kEq ? Node::Kind::kIdEq : Node::Kind::kIdNe;
+    node.id = dict.Lookup(literal).value_or(kNullTermId);
+  } else {
+    node.kind = Node::Kind::kCompare;
+    node.constant = Value::FromTerm(literal);
+  }
+  nodes_.push_back(std::move(node));
+  return index;
+}
+
+FilterKernel::Verdict FilterKernel::Eval(const TermId* base, size_t stride,
+                                         size_t row, TermValueCache* cache) const {
+  return EvalNode(0, base, stride, row, cache);
+}
+
+FilterKernel::Verdict FilterKernel::EvalNode(uint32_t n, const TermId* base,
+                                             size_t stride, size_t row,
+                                             TermValueCache* cache) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case Node::Kind::kAnd: {
+      Verdict lhs = EvalNode(node.lhs, base, stride, row, cache);
+      return lhs != Verdict::kTrue ? lhs : EvalNode(node.rhs, base, stride, row, cache);
+    }
+    case Node::Kind::kOr: {
+      Verdict lhs = EvalNode(node.lhs, base, stride, row, cache);
+      return lhs != Verdict::kFalse ? lhs : EvalNode(node.rhs, base, stride, row, cache);
+    }
+    default:
+      break;
+  }
+  const TermId id = base[static_cast<size_t>(node.slot) * stride + row];
+  if (id == kNullTermId) return Verdict::kError;  // comparison with unbound
+  auto verdict = [](bool b) { return b ? Verdict::kTrue : Verdict::kFalse; };
+  if (node.kind == Node::Kind::kIdEq) return verdict(id == node.id);
+  if (node.kind == Node::Kind::kIdNe) return verdict(id != node.id);
+
+  const Value& value = cache->Get(id);
+  const bool equality_only =
+      node.op == BinaryOp::kEq || node.op == BinaryOp::kNe;
+  Result<int> c = node.var_on_left ? value.Compare(node.constant, equality_only)
+                                   : node.constant.Compare(value, equality_only);
+  if (!c.ok()) return Verdict::kError;
+  switch (node.op) {
+    case BinaryOp::kEq:
+      return verdict(*c == 0);
+    case BinaryOp::kNe:
+      return verdict(*c != 0);
+    case BinaryOp::kLt:
+      return verdict(*c < 0);
+    case BinaryOp::kLe:
+      return verdict(*c <= 0);
+    case BinaryOp::kGt:
+      return verdict(*c > 0);
+    default:
+      return verdict(*c >= 0);
+  }
+}
+
 }  // namespace sparql
 }  // namespace sofos

@@ -308,6 +308,11 @@ Result<Plan> Planner::Build(Query* query, const TripleStore& store) {
         // A bare var that is neither bound nor computable stays unbound;
         // SPARQL permits projecting unknown variables.
         if (!slot.has_value()) out.expr = item.expr.get();
+      } else if (item.expr->kind == Expr::Kind::kAggregate) {
+        // A bare aggregate copies its interned result: decoding and
+        // re-interning it would yield the same id.
+        out.direct_slot =
+            static_cast<int>(plan.group_slots.size()) + item.expr->agg_slot;
       } else {
         out.expr = item.expr.get();
       }

@@ -12,6 +12,7 @@
 
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "datagen/registry.h"
 #include "gtest/gtest.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -444,6 +445,56 @@ TEST_P(DatasetExecTest, MaintainedGraphByteIdenticalAcrossThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DatasetExecTest,
                          ::testing::Values("geopop", "lubm", "swdf"));
+
+TEST(FilterKernelExecTest, GeopopSliceMatchesVolcanoRowsAndInternOrder) {
+  // A facet slice whose filters all compile to TermId kernels (IRI
+  // equality, a year range, != an IRI absent from the graph), with
+  // bare-variable aggregates of every kind. Each engine runs on a fresh
+  // copy of the graph, so the literals the query interns can be compared
+  // in order.
+  const std::string query =
+      "PREFIX geo: <http://sofos.example.org/geo#>\n"
+      "SELECT ?country (SUM(?pop) AS ?sum) (AVG(?pop) AS ?avg) "
+      "(COUNT(?obs) AS ?n) (COUNT(DISTINCT ?year) AS ?years) "
+      "(MIN(?pop) AS ?lo) (MAX(?pop) AS ?hi) WHERE {\n"
+      "  ?obs geo:country ?country . ?obs geo:language ?language .\n"
+      "  ?obs geo:year ?year . ?obs geo:population ?pop .\n"
+      "  ?country geo:partOf ?continent .\n"
+      "  FILTER(?continent = <http://sofos.example.org/geo#continent/Europe>"
+      " || ?continent = <http://sofos.example.org/geo#continent/Asia>)\n"
+      "  FILTER(?year >= 2017 && ?year <= 2018)\n"
+      "  FILTER(?language != <http://sofos.example.org/geo#lang/absent>)\n"
+      "} GROUP BY ?country";
+
+  struct Run {
+    QueryResult result;
+    std::vector<std::string> interned;  // terms the query added, in order
+  };
+  ThreadPool pool(4);
+  auto run = [&](const ExecOptions& options) {
+    TripleStore store;
+    auto spec = datagen::GenerateByName("geopop", datagen::Scale::kTiny, 42, &store);
+    EXPECT_TRUE(spec.ok());
+    const size_t before = store.dictionary().size();
+    Run out;
+    out.result = MustRun(&store, query, options);
+    for (size_t id = before + 1; id <= store.dictionary().size(); ++id) {
+      out.interned.push_back(
+          store.dictionary().term(static_cast<TermId>(id)).ToNTriples());
+    }
+    return out;
+  };
+
+  Run reference = run(Volcano());
+  ASSERT_GT(reference.result.NumRows(), 0u);
+  ASSERT_FALSE(reference.interned.empty());
+  for (unsigned dop : {1u, 4u}) {
+    Run batch = run(dop == 1 ? ExecOptions{} : Parallel(&pool, dop));
+    const std::string context = "dop=" + std::to_string(dop);
+    ExpectByteIdentical(reference.result, batch.result, context);
+    EXPECT_EQ(reference.interned, batch.interned) << context;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Engine-level knobs.

@@ -106,6 +106,27 @@ TEST_F(PlannerTest, AggSlotsAssignedInDiscoveryOrder) {
   EXPECT_EQ(plan.agg_specs[1]->agg_slot, 1);
 }
 
+TEST_F(PlannerTest, BareAggregatesProjectBySlot) {
+  // Aggregate output rows are [group vars..., aggregates...]; a bare
+  // aggregate select item copies its slot, an expression over one is
+  // still evaluated.
+  Plan plan = MustPlan(
+      "SELECT ?s (SUM(?b) AS ?x) (COUNT(?b) + 1 AS ?y) (AVG(?b) AS ?z) "
+      "WHERE { ?s <http://ex/p_common> ?b } GROUP BY ?s");
+  ASSERT_EQ(plan.outputs.size(), 4u);
+  EXPECT_EQ(plan.outputs[0].direct_slot, 0);
+  EXPECT_EQ(plan.outputs[1].direct_slot, 1);  // group vars + agg slot 0
+  EXPECT_EQ(plan.outputs[1].expr, nullptr);
+  EXPECT_EQ(plan.outputs[2].direct_slot, -1);
+  EXPECT_NE(plan.outputs[2].expr, nullptr);
+  EXPECT_EQ(plan.outputs[3].direct_slot, 3);  // group vars + agg slot 2
+
+  Plan ungrouped = MustPlan(
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p_rare> ?o }");
+  ASSERT_EQ(ungrouped.outputs.size(), 1u);
+  EXPECT_EQ(ungrouped.outputs[0].direct_slot, 0);
+}
+
 TEST_F(PlannerTest, RequiresFinalizedStore) {
   TripleStore fresh;
   fresh.Add(Ex("a"), Ex("b"), Ex("c"));

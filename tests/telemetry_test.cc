@@ -16,7 +16,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -477,6 +479,30 @@ std::string HttpGet(uint16_t port, const std::string& target,
   return response;
 }
 
+/// Polls `done` for up to 10 s (asynchronous server-side effects).
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Percent-encodes everything but unreserved characters, for GET /query.
+std::string UrlEncode(const std::string& in) {
+  std::string out;
+  for (unsigned char c : in) {
+    if (std::isalnum(c) || c == '-' || c == '_' || c == '.' || c == '~') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      out += StrFormat("%%%02X", c);
+    }
+  }
+  return out;
+}
+
 TEST_F(TelemetryServerTest, HistoryVerbReportsWindowRates) {
   ServerOptions options;
   // No background interference: the test drives sampling by hand.
@@ -531,6 +557,11 @@ TEST_F(TelemetryServerTest, SlowQueryCaptureIsRateLimited) {
                          engine_.facet().CanonicalQuerySparql(mask)));
     ASSERT_TRUE(response.ok()) << response.header;
   }
+  // Capture runs after each reply is sent; wait for all three decisions.
+  WaitFor([&] {
+    return server.slow_queries().captured_total() +
+               server.slow_queries().suppressed_total() >= 3;
+  });
   EXPECT_EQ(server.slow_queries().captured_total(), 1u);
   EXPECT_GE(server.slow_queries().suppressed_total(), 2u);
 
@@ -541,6 +572,66 @@ TEST_F(TelemetryServerTest, SlowQueryCaptureIsRateLimited) {
   EXPECT_NE(body.find("\"analyze\""), std::string::npos);
   EXPECT_NE(body.find("\"trace\""), std::string::npos);
   EXPECT_NE(body.find("\"epoch\""), std::string::npos);
+
+  client.Roundtrip("QUIT");
+  server.Stop();
+}
+
+TEST_F(TelemetryServerTest, SlowQueryCaptureDoesNotDelayTheReply) {
+  // The capture log's clock stalls (for at most 2 s) until the client has
+  // read its reply. Capture running before the reply would therefore hold
+  // the reply back for the whole stall.
+  std::atomic<bool> reply_read{false};
+  ServerOptions options;
+  options.slow_query.threshold_micros = 1.0;
+  options.slow_query.min_interval_seconds = 0.0;
+  options.slow_query.clock_seconds = [&reply_read] {
+    const auto start = std::chrono::steady_clock::now();
+    while (!reply_read.load() &&
+           std::chrono::steady_clock::now() - start < std::chrono::seconds(2)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
+  SofosServer server(&engine_, options);
+  SOFOS_ASSERT_OK(server.Start());
+
+  // Line protocol.
+  BlockingClient client;
+  SOFOS_ASSERT_OK(client.Connect(server.port()));
+  // One line, as the line protocol carries it.
+  std::string line_query = engine_.facet().CanonicalQuerySparql(1);
+  std::replace(line_query.begin(), line_query.end(), '\n', ' ');
+  auto start = std::chrono::steady_clock::now();
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto response, client.Roundtrip("QUERY " + line_query));
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start).count();
+  reply_read.store(true);
+  ASSERT_TRUE(response.ok()) << response.header;
+  EXPECT_LT(seconds, 1.0);
+  ASSERT_TRUE(WaitFor([&] { return server.slow_queries().captured_total() == 1; }));
+
+  // HTTP /query.
+  reply_read.store(false);
+  const std::string http_query = engine_.facet().CanonicalQuerySparql(2);
+  start = std::chrono::steady_clock::now();
+  std::string http = HttpGet(server.http_port(), "/query?q=" + UrlEncode(http_query));
+  seconds = std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start).count();
+  reply_read.store(true);
+  EXPECT_NE(http.find("HTTP/1.0 200"), std::string::npos) << http;
+  EXPECT_LT(seconds, 1.0);
+  ASSERT_TRUE(WaitFor([&] { return server.slow_queries().captured_total() == 2; }));
+
+  std::vector<server::SlowQueryRecord> records = server.slow_queries().Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].query, line_query);
+  EXPECT_EQ(records[1].query, http_query);
+  std::string slow = HttpGet(server.http_port(), "/slow");
+  EXPECT_NE(slow.find("HTTP/1.0 200"), std::string::npos);
+  EXPECT_NE(slow.find("\"analyze\""), std::string::npos);
 
   client.Roundtrip("QUIT");
   server.Stop();
