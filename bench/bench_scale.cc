@@ -48,8 +48,8 @@ struct QueryCase {
 std::vector<QueryCase> ScaleQueries() {
   const std::string ns = datagen::kLubmNs;
   return {
-      // Star lookup on one department: subject-family scans with a bound
-      // predicate — the path the per-shard predicate blooms accelerate.
+      // Star lookup on one department: subject-bound scans with a bound
+      // predicate — served from the canonical array's subject directory.
       {"q1_star",
        "PREFIX lubm: <" + ns + ">\n"
        "SELECT ?c ?lvl WHERE {\n"

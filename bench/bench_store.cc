@@ -3,7 +3,7 @@
 ///   Finalize()    full rebuild cost at 1/2/4/8 shards (pool-parallel
 ///                 per-shard sorts)
 ///   ApplyDelta()  0.5% staged-delta merge cost + how many of the
-///                 3 * shard_count buckets it actually rebuilt
+///                 2 * shard_count buckets it actually rebuilt
 ///   Clone()       COW snapshot clone: O(shard pointers), flat in |G|
 ///   publish       SofosEngine::PublishSnapshot() after a 0.5%
 ///                 ApplyUpdates batch — the O(changed shards) headline
@@ -216,6 +216,6 @@ int main(int argc, char** argv) {
       "column stays flat as the graph grows, so epoch publication after a\n"
       "small ApplyUpdates batch does not pay O(n).\n"
       "ApplyDelta rebuilds only the buckets the delta hashes into\n"
-      "(`rebuilt` of 3 * shard_count).\n");
+      "(`rebuilt` of 2 * shard_count).\n");
   return 0;
 }

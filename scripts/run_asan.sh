@@ -18,8 +18,8 @@ BUILD_DIR="${1:-$REPO_ROOT/build-asan}"
 FLAGS="-g -fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 SUITES=(exec_test sparql_exec_test sparql_agg_test sparql_planner_test
         sparql_reference_test sparql_value_test sparql_modifiers_test
-        sparql_filter_kernel_test store_test server_test event_loop_test
-        telemetry_test)
+        sparql_filter_kernel_test store_test rdf_store_test server_test
+        event_loop_test telemetry_test)
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="$FLAGS"

@@ -12,12 +12,14 @@ namespace sofos {
 
 namespace {
 
-// Field extraction per order: order -> (first, second, third) selectors.
-// Order indexes are family * 2 + run (see TripleStore::Family), i.e.
-// 0=SPO, 1=SOP, 2=PSO, 3=POS, 4=OSP, 5=OPS.
+// Index orders as field priorities (0 = s, 1 = p, 2 = o). SPO and SOP are
+// served from the canonical array's subject blocks, PSO and POS from the
+// predicate family's two runs, OSP from the object family.
 struct FieldPerm {
-  int a, b, c;  // 0 = s, 1 = p, 2 = o
+  int a, b, c;
 };
+
+enum Order : int { kSPO, kSOP, kPSO, kPOS, kOSP };
 
 constexpr FieldPerm kPerms[] = {
     {0, 1, 2},  // SPO
@@ -25,15 +27,22 @@ constexpr FieldPerm kPerms[] = {
     {1, 0, 2},  // PSO
     {1, 2, 0},  // POS
     {2, 0, 1},  // OSP
-    {2, 1, 0},  // OPS
 };
 
-constexpr int kSPO = 0;
+/// Per family: the leading field it partitions on and its runs' orders.
+struct FamilySpec {
+  int field;
+  int num_runs;
+  Order orders[2];
+};
 
-/// The leading field each family partitions on (0 = s, 1 = p, 2 = o).
-constexpr int kFamilyField[TripleStore::kNumFamilies] = {0, 1, 2};
+constexpr FamilySpec kFamilySpecs[TripleStore::kNumFamilies] = {
+    {1, 2, {kPSO, kPOS}},  // kPredicateFamily
+    {2, 1, {kOSP, kOSP}},  // kObjectFamily
+};
 
 constexpr size_t kMaxShards = 256;
+constexpr TermId kMaxTermId = std::numeric_limits<TermId>::max();
 
 inline TermId Field(const Triple& t, int f) {
   switch (f) {
@@ -118,7 +127,6 @@ TripleStore::TripleStore(TripleStore&& other)
       pending_(std::move(other.pending_)),
       shard_count_(other.shard_count_),
       families_(std::move(other.families_)),
-      bucket_nodes_(std::move(other.bucket_nodes_)),
       delta_adds_(std::move(other.delta_adds_)),
       delta_deletes_(std::move(other.delta_deletes_)),
       predicate_stats_(std::move(other.predicate_stats_)),
@@ -135,7 +143,6 @@ TripleStore& TripleStore::operator=(TripleStore&& other) {
     pending_ = std::move(other.pending_);
     shard_count_ = other.shard_count_;
     families_ = std::move(other.families_);
-    bucket_nodes_ = std::move(other.bucket_nodes_);
     delta_adds_ = std::move(other.delta_adds_);
     delta_deletes_ = std::move(other.delta_deletes_);
     predicate_stats_ = std::move(other.predicate_stats_);
@@ -153,7 +160,6 @@ void TripleStore::Reset() {
   pending_.clear();
   shard_count_ = 1;
   for (auto& family : families_) family.clear();
-  bucket_nodes_.clear();
   delta_adds_.clear();
   delta_deletes_.clear();
   predicate_stats_.clear();
@@ -171,10 +177,9 @@ TripleStore TripleStore::Clone() const {
   SOFOS_CHECK(!HasStagedDelta(), "Clone() while a staged delta is pending");
   TripleStore copy;
   copy.dict_ = dict_;            // shared: append-only + internally locked
-  copy.canonical_ = canonical_;  // COW: replaced wholesale on mutation
+  copy.canonical_ = canonical_;  // COW: triples + directory, one pointer
   copy.shard_count_ = shard_count_;
-  copy.families_ = families_;  // COW: 3 * shard_count pointer copies
-  copy.bucket_nodes_ = bucket_nodes_;
+  copy.families_ = families_;  // COW: 2 * shard_count pointer copies
   copy.predicate_stats_ = predicate_stats_;
   copy.num_nodes_ = num_nodes_;
   copy.finalized_ = true;
@@ -201,7 +206,7 @@ void TripleStore::Add(TermId s, TermId p, TermId o) {
     // Detach into the staging buffer; the canonical array may be shared
     // with clones and must never be edited in place. (finalized_ implies
     // canonical_ is set — Finalize() establishes it and moves reset both.)
-    pending_ = *canonical_;
+    pending_ = canonical_->triples;
     finalized_ = false;
   }
   pending_.push_back(Triple{s, p, o});
@@ -241,6 +246,36 @@ void TripleStore::StageDelete(const Term& s, const Term& p, const Term& o) {
 void TripleStore::DiscardStagedDelta() {
   delta_adds_.clear();
   delta_deletes_.clear();
+}
+
+std::shared_ptr<const TripleStore::Canonical> TripleStore::MakeCanonical(
+    std::vector<Triple> triples) {
+  SOFOS_CHECK(triples.size() <= std::numeric_limits<uint32_t>::max(),
+              "canonical array exceeds uint32 directory offsets");
+  auto canonical = std::make_shared<Canonical>();
+  std::vector<uint32_t>& dir = canonical->subject_offsets;
+  // One pass over the SPO-sorted array: at each subject's first triple,
+  // every id up to and including it starts there (ids without triples get
+  // empty blocks); the sentinel entry after the largest subject closes it.
+  const size_t num_ids = triples.empty() ? 0 : size_t{triples.back().s} + 2;
+  dir.resize(num_ids);
+  size_t next_id = 0;
+  for (size_t i = 0; i < triples.size(); ++i) {
+    while (next_id <= triples[i].s) dir[next_id++] = static_cast<uint32_t>(i);
+  }
+  while (next_id < num_ids) {
+    dir[next_id++] = static_cast<uint32_t>(triples.size());
+  }
+  canonical->triples = std::move(triples);
+  return canonical;
+}
+
+std::pair<const Triple*, const Triple*> TripleStore::SubjectBlock(
+    TermId s) const {
+  const std::vector<uint32_t>& dir = canonical_->subject_offsets;
+  const Triple* base = canonical_->triples.data();
+  if (size_t{s} + 1 >= dir.size()) return {base, base};
+  return {base + dir[s], base + dir[s + 1]};
 }
 
 std::vector<std::vector<Triple>> TripleStore::PartitionByField(
@@ -297,146 +332,87 @@ void TripleStore::ComputeShardStats(Shard* shard) {
   }
 }
 
-void TripleStore::CompressShard(Shard* out, int family,
-                                const std::vector<Triple>& bucket) {
-  // `bucket` arrives sorted by the family's primary order, so the leading
-  // field is non-decreasing: one pass emits each distinct lead once and
-  // packs the two minor fields per triple. CSR offsets are uint32 — fine
-  // for any per-bucket size this store can hold (TermIds are uint32 and
-  // shards split the graph further).
-  SOFOS_CHECK(bucket.size() <= std::numeric_limits<uint32_t>::max(),
-              "compact shard bucket exceeds uint32 edge offsets");
-  const FieldPerm& perm = kPerms[family * 2];
+void TripleStore::CompressShard(Shard* out, const std::vector<Triple>& bucket) {
+  // `bucket` arrives OSP-sorted, so the object is non-decreasing: one pass
+  // emits each distinct object once and packs (s, p) per triple. CSR
+  // offsets are uint32 — fine for any per-bucket size this store can hold
+  // (the canonical array itself is capped at uint32 offsets).
   out->compact = true;
   out->edges.reserve(bucket.size());
   for (const Triple& t : bucket) {
-    TermId lead = Field(t, perm.a);
-    if (out->node_ids.empty() || out->node_ids.back() != lead) {
-      out->node_ids.push_back(lead);
+    if (out->node_ids.empty() || out->node_ids.back() != t.o) {
+      out->node_ids.push_back(t.o);
       out->node_offsets.push_back(static_cast<uint32_t>(out->edges.size()));
     }
-    out->edges.push_back(Shard::Edge{Field(t, perm.b), Field(t, perm.c)});
+    out->edges.push_back(Shard::Edge{t.s, t.p});
   }
   out->node_offsets.push_back(static_cast<uint32_t>(out->edges.size()));
 }
 
-std::vector<Triple> TripleStore::DecompressShard(const Shard& shard,
-                                                 int family) {
-  const FieldPerm& perm = kPerms[family * 2];
+std::vector<Triple> TripleStore::DecompressShard(const Shard& shard) {
   std::vector<Triple> out;
   out.reserve(shard.edges.size());
   for (size_t n = 0; n < shard.node_ids.size(); ++n) {
     for (uint32_t i = shard.node_offsets[n]; i < shard.node_offsets[n + 1];
          ++i) {
-      Triple t;
-      SetField(&t, perm.a, shard.node_ids[n]);
-      SetField(&t, perm.b, shard.edges[i][0]);
-      SetField(&t, perm.c, shard.edges[i][1]);
-      out.push_back(t);
+      out.push_back(Triple{shard.edges[i][0], shard.edges[i][1],
+                           shard.node_ids[n]});
     }
   }
   return out;
 }
 
-void TripleStore::ComputeShardBloom(Shard* shard) {
-  constexpr uint32_t kBloomBits = Shard::kBloomWords * 64;
-  shard->bloom.fill(0);
-  auto add = [shard](TermId p) {
-    const uint64_t h = MixId(p);
-    const uint32_t b1 = static_cast<uint32_t>(h) & (kBloomBits - 1);
-    const uint32_t b2 = static_cast<uint32_t>(h >> 32) & (kBloomBits - 1);
-    shard->bloom[b1 >> 6] |= 1ULL << (b1 & 63);
-    shard->bloom[b2 >> 6] |= 1ULL << (b2 & 63);
-  };
-  if (shard->compact) {
-    // Subject-family edges store (p, o).
-    for (const Shard::Edge& e : shard->edges) add(e[0]);
-  } else {
-    // Subject-family runs[0] is SPO.
-    for (const Triple& t : shard->runs[0]) add(t.p);
-  }
+std::pair<const TripleStore::Shard::Edge*, const TripleStore::Shard::Edge*>
+TripleStore::NodeEdges(const Shard& shard, TermId o) {
+  auto it = std::lower_bound(shard.node_ids.begin(), shard.node_ids.end(), o);
+  if (it == shard.node_ids.end() || *it != o) return {nullptr, nullptr};
+  const size_t n = static_cast<size_t>(it - shard.node_ids.begin());
+  return {shard.edges.data() + shard.node_offsets[n],
+          shard.edges.data() + shard.node_offsets[n + 1]};
 }
 
-bool TripleStore::BloomMayContain(const Shard& shard, TermId predicate) {
-  constexpr uint32_t kBloomBits = Shard::kBloomWords * 64;
-  const uint64_t h = MixId(predicate);
-  const uint32_t b1 = static_cast<uint32_t>(h) & (kBloomBits - 1);
-  const uint32_t b2 = static_cast<uint32_t>(h >> 32) & (kBloomBits - 1);
-  return (shard.bloom[b1 >> 6] & (1ULL << (b1 & 63))) != 0 &&
-         (shard.bloom[b2 >> 6] & (1ULL << (b2 & 63))) != 0;
-}
-
-uint64_t TripleStore::ComputeBucketNodes(size_t k) const {
-  // Distinct ids appearing as subject or object *within this bucket*:
-  // subjects are the distinct leads of the bucket's SPO index, objects the
-  // distinct leads of the bucket's OSP index; merge-count the two ascending
-  // sequences. A compact shard lists its distinct leads directly
-  // (node_ids); a sorted-run shard yields them as run-heads of its primary
-  // run, which the prev-dedup below collapses. The subject and object
-  // families use the same hash, so a term's subject occurrences and object
-  // occurrences land in the same bucket index and the per-bucket counts
-  // sum to the global node count without double counting.
-  const Shard& subj = *families_[kSubjectFamily][k];
-  const Shard& obj = *families_[kObjectFamily][k];
-  auto size_of = [](const Shard& sh) {
-    return sh.compact ? sh.node_ids.size() : sh.runs[0].size();
-  };
-  auto lead_at = [](const Shard& sh, int field, size_t idx) {
-    return sh.compact ? sh.node_ids[idx] : Field(sh.runs[0][idx], field);
-  };
-  const size_t nsub = size_of(subj), nobj = size_of(obj);
-  uint64_t nodes = 0;
-  size_t i = 0, j = 0;
-  TermId prev = kNullTermId;
-  bool have_prev = false;
-  while (i < nsub || j < nobj) {
-    TermId next;
-    if (j >= nobj ||
-        (i < nsub && lead_at(subj, 0, i) <= lead_at(obj, 2, j))) {
-      next = lead_at(subj, 0, i);
-      ++i;
-    } else {
-      next = lead_at(obj, 2, j);
-      ++j;
-    }
-    if (!have_prev || next != prev) {
-      ++nodes;
-      prev = next;
-      have_prev = true;
-    }
-  }
-  return nodes;
-}
-
-void TripleStore::RefreshStats(const std::vector<bool>* dirty_buckets) {
+void TripleStore::RefreshStats() {
   predicate_stats_.clear();
   for (const auto& shard : families_[kPredicateFamily]) {
     for (const auto& [pred, stats] : shard->stats) {
       predicate_stats_.emplace(pred, stats);
     }
   }
-  if (bucket_nodes_.size() != shard_count_) {
-    bucket_nodes_.assign(shard_count_, 0);
-    dirty_buckets = nullptr;  // shard count changed: everything is dirty
+  // Nodes = subjects (non-empty directory blocks) + objects without a
+  // block. A compact object shard lists its distinct objects directly; a
+  // sorted OSP run yields them as run heads.
+  const std::vector<uint32_t>& dir = canonical_->subject_offsets;
+  auto has_block = [&dir](TermId id) {
+    return size_t{id} + 1 < dir.size() && dir[id] != dir[id + 1];
+  };
+  uint64_t nodes = 0;
+  for (size_t id = 0; id + 1 < dir.size(); ++id) {
+    if (dir[id] != dir[id + 1]) ++nodes;
   }
-  for (size_t k = 0; k < shard_count_; ++k) {
-    if (dirty_buckets == nullptr || (*dirty_buckets)[k]) {
-      bucket_nodes_[k] = ComputeBucketNodes(k);
+  for (const auto& shard : families_[kObjectFamily]) {
+    if (shard->compact) {
+      for (TermId o : shard->node_ids) nodes += has_block(o) ? 0 : 1;
+      continue;
+    }
+    TermId prev = kNullTermId;
+    for (const Triple& t : shard->runs[0]) {
+      if (t.o == prev) continue;
+      prev = t.o;
+      nodes += has_block(t.o) ? 0 : 1;
     }
   }
-  num_nodes_ = 0;
-  for (uint64_t n : bucket_nodes_) num_nodes_ += n;
+  num_nodes_ = nodes;
 }
 
 void TripleStore::BuildShards(ThreadPool* pool) {
-  const std::vector<Triple>& all = *canonical_;
+  const std::vector<Triple>& all = canonical_->triples;
 
   // Serial partition pass per family (linear), then every (family, bucket)
-  // sorts its two runs independently on the pool. Comparators are total
-  // orders over deduplicated triples, so the result is schedule-invariant.
+  // sorts its runs independently on the pool. Comparators are total orders
+  // over deduplicated triples, so the result is schedule-invariant.
   std::array<std::vector<std::vector<Triple>>, kNumFamilies> partitioned;
   for (int f = 0; f < kNumFamilies; ++f) {
-    partitioned[f] = PartitionByField(all, kFamilyField[f]);
+    partitioned[f] = PartitionByField(all, kFamilySpecs[f].field);
   }
 
   std::array<std::vector<std::shared_ptr<const Shard>>, kNumFamilies> fresh;
@@ -447,33 +423,27 @@ void TripleStore::BuildShards(ThreadPool* pool) {
       pool, static_cast<size_t>(kNumFamilies) * shard_count_, [&](size_t i) {
         const int f = static_cast<int>(i / shard_count_);
         const size_t k = i % shard_count_;
+        const FamilySpec& spec = kFamilySpecs[f];
         auto shard = std::make_shared<Shard>();
         std::vector<Triple> bucket = std::move(partitioned[f][k]);
         if (FamilyCompact(f)) {
-          // The partition preserves canonical SPO order, so the subject
-          // family's bucket is already in its primary order; the object
-          // family needs its OSP sort first.
-          if (f != kSubjectFamily) {
-            std::sort(bucket.begin(), bucket.end(), PermLess{kPerms[f * 2]});
-          }
-          CompressShard(shard.get(), f, bucket);
+          std::sort(bucket.begin(), bucket.end(), PermLess{kPerms[kOSP]});
+          CompressShard(shard.get(), bucket);
         } else {
-          shard->runs[0] = std::move(bucket);
-          shard->runs[1] = shard->runs[0];
-          // Same SPO-order argument as above for the subject family.
-          if (f != kSubjectFamily) {
-            std::sort(shard->runs[0].begin(), shard->runs[0].end(),
-                      PermLess{kPerms[f * 2]});
+          for (int run = 1; run < spec.num_runs; ++run) {
+            shard->runs[run] = bucket;
           }
-          std::sort(shard->runs[1].begin(), shard->runs[1].end(),
-                    PermLess{kPerms[f * 2 + 1]});
+          shard->runs[0] = std::move(bucket);
+          for (int run = 0; run < spec.num_runs; ++run) {
+            std::sort(shard->runs[run].begin(), shard->runs[run].end(),
+                      PermLess{kPerms[spec.orders[run]]});
+          }
         }
         if (f == kPredicateFamily) ComputeShardStats(shard.get());
-        if (f == kSubjectFamily) ComputeShardBloom(shard.get());
         fresh[f][k] = std::move(shard);
       });
   for (int f = 0; f < kNumFamilies; ++f) families_[f] = std::move(fresh[f]);
-  RefreshStats(nullptr);
+  RefreshStats();
 }
 
 void TripleStore::SetShardCount(size_t count, ThreadPool* pool) {
@@ -510,17 +480,14 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
       std::unique(delta_deletes_.begin(), delta_deletes_.end()),
       delta_deletes_.end());
 
-  const std::vector<Triple>& current = *canonical_;
   std::vector<Triple> adds, deletes;
   adds.reserve(delta_adds_.size());
   deletes.reserve(delta_deletes_.size());
   for (const Triple& t : delta_adds_) {
-    if (!std::binary_search(current.begin(), current.end(), t)) {
-      adds.push_back(t);
-    }
+    if (!Contains(t.s, t.p, t.o)) adds.push_back(t);
   }
   for (const Triple& t : delta_deletes_) {
-    if (std::binary_search(current.begin(), current.end(), t) &&
+    if (Contains(t.s, t.p, t.o) &&
         !std::binary_search(delta_adds_.begin(), delta_adds_.end(), t)) {
       deletes.push_back(t);
     }
@@ -539,84 +506,68 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
   // published Shard across the mutation (the COW aliasing contract).
   std::array<std::vector<std::vector<Triple>>, kNumFamilies> f_adds, f_deletes;
   for (int f = 0; f < kNumFamilies; ++f) {
-    f_adds[f] = PartitionByField(adds, kFamilyField[f]);
-    f_deletes[f] = PartitionByField(deletes, kFamilyField[f]);
+    f_adds[f] = PartitionByField(adds, kFamilySpecs[f].field);
+    f_deletes[f] = PartitionByField(deletes, kFamilySpecs[f].field);
   }
   struct ShardTask {
     int family;
     size_t bucket;
   };
   std::vector<ShardTask> tasks;
-  std::vector<bool> dirty_nodes(shard_count_, false);
   for (int f = 0; f < kNumFamilies; ++f) {
     for (size_t k = 0; k < shard_count_; ++k) {
       if (f_adds[f][k].empty() && f_deletes[f][k].empty()) continue;
       tasks.push_back(ShardTask{f, k});
-      if (f != kPredicateFamily) dirty_nodes[k] = true;
     }
   }
   result.shards_rebuilt = tasks.size();
 
-  // Task list: one canonical-array merge plus one merge per touched shard,
-  // all independent; each shard task sorts its own small delta slice into
-  // its two run orders, then merges linearly.
-  auto fresh_canonical = std::make_shared<std::vector<Triple>>();
+  // Task list: one canonical merge (plus its directory) and one merge per
+  // touched shard, all independent; each shard task sorts its own small
+  // delta slice into its run orders, then merges linearly.
+  std::shared_ptr<const Canonical> fresh_canonical;
   std::vector<std::shared_ptr<const Shard>> replacements(tasks.size());
   ParallelForEach(pool, tasks.size() + 1, [&](size_t i) {
     if (i == tasks.size()) {
-      *fresh_canonical =
-          MergeDelta(*canonical_, adds, deletes, PermLess{kPerms[kSPO]});
+      fresh_canonical = MakeCanonical(MergeDelta(
+          canonical_->triples, adds, deletes, PermLess{kPerms[kSPO]}));
       return;
     }
     const ShardTask& task = tasks[i];
+    const FamilySpec& spec = kFamilySpecs[task.family];
     const Shard& old = *families_[task.family][task.bucket];
+    // Each (family, bucket) slice belongs to exactly this task; its last
+    // run steals the slice instead of copying it.
+    std::vector<Triple>& slice_adds = f_adds[task.family][task.bucket];
+    std::vector<Triple>& slice_deletes = f_deletes[task.family][task.bucket];
     auto fresh = std::make_shared<Shard>();
-    if (old.compact) {
-      // Compact buckets merge in the primary order only: decode the CSR
-      // arrays back to triples, tombstone-merge, re-encode. The slices are
-      // this task's alone, so steal them.
-      const int order = task.family * 2;
-      PermLess less{kPerms[order]};
+    const int num_runs = old.compact ? 1 : spec.num_runs;
+    for (int run = 0; run < num_runs; ++run) {
+      const bool last = run + 1 == num_runs;
+      PermLess less{kPerms[spec.orders[run]]};
       std::vector<Triple> order_adds =
-          std::move(f_adds[task.family][task.bucket]);
+          last ? std::move(slice_adds) : slice_adds;
       std::vector<Triple> order_deletes =
-          std::move(f_deletes[task.family][task.bucket]);
-      if (order != kSPO) {
-        std::sort(order_adds.begin(), order_adds.end(), less);
-        std::sort(order_deletes.begin(), order_deletes.end(), less);
-      }
-      CompressShard(fresh.get(), task.family,
-                    MergeDelta(DecompressShard(old, task.family), order_adds,
-                               order_deletes, less));
-    } else {
-      for (int run = 0; run < 2; ++run) {
-        const int order = task.family * 2 + run;
-        PermLess less{kPerms[order]};
-        // Each (family, bucket) slice belongs to exactly this task; the
-        // second run is its last use, so steal instead of copying.
-        std::vector<Triple> order_adds =
-            run == 1 ? std::move(f_adds[task.family][task.bucket])
-                     : f_adds[task.family][task.bucket];
-        std::vector<Triple> order_deletes =
-            run == 1 ? std::move(f_deletes[task.family][task.bucket])
-                     : f_deletes[task.family][task.bucket];
-        if (order != kSPO) {
-          std::sort(order_adds.begin(), order_adds.end(), less);
-          std::sort(order_deletes.begin(), order_deletes.end(), less);
-        }
-        fresh->runs[run] = MergeDelta(old.runs[run], order_adds,
-                                      order_deletes, less);
+          last ? std::move(slice_deletes) : slice_deletes;
+      std::sort(order_adds.begin(), order_adds.end(), less);
+      std::sort(order_deletes.begin(), order_deletes.end(), less);
+      if (old.compact) {
+        // Compact object buckets decode, tombstone-merge, re-encode.
+        CompressShard(fresh.get(), MergeDelta(DecompressShard(old), order_adds,
+                                              order_deletes, less));
+      } else {
+        fresh->runs[run] =
+            MergeDelta(old.runs[run], order_adds, order_deletes, less);
       }
     }
     if (task.family == kPredicateFamily) ComputeShardStats(fresh.get());
-    if (task.family == kSubjectFamily) ComputeShardBloom(fresh.get());
     replacements[i] = std::move(fresh);
   });
   canonical_ = std::move(fresh_canonical);
   for (size_t i = 0; i < tasks.size(); ++i) {
     families_[tasks[i].family][tasks[i].bucket] = std::move(replacements[i]);
   }
-  RefreshStats(&dirty_nodes);
+  RefreshStats();
 
   result.merge_micros = timer.ElapsedMicros();
   return result;
@@ -631,8 +582,7 @@ void TripleStore::Finalize(ThreadPool* pool) {
   std::sort(pending_.begin(), pending_.end());
   pending_.erase(std::unique(pending_.begin(), pending_.end()),
                  pending_.end());
-  canonical_ =
-      std::make_shared<const std::vector<Triple>>(std::move(pending_));
+  canonical_ = MakeCanonical(std::move(pending_));
   pending_ = std::vector<Triple>();
   BuildShards(pool);
   finalized_ = true;
@@ -643,15 +593,34 @@ namespace {
 /// The index whose sort order puts the bound components first. Shared by
 /// Scan() and ScanFieldOrder() so the two can never disagree — the hash
 /// join's bucket ordering relies on replicating exactly this choice.
-int PickScanOrder(bool s, bool p, bool o) {
+Order PickScanOrder(bool s, bool p, bool o) {
   if (s) {
-    if (p) return 0;  // kSPO: covers s, sp, spo
-    if (o) return 1;  // kSOP
-    return 0;         // kSPO
+    if (p) return kSPO;  // covers s, sp, spo
+    if (o) return kSOP;
+    return kSPO;
   }
-  if (p) return o ? 3 : 2;  // kPOS : kPSO
-  if (o) return 4;          // kOSP
-  return 0;                 // kSPO: full scan
+  if (p) return o ? kPOS : kPSO;
+  if (o) return kOSP;
+  return kSPO;  // full scan
+}
+
+/// The sub-range of [begin, end) — sorted by `order` — whose bound fields
+/// (kNullTermId = unbound) match; unbound fields span (0, max).
+std::pair<const Triple*, const Triple*> BoundRange(const Triple* begin,
+                                                   const Triple* end,
+                                                   Order order, TermId s,
+                                                   TermId p, TermId o) {
+  const FieldPerm& perm = kPerms[order];
+  Triple lo{s, p, o}, hi{s, p, o};
+  for (int f : {perm.a, perm.b, perm.c}) {
+    if (Field(lo, f) == kNullTermId) {
+      SetField(&lo, f, 0);
+      SetField(&hi, f, kMaxTermId);
+    }
+  }
+  PermLess less{perm};
+  const Triple* first = std::lower_bound(begin, end, lo, less);
+  return {first, std::upper_bound(first, end, hi, less)};
 }
 
 }  // namespace
@@ -662,179 +631,97 @@ std::array<int, 3> TripleStore::ScanFieldOrder(bool s_bound, bool p_bound,
   return {perm.a, perm.b, perm.c};
 }
 
-TripleStore::ScanRange TripleStore::Scan(TermId s, TermId p, TermId o,
-                                         bool* bloom_skipped) const {
-  if (bloom_skipped != nullptr) *bloom_skipped = false;
+TripleStore::ScanRange TripleStore::Scan(TermId s, TermId p, TermId o) const {
   assert(finalized_ && "Scan() requires a finalized store");
   // Release-mode backstop for the misuse the assert catches in debug: an
   // unfinalized store has no canonical array (and possibly no shards) —
   // answer empty instead of dereferencing null.
   if (canonical_ == nullptr) return ScanRange();
 
-  if (s == kNullTermId && p == kNullTermId && o == kNullTermId) {
-    // Fully unbound: the canonical array is the one globally SPO-sorted
-    // view (shard runs are only locally sorted).
-    const auto& all = *canonical_;
-    return ScanRange(all.data(), all.data() + all.size());
-  }
-  int order =
+  const Order order =
       PickScanOrder(s != kNullTermId, p != kNullTermId, o != kNullTermId);
-
-  // Every non-full pattern binds the chosen order's leading field, so the
-  // scan resolves inside exactly one hash bucket of that order's family.
-  const int family = order / 2;
-  const TermId lead = family == kSubjectFamily
-                          ? s
-                          : family == kPredicateFamily ? p : o;
-  const Shard& shard =
-      *families_[family][ShardIndexFor(lead, shard_count_)];
-  // Subject-family scans are the only picked orders with a bound,
-  // non-leading predicate (SPO with p bound); the shard's predicate bloom
-  // proves many of those empty without touching the index. False positives
-  // just fall through to the normal search — results are unchanged.
-  if (family == kSubjectFamily && p != kNullTermId &&
-      !BloomMayContain(shard, p)) {
-    if (bloom_skipped != nullptr) *bloom_skipped = true;
-    return ScanRange();
-  }
-  if (shard.compact) return CompactScan(shard, order, s, p, o);
-  const std::vector<Triple>& index = shard.runs[order % 2];
-
-  const FieldPerm& perm = kPerms[order];
-  constexpr TermId kMax = std::numeric_limits<TermId>::max();
-  Triple lo{s, p, o}, hi{s, p, o};
-  // Unbound fields become (0, max) so the bound prefix delimits the range.
-  if (Field(lo, perm.a) == kNullTermId) {
-    SetField(&lo, perm.a, 0);
-    SetField(&hi, perm.a, kMax);
-  }
-  if (Field(lo, perm.b) == kNullTermId) {
-    SetField(&lo, perm.b, 0);
-    SetField(&hi, perm.b, kMax);
-  }
-  if (Field(lo, perm.c) == kNullTermId) {
-    SetField(&lo, perm.c, 0);
-    SetField(&hi, perm.c, kMax);
-  }
-
-  PermLess less{perm};
-  auto begin = std::lower_bound(index.begin(), index.end(), lo, less);
-  auto end = std::upper_bound(begin, index.end(), hi, less);
-  return ScanRange(index.data() + (begin - index.begin()),
-                   index.data() + (end - index.begin()));
-}
-
-TripleStore::ScanRange TripleStore::CompactScan(const Shard& shard, int order,
-                                                TermId s, TermId p,
-                                                TermId o) const {
-  const int family = order / 2;
-  const TermId lead = family == kSubjectFamily ? s : o;
-  auto it =
-      std::lower_bound(shard.node_ids.begin(), shard.node_ids.end(), lead);
-  if (it == shard.node_ids.end() || *it != lead) return ScanRange();
-  const size_t n = static_cast<size_t>(it - shard.node_ids.begin());
-  const Shard::Edge* ebeg = shard.edges.data() + shard.node_offsets[n];
-  const Shard::Edge* eend = shard.edges.data() + shard.node_offsets[n + 1];
-
-  // Materialize the node's matching slice in exactly the order the sorted
-  // run would have held it; the buffer travels with the range (backing).
-  auto out = std::make_shared<std::vector<Triple>>();
-  constexpr TermId kMax = std::numeric_limits<TermId>::max();
+  // Materializes a filtered or decoded slice; the buffer travels with the
+  // range (backing). Both pointers are read before the move: argument
+  // evaluation order is unspecified.
+  auto owning = [](std::shared_ptr<std::vector<Triple>> out) {
+    if (out->empty()) return ScanRange();
+    const Triple* data = out->data();
+    const Triple* data_end = data + out->size();
+    return ScanRange(data, data_end, std::move(out));
+  };
   switch (order) {
-    case 0: {  // SPO: the slice is (p, o)-sorted; narrow by p (and o).
-      if (p != kNullTermId) {
-        ebeg = std::lower_bound(
-            ebeg, eend, Shard::Edge{p, o != kNullTermId ? o : 0});
-        eend = std::upper_bound(
-            ebeg, eend, Shard::Edge{p, o != kNullTermId ? o : kMax});
+    case kSPO: {
+      if (s == kNullTermId) {
+        // Fully unbound: the canonical array is the one globally sorted
+        // view (shard runs are only locally sorted).
+        const std::vector<Triple>& all = canonical_->triples;
+        return ScanRange(all.data(), all.data() + all.size());
       }
+      // The subject's block is (p, o)-sorted, i.e. in Triple's own order:
+      // narrow it to the bound prefix, zero-copy in both layouts.
+      auto [begin, end] = SubjectBlock(s);
+      if (p != kNullTermId) {
+        const Triple lo{s, p, o == kNullTermId ? 0 : o};
+        const Triple hi{s, p, o == kNullTermId ? kMaxTermId : o};
+        begin = std::lower_bound(begin, end, lo);
+        end = std::upper_bound(begin, end, hi);
+      }
+      return ScanRange(begin, end);
+    }
+    case kSOP: {
+      // s and o bound: p ascends within the block's o matches.
+      const auto [begin, end] = SubjectBlock(s);
+      auto out = std::make_shared<std::vector<Triple>>();
+      for (const Triple* t = begin; t != end; ++t) {
+        if (t->o == o) out->push_back(*t);
+      }
+      return owning(std::move(out));
+    }
+    case kOSP: {
+      const Shard& shard =
+          *families_[kObjectFamily][ShardIndexFor(o, shard_count_)];
+      if (!shard.compact) {
+        const std::vector<Triple>& run = shard.runs[0];
+        const auto [begin, end] = BoundRange(
+            run.data(), run.data() + run.size(), kOSP, s, p, o);
+        return ScanRange(begin, end);
+      }
+      const auto [ebeg, eend] = NodeEdges(shard, o);
+      auto out = std::make_shared<std::vector<Triple>>();
       out->reserve(static_cast<size_t>(eend - ebeg));
       for (const Shard::Edge* e = ebeg; e != eend; ++e) {
-        out->push_back(Triple{lead, (*e)[0], (*e)[1]});
+        out->push_back(Triple{(*e)[0], (*e)[1], o});
       }
-      break;
+      return owning(std::move(out));
     }
-    case 1: {  // SOP: s and o bound; p ascends within the filtered slice.
-      for (const Shard::Edge* e = ebeg; e != eend; ++e) {
-        if ((*e)[1] == o) out->push_back(Triple{lead, (*e)[0], o});
-      }
-      break;
+    default: {  // kPSO / kPOS
+      const Shard& shard =
+          *families_[kPredicateFamily][ShardIndexFor(p, shard_count_)];
+      const std::vector<Triple>& run = shard.runs[order == kPOS ? 1 : 0];
+      const auto [begin, end] =
+          BoundRange(run.data(), run.data() + run.size(), order, s, p, o);
+      return ScanRange(begin, end);
     }
-    case 4: {  // OSP: o bound alone; the whole (s, p)-sorted slice.
-      out->reserve(static_cast<size_t>(eend - ebeg));
-      for (const Shard::Edge* e = ebeg; e != eend; ++e) {
-        out->push_back(Triple{(*e)[0], (*e)[1], lead});
-      }
-      break;
-    }
-    default:
-      // PickScanOrder never sends PSO/POS here (predicate family keeps
-      // runs) and never picks OPS at all.
-      SOFOS_CHECK(false, "compact scan asked for an unexpected order");
   }
-  if (out->empty()) return ScanRange();
-  // Compute both pointers before the move: argument evaluation order is
-  // unspecified, so `out` must not be read in the same call that moves it.
-  const Triple* data = out->data();
-  const Triple* data_end = data + out->size();
-  return ScanRange(data, data_end, std::move(out));
-}
-
-uint64_t TripleStore::CompactCount(const Shard& shard, int order, TermId s,
-                                   TermId p, TermId o) const {
-  const int family = order / 2;
-  const TermId lead = family == kSubjectFamily ? s : o;
-  auto it =
-      std::lower_bound(shard.node_ids.begin(), shard.node_ids.end(), lead);
-  if (it == shard.node_ids.end() || *it != lead) return 0;
-  const size_t n = static_cast<size_t>(it - shard.node_ids.begin());
-  const Shard::Edge* ebeg = shard.edges.data() + shard.node_offsets[n];
-  const Shard::Edge* eend = shard.edges.data() + shard.node_offsets[n + 1];
-  constexpr TermId kMax = std::numeric_limits<TermId>::max();
-  switch (order) {
-    case 0:
-      if (p != kNullTermId) {
-        ebeg = std::lower_bound(
-            ebeg, eend, Shard::Edge{p, o != kNullTermId ? o : 0});
-        eend = std::upper_bound(
-            ebeg, eend, Shard::Edge{p, o != kNullTermId ? o : kMax});
-      }
-      return static_cast<uint64_t>(eend - ebeg);
-    case 1: {
-      uint64_t count = 0;
-      for (const Shard::Edge* e = ebeg; e != eend; ++e) {
-        if ((*e)[1] == o) ++count;
-      }
-      return count;
-    }
-    case 4:
-      return static_cast<uint64_t>(eend - ebeg);
-    default:
-      SOFOS_CHECK(false, "compact count asked for an unexpected order");
-  }
-  return 0;
 }
 
 uint64_t TripleStore::Count(TermId s, TermId p, TermId o) const {
   assert(finalized_ && "Count() requires a finalized store");
   if (canonical_ == nullptr) return 0;
-  if (s == kNullTermId && p == kNullTermId && o == kNullTermId) {
-    return canonical_->size();
+  if (s != kNullTermId && p == kNullTermId && o != kNullTermId) {
+    const auto [begin, end] = SubjectBlock(s);  // SOP: count, don't copy
+    return static_cast<uint64_t>(std::count_if(
+        begin, end, [o](const Triple& t) { return t.o == o; }));
   }
-  const int order =
-      PickScanOrder(s != kNullTermId, p != kNullTermId, o != kNullTermId);
-  const int family = order / 2;
-  const TermId lead = family == kSubjectFamily
-                          ? s
-                          : family == kPredicateFamily ? p : o;
-  const Shard& shard =
-      *families_[family][ShardIndexFor(lead, shard_count_)];
-  if (family == kSubjectFamily && p != kNullTermId &&
-      !BloomMayContain(shard, p)) {
-    return 0;
+  if (s == kNullTermId && p == kNullTermId && o != kNullTermId) {
+    const Shard& shard =
+        *families_[kObjectFamily][ShardIndexFor(o, shard_count_)];
+    if (shard.compact) {
+      const auto [ebeg, eend] = NodeEdges(shard, o);
+      return static_cast<uint64_t>(eend - ebeg);
+    }
   }
-  if (shard.compact) return CompactCount(shard, order, s, p, o);
-  // Sorted runs: Scan() is already two binary searches with no copy.
+  // Every other shape is a zero-copy range.
   return Scan(s, p, o).size();
 }
 
@@ -850,8 +737,8 @@ std::vector<TripleStore::ScanRange> TripleStore::ScanPartitions(
   const Triple* begin = full.begin();
   for (size_t c = 0; c < chunks; ++c) {
     size_t len = base + (c < extra ? 1 : 0);
-    // Every partition shares the full range's backing (if any) so compact
-    // materializations outlive the morsel that reads them.
+    // Every partition shares the full range's backing (if any) so
+    // materialized scans outlive the morsel that reads them.
     parts.emplace_back(begin, begin + len, full.backing());
     begin += len;
   }
@@ -880,7 +767,10 @@ double TripleStore::AvgObjectFanout(TermId predicate) const {
 
 uint64_t TripleStore::MemoryBytes() const {
   uint64_t bytes = dict_->MemoryBytes();
-  if (canonical_ != nullptr) bytes += canonical_->capacity() * sizeof(Triple);
+  if (canonical_ != nullptr) {
+    bytes += canonical_->triples.capacity() * sizeof(Triple) +
+             canonical_->subject_offsets.capacity() * sizeof(uint32_t);
+  }
   bytes += pending_.capacity() * sizeof(Triple);
   bytes += (delta_adds_.capacity() + delta_deletes_.capacity()) * sizeof(Triple);
   for (const auto& family : families_) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,7 +20,7 @@ class ThreadPool;
 struct DeltaApplyResult {
   uint64_t adds_applied = 0;     // staged adds that were not already present
   uint64_t deletes_applied = 0;  // staged deletes that actually removed a triple
-  uint64_t shards_rebuilt = 0;   // hash shards the delta touched (of 3 * shard_count)
+  uint64_t shards_rebuilt = 0;   // hash shards the delta touched (of 2 * shard_count)
   double merge_micros = 0.0;
 };
 
@@ -31,45 +32,32 @@ struct PredicateStats {
   uint64_t distinct_objects = 0;
 };
 
-/// In-memory RDF triple store with dictionary encoding and six sorted
-/// permutation indexes (SPO, SOP, PSO, POS, OSP, OPS — the RDF-3X layout).
-/// Any triple pattern whose bound components form a prefix of one of the six
-/// orders resolves to a binary-searched contiguous range, which makes both
-/// scans and exact pattern counting cheap.
+/// In-memory RDF triple store with dictionary encoding. Any triple pattern
+/// resolves to a contiguous range of one sorted index (the RDF-3X idea),
+/// which makes both scans and exact pattern counting cheap.
 ///
-/// Sharded layout (see src/rdf/README.md for the full contract): the six
-/// orders are grouped into three *families* by their leading field —
-/// subject (SPO, SOP), predicate (PSO, POS), object (OSP, OPS) — and each
-/// family is hash-partitioned into `shard_count()` buckets by a
-/// deterministic mix of the leading field's TermId. Each bucket is an
-/// immutable `Shard` behind a `std::shared_ptr`, holding the bucket's two
-/// sorted runs. Because every Scan() with a bound leading field binds that
-/// field to one value, it resolves to exactly one shard, and the range it
-/// returns is byte-identical to the single-array layout for every shard
-/// count (a sorted subset restricted to one key value does not depend on
-/// what else shares its array). A separate canonical SPO array (also
-/// copy-on-write behind a shared_ptr) serves full scans, triples(), and
-/// delta normalization, so even the unbound pattern keeps its global sort
-/// order. `shard_count == 1` reproduces the historical single-array layout
-/// exactly.
+/// Layout (see src/rdf/README.md for the full contract):
+///  - The canonical array holds every triple in global SPO order, plus a
+///    dense subject directory: a uint32 offset per TermId, so subject `s`
+///    owns canonical[dir[s], dir[s+1]). Every subject-bound pattern is
+///    served from that block — SPO by a binary search inside it (zero-copy),
+///    SOP by filtering it — and the unbound pattern is the whole array.
+///  - The predicate family (PSO + POS) and the object family (OSP) are
+///    hash-partitioned into `shard_count()` buckets by a deterministic mix
+///    of the leading field's TermId. Each bucket is an immutable `Shard`
+///    behind a `std::shared_ptr`. A bound leading field resolves to one
+///    shard, and a sorted subset restricted to one key value does not depend
+///    on what else shares its array, so every range is byte-identical at
+///    every shard count.
 ///
-/// Compact layout (SetCompactLayout): an alternate per-shard representation
-/// for the subject and object families modeled on in-memory adjacency
-/// stores — a sorted uint32 node table (the bucket's distinct leading-field
-/// ids) with CSR offsets into a packed edge array holding the two minor
-/// fields per triple in the family's primary order. Star-shaped access
-/// (all triples of one subject/object) becomes one node lookup plus a
-/// contiguous block, and per-triple index cost drops from two 12-byte
-/// sorted runs to one 8-byte edge pair; the secondary orders (SOP, OPS)
-/// are served by filtering the node block, which is cheap because a block
-/// is one entity's adjacency. The predicate family keeps sorted runs: its
-/// scans are the executor's morsel-partitioned exchange inputs and stay
-/// zero-copy. Scan()/Count()/ScanPartitions() results are byte-identical
-/// across layouts at every shard count — compact scans materialize into a
-/// shared buffer carried by the returned ScanRange (see ScanRange::
-/// backing()) in exactly the order the sorted run would have had. Every
-/// shard additionally carries a predicate bloom filter (subject family)
-/// so scans with a bound predicate skip shards that provably lack it.
+/// Compact layout (SetCompactLayout): the object family stores a CSR image
+/// per shard instead of its sorted OSP run — a sorted uint32 node table (the
+/// bucket's distinct objects) with offsets into a packed (s, p) edge array —
+/// and the dictionary is front-coded. Object scans materialize the node's
+/// block into a buffer carried by the returned ScanRange (see ScanRange::
+/// backing()), in exactly the order the sorted run would have had, so
+/// Scan()/Count()/ScanPartitions() results are byte-identical across
+/// layouts at every shard count.
 ///
 /// Usage: Add() triples (interning terms through the embedded Dictionary),
 /// then Finalize() to (re)build the indexes; Scan()/Count() require a
@@ -80,14 +68,12 @@ struct PredicateStats {
 /// Incremental mutation: a *finalized* store can alternatively absorb an
 /// update batch through the staged-delta path — StageAdd()/StageDelete()
 /// collect dictionary-encoded triples in side buffers, and ApplyDelta()
-/// merges them into the canonical array plus *only the shards the delta
-/// touches*: the delta is partitioned by each family's hash, untouched
-/// buckets keep sharing their old immutable Shard (pointer-aliased across
-/// epochs — the copy-on-write contract the snapshot tests assert), touched
-/// buckets get a freshly merged replacement. For a delta of d triples
-/// against n stored triples this costs O(n + d log d) in the worst case
-/// (every bucket touched) and O(n/shard_count * touched + d log d) for
-/// skewed deltas, versus Finalize()'s O(n log n) six-way re-sort.
+/// merges them into the canonical array (rebuilding its directory) plus
+/// *only the shards the delta touches*: untouched buckets keep sharing their
+/// old immutable Shard (pointer-aliased across epochs — the copy-on-write
+/// contract the snapshot tests assert), touched buckets get a freshly merged
+/// replacement. For a delta of d triples against n stored triples this
+/// costs O(n + d log d), versus Finalize()'s O(n log n) re-sort.
 /// Semantics are set-algebraic: the new graph is (G \ deletes) ∪ adds — a
 /// triple staged on both sides ends up present; deletes of absent triples
 /// and adds of present triples are no-ops (not counted in
@@ -106,8 +92,8 @@ struct PredicateStats {
 ///    StatsFor(), triples(), dictionary() — is safe to call from any number
 ///    of threads concurrently: they only read the immutable canonical array
 ///    and shards. ScanRange pointers stay valid for that whole window, and
-///    — new with the COW layout — for as long as *any* store (a Clone())
-///    still references the shard that backs them.
+///    for as long as *any* store (a Clone()) still references the canonical
+///    array or shard that backs them.
 ///  - Intern() (and Dictionary access through mutable_dictionary()) is
 ///    internally synchronized and may run concurrently with the reads
 ///    above; it grows the dictionary but never touches the indexes. The
@@ -116,17 +102,17 @@ struct PredicateStats {
 ///  - Add(), Finalize(), ApplyDelta(), ReplaceTriples(), SetShardCount()
 ///    and move operations require exclusive access to *this store object*:
 ///    no concurrent calls of any kind on the same object. Mutating one
-///    store never disturbs readers of another store that shares shards
-///    with it — mutation replaces shard pointers, it never edits a
-///    published Shard in place.
+///    store never disturbs readers of another store that shares state with
+///    it — mutation replaces pointers, it never edits a published canonical
+///    array or Shard in place.
 class TripleStore {
  public:
-  /// The three hash-partitioned index families and their leading field.
+  /// The two hash-partitioned index families and their leading field
+  /// (subject-bound patterns are served by the canonical array's directory).
   enum Family : int {
-    kSubjectFamily = 0,    // SPO + SOP, partitioned by hash(s)
-    kPredicateFamily = 1,  // PSO + POS, partitioned by hash(p)
-    kObjectFamily = 2,     // OSP + OPS, partitioned by hash(o)
-    kNumFamilies = 3,
+    kPredicateFamily = 0,  // PSO + POS, partitioned by hash(p)
+    kObjectFamily = 1,     // OSP, partitioned by hash(o)
+    kNumFamilies = 2,
   };
 
   TripleStore();
@@ -145,16 +131,16 @@ class TripleStore {
   TripleStore& operator=(TripleStore&& other);
 
   /// Copy-on-write copy of a finalized store with no staged delta
-  /// (SOFOS_CHECK): the clone shares the canonical array, every shard, and
-  /// the (append-only, internally synchronized) dictionary with the
-  /// original — O(shard_count) pointer copies plus the small statistics
-  /// maps, independent of the number of triples. This is what pins one
-  /// immutable graph state under an epoch snapshot while the original
-  /// keeps absorbing deltas (see core::EngineSnapshot): a later mutation
-  /// of either store swaps in fresh shard pointers on that store only, so
-  /// the two diverge without ever copying untouched buckets. Query results
-  /// from the clone are byte-identical to the original at clone time,
-  /// forever.
+  /// (SOFOS_CHECK): the clone shares the canonical array (with its subject
+  /// directory), every shard, and the (append-only, internally synchronized)
+  /// dictionary with the original — O(shard_count) pointer copies plus the
+  /// small statistics maps, independent of the number of triples. This is
+  /// what pins one immutable graph state under an epoch snapshot while the
+  /// original keeps absorbing deltas (see core::EngineSnapshot): a later
+  /// mutation of either store swaps in fresh pointers on that store only,
+  /// so the two diverge without ever copying untouched buckets. Query
+  /// results from the clone are byte-identical to the original at clone
+  /// time, forever.
   TripleStore Clone() const;
 
   /// Interns `term` in the embedded dictionary.
@@ -167,11 +153,12 @@ class TripleStore {
   /// Convenience: interns the three terms and adds the triple.
   void Add(const Term& s, const Term& p, const Term& o);
 
-  /// Sorts and deduplicates the triples, rebuilds the canonical array, all
-  /// shards of all three families, and the statistics. Idempotent.
-  /// O(n log n) total, but the per-shard sorts (3 * shard_count * 2 runs)
-  /// fan out over `pool` when non-null; the result is identical either
-  /// way. Must not be called while a staged delta is pending (SOFOS_CHECK).
+  /// Sorts and deduplicates the triples, rebuilds the canonical array and
+  /// its subject directory, all shards of both families, and the
+  /// statistics. Idempotent. O(n log n) total, but the per-shard sorts
+  /// (2 * shard_count tasks) fan out over `pool` when non-null; the result
+  /// is identical either way. Must not be called while a staged delta is
+  /// pending (SOFOS_CHECK).
   void Finalize(ThreadPool* pool = nullptr);
 
   /// ---- Sharding knobs ----
@@ -185,12 +172,12 @@ class TripleStore {
   void SetShardCount(size_t count, ThreadPool* pool = nullptr);
   size_t shard_count() const { return shard_count_; }
 
-  /// Switches the subject and object families between the sorted-run
-  /// layout (false, the default) and the compact CSR adjacency layout
-  /// (true; see the class comment). On a finalized store this rebuilds the
-  /// shards immediately (pool-parallel); otherwise it takes effect at the
-  /// next Finalize(). Results are layout-invariant by contract — only
-  /// memory footprint and scan materialization cost change. Must not be
+  /// Switches the object family between its sorted OSP run (false, the
+  /// default) and the compact CSR adjacency layout (true; see the class
+  /// comment). On a finalized store this rebuilds the shards immediately
+  /// (pool-parallel); otherwise it takes effect at the next Finalize().
+  /// Results are layout-invariant by contract — only memory footprint and
+  /// scan materialization cost change. Must not be
   /// called while a staged delta is pending (SOFOS_CHECK).
   void SetCompactLayout(bool compact, ThreadPool* pool = nullptr);
   bool compact_layout() const { return compact_layout_; }
@@ -201,9 +188,10 @@ class TripleStore {
 
   /// Test hooks for the COW aliasing contract: the identity (address) of
   /// the Shard object backing `family`'s bucket `shard`, and of the
-  /// canonical array. Two stores returning the same identity share that
-  /// bucket byte-for-byte; ApplyDelta() must change the identity of
-  /// exactly the buckets the delta hashes into. Requires finalized().
+  /// canonical array with its subject directory (one object, replaced as a
+  /// whole). Two stores returning the same identity share that state
+  /// byte-for-byte; ApplyDelta() must change the identity of exactly the
+  /// buckets the delta hashes into. Requires finalized().
   const void* ShardIdentity(Family family, size_t shard) const;
   const void* CanonicalIdentity() const;
 
@@ -227,12 +215,13 @@ class TripleStore {
   /// Drops the staged buffers without applying them.
   void DiscardStagedDelta();
 
-  /// Merges the staged delta into the canonical array and the delta-touched
-  /// shards (untouched shards keep their shared, pointer-aliased Shard) and
-  /// refreshes the statistics; the store stays finalized and Scan() ranges
-  /// taken from *this store* before the call are invalidated (ranges held
-  /// via a Clone() stay valid — the clone still owns its shards). When
-  /// `pool` is non-null the canonical merge and the per-shard merges run
+  /// Merges the staged delta into the canonical array (rebuilding its
+  /// subject directory) and the delta-touched shards (untouched shards keep
+  /// their shared, pointer-aliased Shard) and refreshes the statistics; the
+  /// store stays finalized and Scan() ranges taken from *this store* before
+  /// the call are invalidated (ranges held via a Clone() stay valid — the
+  /// clone still owns the canonical array and its shards). When `pool` is
+  /// non-null the canonical merge and the per-shard merges run
   /// concurrently; results are identical either way.
   DeltaApplyResult ApplyDelta(ThreadPool* pool = nullptr);
 
@@ -245,11 +234,12 @@ class TripleStore {
   bool finalized() const { return finalized_; }
 
   /// A contiguous range of matching triples (valid until the next
-  /// mutation of every store sharing the underlying shard). Ranges served
-  /// from a compact shard own their storage instead (a shared
-  /// materialization buffer, see backing()), so copies of the range keep
-  /// the triples alive regardless of later store mutations; the validity
-  /// rule above is the weaker of the two and always safe to assume.
+  /// mutation of every store sharing the underlying canonical array or
+  /// shard). Ranges that filter or decode (SOP scans, compact object
+  /// shards) own their storage instead (a shared materialization buffer,
+  /// see backing()), so copies of the range keep the triples alive
+  /// regardless of later store mutations; the validity rule above is the
+  /// weaker of the two and always safe to assume.
   class ScanRange {
    public:
     ScanRange() = default;
@@ -261,7 +251,7 @@ class TripleStore {
     const Triple* end() const { return end_; }
     size_t size() const { return static_cast<size_t>(end_ - begin_); }
     bool empty() const { return begin_ == end_; }
-    /// Non-null iff the range owns its triples (compact-layout scans);
+    /// Non-null iff the range owns its triples (SOP and compact scans);
     /// sub-ranges must share it to inherit the lifetime.
     const std::shared_ptr<const std::vector<Triple>>& backing() const {
       return backing_;
@@ -276,16 +266,12 @@ class TripleStore {
   /// Returns all triples matching the pattern (kNullTermId = wildcard).
   /// Requires finalized(). The range is sorted in the order of the index
   /// that serves the bound prefix. Contents and order are independent of
-  /// the shard count: a bound leading field resolves inside one shard
-  /// (same bytes as the single-array subset), and the fully unbound
-  /// pattern is served from the canonical SPO array.
-  /// `bloom_skipped`, when non-null, is set to true iff the scan was
-  /// proven empty by a shard's predicate bloom filter without touching the
-  /// index (an observability hook for EXPLAIN ANALYZE; never affects the
-  /// result). Which scans bloom-skip depends on the shard layout, so the
-  /// counter — unlike the range contents — is not shard-count invariant.
-  ScanRange Scan(TermId s, TermId p, TermId o,
-                 bool* bloom_skipped = nullptr) const;
+  /// the shard count and layout: a bound subject resolves to its block of
+  /// the canonical array (O(1) directory lookup; ids with no triples or past
+  /// the directory's end miss), any other bound leading field to one shard
+  /// (same bytes as the single-array subset), and the fully unbound pattern
+  /// is the canonical SPO array itself.
+  ScanRange Scan(TermId s, TermId p, TermId o) const;
   ScanRange Scan(const TripleIdPattern& pattern) const {
     return Scan(pattern.s, pattern.p, pattern.o);
   }
@@ -295,11 +281,10 @@ class TripleStore {
   /// executor's exchange scans). Concatenating the partitions in return
   /// order yields exactly the Scan() range, so any order-preserving
   /// per-partition computation reduced in partition order is identical to a
-  /// single full-range scan. Because a non-full Scan() lives inside one
-  /// shard, these are naturally per-shard morsels; partition boundaries
-  /// depend only on the range length, never on the shard layout, so morsel
-  /// schedules (and Explain output) are shard-count-invariant. Never
-  /// returns empty partitions; an empty scan yields an empty vector.
+  /// single full-range scan. Partition boundaries depend only on the range
+  /// length, never on the shard layout, so morsel schedules (and Explain
+  /// output) are shard-count-invariant. Never returns empty partitions; an
+  /// empty scan yields an empty vector.
   /// Requires finalized(); partitions stay valid as long as the underlying
   /// ScanRange would.
   std::vector<ScanRange> ScanPartitions(TermId s, TermId p, TermId o,
@@ -317,9 +302,10 @@ class TripleStore {
                                            bool o_bound);
 
   /// Exact number of triples matching the pattern. Requires finalized().
-  /// Never materializes: compact shards answer from CSR offsets, sorted
-  /// runs from binary-search bounds — so the planner's per-pattern
-  /// cardinality pass stays cheap in either layout.
+  /// Never materializes: subject blocks and sorted runs answer from
+  /// binary-search bounds (SOP counts its block's matches), compact shards
+  /// from CSR offsets — so the planner's per-pattern cardinality pass stays
+  /// cheap in either layout.
   uint64_t Count(TermId s, TermId p, TermId o) const;
 
   /// True iff the exact triple is present. Requires finalized().
@@ -328,13 +314,15 @@ class TripleStore {
   }
 
   size_t NumTriples() const {
-    return finalized_ && canonical_ != nullptr ? canonical_->size()
+    return finalized_ && canonical_ != nullptr ? canonical_->triples.size()
                                                : pending_.size();
   }
   size_t NumTerms() const { return dict_->size(); }
 
   /// Distinct terms used in subject or object position (graph nodes, the
-  /// |I ∪ B ∪ L| of the paper's node-count cost model). Requires finalized().
+  /// |I ∪ B ∪ L| of the paper's node-count cost model): the ids with a
+  /// non-empty directory block plus the object-family leads without one.
+  /// Recomputed by Finalize()/ApplyDelta(). Requires finalized().
   uint64_t NumNodes() const { return num_nodes_; }
 
   /// Distinct predicates. Requires finalized().
@@ -354,8 +342,8 @@ class TripleStore {
   double AvgObjectFanout(TermId predicate) const;
 
   /// Rough heap footprint of indexes + dictionary, for storage metrics.
-  /// Shards shared with clones are counted in every owner (the same bytes
-  /// a deep copy would have duplicated).
+  /// State shared with clones is counted in every owner (the same bytes a
+  /// deep copy would have duplicated).
   uint64_t MemoryBytes() const;
 
   Dictionary* mutable_dictionary() { return dict_.get(); }
@@ -363,31 +351,37 @@ class TripleStore {
 
   /// All triples in SPO order (the canonical array). Requires finalized().
   const std::vector<Triple>& triples() const {
-    return finalized_ && canonical_ != nullptr ? *canonical_ : pending_;
+    return finalized_ && canonical_ != nullptr ? canonical_->triples
+                                               : pending_;
   }
 
  private:
+  /// The canonical SPO array and its subject directory, immutable once
+  /// built and shared copy-on-write: subject `s` owns
+  /// triples[subject_offsets[s], subject_offsets[s + 1]) — empty for an id
+  /// with no triples; ids past the end own nothing.
+  struct Canonical {
+    std::vector<Triple> triples;
+    std::vector<uint32_t> subject_offsets;  // largest subject + 2 entries
+  };
+
   /// One immutable hash bucket of one family, in one of two layouts:
   ///
   ///  - Sorted runs (compact == false): the bucket's triples sorted by the
-  ///    family's two permutation orders (runs[0] is the order whose enum
-  ///    value is family * 2, runs[1] is family * 2 + 1).
-  ///  - Compact CSR (compact == true; subject/object families only):
-  ///    node_ids holds the bucket's distinct leading-field ids ascending,
-  ///    node_offsets[i], node_offsets[i+1]) brackets node i's slice of
-  ///    edges, and each edge stores the two minor fields in the family's
-  ///    primary order (runs stay empty). The secondary order is recovered
-  ///    by filtering a node's slice — see CompactScan().
+  ///    family's orders (predicate: runs[0] PSO, runs[1] POS; object:
+  ///    runs[0] OSP).
+  ///  - Compact CSR (compact == true; object family only): node_ids holds
+  ///    the bucket's distinct objects ascending, node_offsets[i],
+  ///    node_offsets[i+1]) brackets node i's slice of edges, and each edge
+  ///    stores (s, p) in OSP order (runs stay empty).
   ///
   /// Predicate-family shards additionally carry the per-predicate
   /// statistics of the predicates hashing into the bucket (a predicate
-  /// never spans shards); subject-family shards carry a bloom filter over
-  /// their predicates so bound-predicate scans can skip shards wholesale.
-  /// Published Shards are never modified — ApplyDelta() swaps in
-  /// replacements — which is what makes Clone() a pointer copy.
+  /// never spans shards). Published Shards are never modified —
+  /// ApplyDelta() swaps in replacements — which is what makes Clone() a
+  /// pointer copy.
   struct Shard {
     using Edge = std::array<TermId, 2>;
-    static constexpr size_t kBloomWords = 16;  // 1024 bits, 2 probes
 
     std::array<std::vector<Triple>, 2> runs;
     std::unordered_map<TermId, PredicateStats> stats;  // predicate family only
@@ -396,9 +390,6 @@ class TripleStore {
     std::vector<TermId> node_ids;
     std::vector<uint32_t> node_offsets;  // node_ids.size() + 1 when compact
     std::vector<Edge> edges;
-    /// Predicate bloom filter (subject family only, both layouts); all-zero
-    /// elsewhere and for empty shards, which correctly rejects every probe.
-    std::array<uint64_t, kBloomWords> bloom{};
 
     uint64_t MemoryBytes() const {
       return (runs[0].capacity() + runs[1].capacity()) * sizeof(Triple) +
@@ -411,7 +402,15 @@ class TripleStore {
   /// Restores the freshly-constructed state (used on moved-from stores).
   void Reset();
 
-  /// Rebuilds every shard of every family from the canonical array
+  /// Wraps SPO-sorted, deduplicated triples with their subject directory,
+  /// built in one linear pass.
+  static std::shared_ptr<const Canonical> MakeCanonical(
+      std::vector<Triple> triples);
+
+  /// Subject `s`'s block of the canonical array (empty on a miss).
+  std::pair<const Triple*, const Triple*> SubjectBlock(TermId s) const;
+
+  /// Rebuilds every shard of both families from the canonical array
   /// (pool-parallel per-shard sorts) plus all statistics.
   void BuildShards(ThreadPool* pool);
 
@@ -425,44 +424,29 @@ class TripleStore {
   static void ComputeShardStats(Shard* shard);
 
   /// True when `family` stores its shards in the compact CSR layout under
-  /// the current flag (the predicate family never does).
+  /// the current flag (only the object family ever does).
   bool FamilyCompact(int family) const {
-    return compact_layout_ && family != kPredicateFamily;
+    return compact_layout_ && family == kObjectFamily;
   }
 
-  /// Encodes `bucket` (sorted by the family's primary order) into `out`'s
-  /// CSR arrays, and the inverse: decodes a compact shard back into
-  /// primary-order triples (the delta-merge input).
-  static void CompressShard(Shard* out, int family,
-                            const std::vector<Triple>& bucket);
-  static std::vector<Triple> DecompressShard(const Shard& shard, int family);
+  /// Encodes an OSP-sorted object bucket into `out`'s CSR arrays, and the
+  /// inverse: decodes a compact shard back into OSP-order triples (the
+  /// delta-merge input).
+  static void CompressShard(Shard* out, const std::vector<Triple>& bucket);
+  static std::vector<Triple> DecompressShard(const Shard& shard);
 
-  /// (Re)derives a subject-family shard's predicate bloom from whichever
-  /// layout it holds. Two bits per predicate from the MixId halves.
-  static void ComputeShardBloom(Shard* shard);
-  static bool BloomMayContain(const Shard& shard, TermId predicate);
+  /// Object `o`'s edge slice in a compact shard (empty on a miss).
+  static std::pair<const Shard::Edge*, const Shard::Edge*> NodeEdges(
+      const Shard& shard, TermId o);
 
-  /// Scan()/Count() served from a compact shard: node binary search plus a
-  /// slice walk, emitting exactly the bytes the sorted run would have.
-  ScanRange CompactScan(const Shard& shard, int order, TermId s, TermId p,
-                        TermId o) const;
-  uint64_t CompactCount(const Shard& shard, int order, TermId s, TermId p,
-                        TermId o) const;
-
-  /// Distinct nodes (subject-or-object terms) of bucket `k`: the same hash
-  /// partitions subjects (in the subject family) and objects (in the
-  /// object family), so bucket node sets are disjoint across k and their
-  /// sizes sum to NumNodes().
-  uint64_t ComputeBucketNodes(size_t k) const;
-
-  /// Re-derives predicate_stats_ (the merged map), bucket_nodes_ for the
-  /// buckets listed in `dirty_buckets` (nullptr = all), and num_nodes_.
-  void RefreshStats(const std::vector<bool>* dirty_buckets);
+  /// Re-derives predicate_stats_ (the merged map) and num_nodes_ from the
+  /// current canonical array and shards.
+  void RefreshStats();
 
   std::shared_ptr<Dictionary> dict_;
-  /// Canonical SPO-sorted triples; non-null and authoritative while
-  /// finalized_. Shared copy-on-write with clones.
-  std::shared_ptr<const std::vector<Triple>> canonical_;
+  /// Canonical triples plus subject directory; non-null and authoritative
+  /// while finalized_. Shared copy-on-write with clones.
+  std::shared_ptr<const Canonical> canonical_;
   /// Staging buffer for the legacy Add()/ReplaceTriples() path: holds the
   /// full (possibly duplicated, unsorted) triple multiset while
   /// !finalized_. Empty while finalized.
@@ -470,8 +454,6 @@ class TripleStore {
   size_t shard_count_ = 1;
   /// families_[f] has shard_count_ entries; all non-null while finalized_.
   std::array<std::vector<std::shared_ptr<const Shard>>, kNumFamilies> families_;
-  /// Per-bucket distinct-node counts (see ComputeBucketNodes).
-  std::vector<uint64_t> bucket_nodes_;
   std::vector<Triple> delta_adds_;     // staged, unsorted until ApplyDelta
   std::vector<Triple> delta_deletes_;  // staged, unsorted until ApplyDelta
   /// Merged view over the predicate-family shard maps (kept global so

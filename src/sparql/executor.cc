@@ -208,12 +208,9 @@ Result<TermId> AggFinalize(const Expr& spec, const AggAccum& acc,
 class ScanOp : public Operator {
  public:
   ScanOp(const TripleStore* store, const PatternStep* step, size_t width,
-         ExecStats* stats, OperatorStats* op_slot = nullptr)
+         ExecStats* stats)
       : step_(step), width_(width), stats_(stats) {
-    bool skipped = false;
-    range_ = store->Scan(step->consts[0], step->consts[1], step->consts[2],
-                         op_slot != nullptr ? &skipped : nullptr);
-    if (skipped) ++op_slot->bloom_skips;
+    range_ = store->Scan(step->consts[0], step->consts[1], step->consts[2]);
     next_ = range_.begin();
   }
 
@@ -240,13 +237,8 @@ class ScanOp : public Operator {
 class IndexJoinOp : public Operator {
  public:
   IndexJoinOp(std::unique_ptr<Operator> child, const TripleStore* store,
-              const PatternStep* step, ExecStats* stats,
-              OperatorStats* op_slot = nullptr)
-      : child_(std::move(child)),
-        store_(store),
-        step_(step),
-        stats_(stats),
-        op_slot_(op_slot) {}
+              const PatternStep* step, ExecStats* stats)
+      : child_(std::move(child)), store_(store), step_(step), stats_(stats) {}
 
   Result<bool> Next(Row* row) override {
     while (true) {
@@ -267,10 +259,7 @@ class IndexJoinOp : public Operator {
           ids[i] = step_->consts[i];
         }
       }
-      bool skipped = false;
-      range_ = store_->Scan(ids[0], ids[1], ids[2],
-                            op_slot_ != nullptr ? &skipped : nullptr);
-      if (skipped) ++op_slot_->bloom_skips;
+      range_ = store_->Scan(ids[0], ids[1], ids[2]);
       cursor_ = range_.begin();
     }
   }
@@ -280,7 +269,6 @@ class IndexJoinOp : public Operator {
   const TripleStore* store_;
   const PatternStep* step_;
   ExecStats* stats_;
-  OperatorStats* op_slot_;
   Row current_;
   TripleStore::ScanRange range_;
   const Triple* cursor_ = nullptr;
@@ -715,7 +703,7 @@ class BatchScanOp : public BatchOperator {
  public:
   BatchScanOp(TripleStore::ScanRange range, const PatternStep* step, size_t width,
               size_t batch_size, ExecStats* stats)
-      : range_(std::move(range)),  // owns the backing of compact-layout scans
+      : range_(std::move(range)),  // owns the backing of materialized scans
         next_(range_.begin()),
         end_(range_.end()),
         step_(step),
@@ -803,14 +791,10 @@ using internal::JoinHashTable;
 
 std::unique_ptr<JoinHashTable> BuildJoinHashTable(const TripleStore* store,
                                                   const PatternStep& step,
-                                                  ExecStats* stats,
-                                                  OperatorStats* op_slot = nullptr) {
+                                                  ExecStats* stats) {
   auto table = std::make_unique<JoinHashTable>();
-  bool skipped = false;
   TripleStore::ScanRange range =
-      store->Scan(step.consts[0], step.consts[1], step.consts[2],
-                  op_slot != nullptr ? &skipped : nullptr);
-  if (skipped) ++op_slot->bloom_skips;
+      store->Scan(step.consts[0], step.consts[1], step.consts[2]);
   stats->rows_scanned += range.size();
 
   auto key_of = [&step](const Triple& t) {
@@ -867,16 +851,14 @@ class BatchJoinOp : public BatchOperator {
  public:
   BatchJoinOp(std::unique_ptr<BatchOperator> child, const TripleStore* store,
               const PatternStep* step, const JoinHashTable* table, size_t width,
-              size_t batch_size, ExecStats* stats,
-              OperatorStats* op_slot = nullptr)
+              size_t batch_size, ExecStats* stats)
       : child_(std::move(child)),
         store_(store),
         step_(step),
         table_(table),
         width_(width),
         batch_size_(batch_size),
-        stats_(stats),
-        op_slot_(op_slot) {}
+        stats_(stats) {}
 
   Result<bool> Next(RowBatch* out) override {
     out->ResetShape(width_, batch_size_);
@@ -944,12 +926,9 @@ class BatchJoinOp : public BatchOperator {
         return true;
       }
     }
-    // Keep the range alive in a member: compact-layout scans own their
+    // Keep the range alive in a member: materialized scans own their
     // triples, and cursor_ must stay valid across Next() calls.
-    bool skipped = false;
-    probe_range_ = store_->Scan(ids[0], ids[1], ids[2],
-                                op_slot_ != nullptr ? &skipped : nullptr);
-    if (skipped) ++op_slot_->bloom_skips;
+    probe_range_ = store_->Scan(ids[0], ids[1], ids[2]);
     cursor_ = probe_range_.begin();
     cursor_end_ = probe_range_.end();
     return cursor_ != cursor_end_;
@@ -962,7 +941,6 @@ class BatchJoinOp : public BatchOperator {
   size_t width_;
   size_t batch_size_;
   ExecStats* stats_;
-  OperatorStats* op_slot_;
   RowBatch input_;
   size_t pos_ = 0;
   uint32_t probe_row_ = 0;
@@ -1454,7 +1432,6 @@ class ExchangeOp : public BatchOperator {
         dst.rows_out += src.rows_out;
         dst.batches += src.batches;
         dst.micros += src.micros;
-        dst.bloom_skips += src.bloom_skips;
         ++dst.morsels;
       }
       slot.batches.clear();
@@ -1635,9 +1612,6 @@ std::unique_ptr<Operator> Executor::BuildVolcanoPipeline(ExecStats* stats) {
     return std::make_unique<TimedOp>(std::move(inner),
                                      &stats->operators[slot]);
   };
-  auto op_slot = [&](int slot) -> OperatorStats* {
-    return analyze && slot >= 0 ? &stats->operators[slot] : nullptr;
-  };
 
   if (plan_->empty_guaranteed || plan_->steps.empty()) {
     op = timed(std::make_unique<EmptyOp>(), analyze ? 0 : -1);
@@ -1646,11 +1620,9 @@ std::unique_ptr<Operator> Executor::BuildVolcanoPipeline(ExecStats* stats) {
       const PatternStep& step = plan_->steps[i];
       const int slot = analyze ? layout.step_op[i] : -1;
       if (i == 0) {
-        op = std::make_unique<ScanOp>(store_, &step, width, stats,
-                                      op_slot(slot));
+        op = std::make_unique<ScanOp>(store_, &step, width, stats);
       } else {
-        op = std::make_unique<IndexJoinOp>(std::move(op), store_, &step, stats,
-                                           op_slot(slot));
+        op = std::make_unique<IndexJoinOp>(std::move(op), store_, &step, stats);
       }
       op = timed(std::move(op), slot);
       if (!step.filters.empty()) {
@@ -1699,19 +1671,20 @@ std::unique_ptr<Operator> Executor::BuildVolcanoPipeline(ExecStats* stats) {
   return op;
 }
 
-Status Executor::RunVolcano(std::vector<Row>* out, ExecStats* stats) {
+Status Executor::RunVolcano(RowBuffer* out, ExecStats* stats) {
   ScopedSpan run_span(options_.trace, "exec.volcano", options_.trace_parent);
   std::unique_ptr<Operator> root = BuildVolcanoPipeline(stats);
   Row row;
   while (true) {
     SOFOS_ASSIGN_OR_RETURN(bool has, root->Next(&row));
     if (!has) break;
-    out->push_back(row);
+    out->cells.insert(out->cells.end(), row.begin(), row.end());
+    ++out->rows;
   }
   return Status::OK();
 }
 
-Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
+Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
   const size_t width = plan_->pattern_vars.size();
   const size_t batch_size = std::max<size_t>(1, options_.batch_size);
 
@@ -1737,7 +1710,7 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
         WallTimer build_timer;
         OperatorStats* slot =
             analyze ? &stats->operators[layout.step_op[i]] : nullptr;
-        tables[i] = BuildJoinHashTable(store_, plan_->steps[i], stats, slot);
+        tables[i] = BuildJoinHashTable(store_, plan_->steps[i], stats);
         if (slot != nullptr) {
           slot->hash_build_rows += tables[i]->triples.size();
           slot->build_micros += build_timer.ElapsedMicros();
@@ -1776,9 +1749,9 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
     for (size_t i = 1; i < plan_->steps.size(); ++i) {
       const PatternStep& step = plan_->steps[i];
       const int slot = analyze ? layout.step_op[i] : -1;
-      op = std::make_unique<BatchJoinOp>(
-          std::move(op), store_, &step, tables[i].get(), width, batch_size,
-          fstats, slot >= 0 ? &fstats->operators[slot] : nullptr);
+      op = std::make_unique<BatchJoinOp>(std::move(op), store_, &step,
+                                         tables[i].get(), width, batch_size,
+                                         fstats);
       op = timed(std::move(op), slot);
       if (!step.filters.empty()) {
         op = timed(std::make_unique<BatchFilterOp>(std::move(op), step.filters,
@@ -1794,11 +1767,9 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
   // fragments out when a pool is available; otherwise run one fragment over
   // the full range inline (see ComputeMorselSchedule). Row counters are
   // additive over morsels and therefore independent of the partitioning
-  // for fully-drained queries. A bound leading pattern resolves inside one
-  // shard of the COW store, so the morsels are per-shard slices; the full
-  // scan morselizes the canonical array — either way partition boundaries
-  // depend only on range length, keeping schedules (and Explain) identical
-  // at every shard count.
+  // for fully-drained queries. Partition boundaries depend only on the leaf
+  // range's length, never on where the store keeps it, keeping schedules
+  // (and Explain) identical at every shard count and layout.
   std::unique_ptr<BatchOperator> op;
   if (plan_->empty_guaranteed || plan_->steps.empty()) {
     op = std::make_unique<BatchEmptyOp>();
@@ -1807,11 +1778,8 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
     }
   } else {
     const PatternStep& leaf = plan_->steps.front();
-    bool leaf_skipped = false;
     TripleStore::ScanRange full =
-        store_->Scan(leaf.consts[0], leaf.consts[1], leaf.consts[2],
-                     analyze ? &leaf_skipped : nullptr);
-    if (leaf_skipped) ++stats->operators[layout.step_op[0]].bloom_skips;
+        store_->Scan(leaf.consts[0], leaf.consts[1], leaf.consts[2]);
     MorselSchedule schedule = ComputeMorselSchedule(full.size(), options_);
     if (schedule.exchange) {
       std::vector<TripleStore::ScanRange> morsels = store_->ScanPartitions(
@@ -1878,10 +1846,17 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
   while (true) {
     SOFOS_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
     if (!has) break;
-    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-      out->emplace_back();
-      batch.GatherRow(batch.ActiveIndex(i), &out->back());
+    const size_t n = batch.ActiveCount();
+    const size_t first = out->cells.size();
+    out->cells.resize(first + n * out->width);
+    for (size_t c = 0; c < out->width; ++c) {
+      const TermId* col = batch.Col(c);
+      TermId* cell = out->cells.data() + first + c;
+      for (size_t i = 0; i < n; ++i, cell += out->width) {
+        *cell = col[batch.ActiveIndex(i)];
+      }
     }
+    out->rows += n;
   }
   // `op` (and with it any ExchangeOp, which joins its workers in its
   // destructor) dies here, before `tables` and `make_fragment` go out of
@@ -1890,8 +1865,9 @@ Status Executor::RunBatch(std::vector<Row>* out, ExecStats* stats) {
   return Status::OK();
 }
 
-Status Executor::Run(std::vector<Row>* out, ExecStats* stats) {
+Status Executor::Run(RowBuffer* out, ExecStats* stats) {
   WallTimer timer;
+  out->width = plan_->outputs.size();
   Status status = options_.mode == ExecMode::kVolcano ? RunVolcano(out, stats)
                                                       : RunBatch(out, stats);
   double wall = timer.ElapsedMicros();
@@ -1900,7 +1876,7 @@ Status Executor::Run(std::vector<Row>* out, ExecStats* stats) {
   // subtracted the consumer's blocked time.
   stats->cpu_micros += wall;
   if (!status.ok()) return status;
-  stats->output_rows += out->size();
+  stats->output_rows += out->rows;
   return Status::OK();
 }
 
@@ -1971,9 +1947,8 @@ std::string Executor::RenderAnalyze(const Plan& plan, const ExecStats& stats) {
                        slot.build_micros);
     }
     if (is_fragment) {
-      out += StrFormat(" morsels=%llu bloom_skips=%llu",
-                       static_cast<unsigned long long>(slot.morsels),
-                       static_cast<unsigned long long>(slot.bloom_skips));
+      out += StrFormat(" morsels=%llu",
+                       static_cast<unsigned long long>(slot.morsels));
     }
     out += ")\n";
   }

@@ -39,7 +39,6 @@ struct OperatorStats {
   uint64_t hash_build_rows = 0; // HJOIN: build-side triples
   double build_micros = 0.0;    // HJOIN: build time (caller thread)
   uint64_t morsels = 0;         // fragment slots: morsels merged in
-  uint64_t bloom_skips = 0;     // scans proven empty by a shard bloom
 };
 
 /// Execution counters. The paper's online module reports per-query work;
@@ -168,6 +167,16 @@ class RowBatch {
   bool has_sel_ = false;
 };
 
+/// Executor output: `rows` solution rows of `width` TermIds each
+/// (kNullTermId = unbound), row-major in one buffer.
+struct RowBuffer {
+  size_t width = 0;
+  size_t rows = 0;
+  std::vector<TermId> cells;
+
+  const TermId* row(size_t r) const { return cells.data() + r * width; }
+};
+
 /// Pull-based (Volcano) operator interface. Next() produces rows until it
 /// returns false. Errors abort the query. Legacy engine (ExecMode::kVolcano).
 class Operator {
@@ -211,8 +220,9 @@ class Executor {
   Executor(const Plan* plan, const TripleStore* store, Dictionary* dict,
            ExecOptions options = {});
 
-  /// Runs the full pipeline and appends output rows (in output_vars layout).
-  Status Run(std::vector<Row>* out, ExecStats* stats);
+  /// Runs the full pipeline and appends its output rows (in output_vars
+  /// layout) to `out`, setting its width.
+  Status Run(RowBuffer* out, ExecStats* stats);
 
   /// One-line rendering of the physical schedule the batch engine would use
   /// for `plan` under `options` (dop, morsel count/size, batch size) — the
@@ -228,8 +238,8 @@ class Executor {
 
  private:
   std::unique_ptr<Operator> BuildVolcanoPipeline(ExecStats* stats);
-  Status RunVolcano(std::vector<Row>* out, ExecStats* stats);
-  Status RunBatch(std::vector<Row>* out, ExecStats* stats);
+  Status RunVolcano(RowBuffer* out, ExecStats* stats);
+  Status RunBatch(RowBuffer* out, ExecStats* stats);
 
   const Plan* plan_;
   const TripleStore* store_;

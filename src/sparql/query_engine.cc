@@ -57,22 +57,23 @@ void QueryResult::SortCanonical() {
 namespace {
 
 /// Decodes executor output rows (TermIds) into the result's Term rows.
-void DecodeRows(const std::vector<Row>& raw, const Plan& plan,
-                const Dictionary& dict, QueryResult* result) {
+void DecodeRows(const RowBuffer& raw, const Plan& plan, const Dictionary& dict,
+                QueryResult* result) {
   result->var_names = plan.output_vars.names();
-  result->rows.reserve(raw.size());
-  result->bound.reserve(raw.size());
-  for (const Row& row : raw) {
+  result->rows.reserve(raw.rows);
+  result->bound.reserve(raw.rows);
+  for (size_t r = 0; r < raw.rows; ++r) {
     std::vector<Term> terms;
     std::vector<bool> is_bound;
-    terms.reserve(row.size());
-    is_bound.reserve(row.size());
-    for (TermId id : row) {
-      if (id == kNullTermId) {
+    terms.reserve(raw.width);
+    is_bound.reserve(raw.width);
+    const TermId* row = raw.row(r);
+    for (size_t c = 0; c < raw.width; ++c) {
+      if (row[c] == kNullTermId) {
         terms.emplace_back();
         is_bound.push_back(false);
       } else {
-        terms.push_back(dict.term(id));
+        terms.push_back(dict.term(row[c]));
         is_bound.push_back(true);
       }
     }
@@ -97,7 +98,7 @@ Result<QueryResult> QueryEngine::Execute(Query* query) {
   SOFOS_ASSIGN_OR_RETURN(Plan plan, Planner::Build(query, *store_));
   result.stats.plan_micros = plan_timer.ElapsedMicros();
 
-  std::vector<Row> raw;
+  RowBuffer raw;
   Executor executor(&plan, store_, store_->mutable_dictionary(), options_);
   SOFOS_RETURN_IF_ERROR(executor.Run(&raw, &result.stats));
 
@@ -126,7 +127,7 @@ Result<std::string> QueryEngine::Analyze(std::string_view sparql,
   SOFOS_ASSIGN_OR_RETURN(Plan plan, Planner::Build(&query, *store_));
   result.stats.plan_micros = plan_timer.ElapsedMicros();
 
-  std::vector<Row> raw;
+  RowBuffer raw;
   Executor executor(&plan, store_, store_->mutable_dictionary(), options);
   SOFOS_RETURN_IF_ERROR(executor.Run(&raw, &result.stats));
 

@@ -1,5 +1,5 @@
 /// Tests for the incremental update & view-maintenance subsystem:
-///   - TripleStore staged-delta merge vs full rebuild (all six indexes,
+///   - TripleStore staged-delta merge vs full rebuild (every index,
 ///     statistics, set-algebra edge cases, mutation-path exclusion)
 ///   - ApplyUpdates + ViewMaintainer vs full rebuild + rematerialization
 ///     on randomized insert/delete batches across all bundled datasets
@@ -140,9 +140,6 @@ TEST(StoreDeltaTest, ParallelFinalizeMatchesSerial) {
   ThreadPool pool(4);
   TripleStore serial, parallel;
   testing::BuildFigure1Graph(&serial);  // Finalizes serially
-  auto iri = [](const std::string& s) {
-    return Term::Iri("http://example.org/" + s);
-  };
   for (const Triple& t : serial.triples()) {
     parallel.Add(serial.dictionary().term(t.s), serial.dictionary().term(t.p),
                  serial.dictionary().term(t.o));
@@ -478,7 +475,7 @@ void SetUpMaintenanceEngine(core::SofosEngine* engine,
 /// recompute-and-diff path must produce byte-identical maintained graphs
 /// (fresh blank labels included) across every delta shape.
 TEST(DeltaMaintenanceTest, DeltaMatchesFullAcrossShapes) {
-  for (const std::string& dataset : {"geopop", "lubm"}) {
+  for (const std::string dataset : {"geopop", "lubm"}) {
     core::SofosEngine delta_engine, full_engine;
     SetUpMaintenanceEngine(&delta_engine, dataset,
                            MaintainOptions::Mode::kForceDelta);

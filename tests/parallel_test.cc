@@ -60,7 +60,9 @@ TEST(ParallelTest, ChunkIndexRangesCoverExactly) {
         expect_begin = range.end;
       }
       EXPECT_EQ(covered, n);
-      if (n > 0) EXPECT_LE(ranges.size(), std::min(n, chunks));
+      if (n > 0) {
+        EXPECT_LE(ranges.size(), std::min(n, chunks));
+      }
     }
   }
 }

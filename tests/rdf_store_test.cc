@@ -1,6 +1,11 @@
 #include "rdf/triple_store.h"
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -144,43 +149,179 @@ TEST(TripleStoreTest, LiteralObjectsAreNodes) {
   EXPECT_EQ(store.NumNodes(), 3u);
 }
 
-/// Property test: for random graphs, every Scan() result agrees with a
-/// brute-force filter over all triples, for every bound/unbound combination.
+/// Ordered brute-force oracle over an independent model of the graph: the
+/// matching triples sorted by the field priority of the index Scan()
+/// serves that bound-set from.
+std::vector<std::tuple<TermId, TermId, TermId>> OracleScan(
+    const std::set<Triple>& model, TermId s, TermId p, TermId o) {
+  const TripleIdPattern pattern{s, p, o};
+  const std::array<int, 3> order = TripleStore::ScanFieldOrder(
+      s != kNullTermId, p != kNullTermId, o != kNullTermId);
+  auto key = [&order](const Triple& t) {
+    const TermId f[3] = {t.s, t.p, t.o};
+    return std::make_tuple(f[order[0]], f[order[1]], f[order[2]]);
+  };
+  std::vector<Triple> matches;
+  for (const Triple& t : model) {
+    if (pattern.Matches(t)) matches.push_back(t);
+  }
+  std::sort(matches.begin(), matches.end(),
+            [&key](const Triple& a, const Triple& b) { return key(a) < key(b); });
+  std::vector<std::tuple<TermId, TermId, TermId>> out;
+  for (const Triple& t : matches) out.emplace_back(t.s, t.p, t.o);
+  return out;
+}
+
+std::vector<std::tuple<TermId, TermId, TermId>> Image(
+    const Triple* begin, const Triple* end) {
+  std::vector<std::tuple<TermId, TermId, TermId>> out;
+  for (const Triple* t = begin; t != end; ++t) out.emplace_back(t->s, t->p, t->o);
+  return out;
+}
+
+/// Which probe shapes the oracle comparison actually exercised.
+struct ShapesSeen {
+  int spo_hits = 0;          // s and p bound, non-empty
+  int sop_hits = 0;          // s and o bound, p free, non-empty
+  int past_end_misses = 0;   // s above the largest subject id
+};
+
+/// Checks Scan() (exact order), Count(), the concatenated ScanPartitions()
+/// and NumNodes() against `model`, probing ids from the graph, the largest
+/// subject and the one above it, arbitrary interned ids, and ids past the
+/// end of the dictionary.
+void ExpectMatchesOracle(const TripleStore& store, const std::set<Triple>& model,
+                         Rng* rng, ShapesSeen* seen) {
+  ASSERT_EQ(Image(store.triples().data(),
+                  store.triples().data() + store.triples().size()),
+            OracleScan(model, kNullTermId, kNullTermId, kNullTermId));
+  std::set<TermId> nodes;
+  for (const Triple& t : model) {
+    nodes.insert(t.s);
+    nodes.insert(t.o);
+  }
+  EXPECT_EQ(store.NumNodes(), nodes.size());
+
+  const std::vector<Triple> all(model.begin(), model.end());
+  const TermId max_subject = all.empty() ? 0 : all.back().s;
+  const TermId num_terms = static_cast<TermId>(store.NumTerms());
+  auto pick = [&](int field) -> TermId {
+    switch (rng->Uniform(6)) {
+      case 0:
+        return num_terms + 1 + static_cast<TermId>(rng->Uniform(4));
+      case 1:
+        return static_cast<TermId>(1 + rng->Uniform(num_terms));
+      case 2:
+        return max_subject + static_cast<TermId>(rng->Uniform(2));
+      default: {
+        const Triple& t = all[rng->Uniform(all.size())];
+        return field == 0 ? t.s : field == 1 ? t.p : t.o;
+      }
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint64_t mask = rng->Uniform(8);
+    const TermId s = (mask & 1) ? pick(0) : kNullTermId;
+    const TermId p = (mask & 2) ? pick(1) : kNullTermId;
+    const TermId o = (mask & 4) ? pick(2) : kNullTermId;
+    const auto expected = OracleScan(model, s, p, o);
+    const TripleStore::ScanRange range = store.Scan(s, p, o);
+    EXPECT_EQ(Image(range.begin(), range.end()), expected)
+        << "s=" << s << " p=" << p << " o=" << o;
+    EXPECT_EQ(store.Count(s, p, o), expected.size())
+        << "s=" << s << " p=" << p << " o=" << o;
+    std::vector<std::tuple<TermId, TermId, TermId>> joined;
+    for (const auto& part :
+         store.ScanPartitions(s, p, o, 1 + rng->Uniform(5))) {
+      EXPECT_FALSE(part.empty());
+      for (const auto& t : Image(part.begin(), part.end())) joined.push_back(t);
+    }
+    EXPECT_EQ(joined, expected) << "s=" << s << " p=" << p << " o=" << o;
+
+    if (s != kNullTermId && p != kNullTermId && !expected.empty()) {
+      ++seen->spo_hits;
+    }
+    if (s != kNullTermId && p == kNullTermId && o != kNullTermId &&
+        !expected.empty()) {
+      ++seen->sop_hits;
+    }
+    if (s != kNullTermId && s > max_subject) {
+      EXPECT_TRUE(expected.empty());
+      ++seen->past_end_misses;
+    }
+  }
+}
+
+/// Property test: for random graphs, at shard counts {1, 2, 8} in both
+/// layouts, every Scan()/Count()/ScanPartitions() result equals the ordered
+/// brute-force oracle — on a fresh Finalize() and after seeded ApplyDelta()
+/// batches that add a subject above the largest subject id, delete every
+/// triple of some subject (sometimes the largest), and churn random triples.
 class ScanPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ScanPropertyTest, ScanMatchesBruteForce) {
-  Rng rng(GetParam());
-  TripleStore store;
-  const int kSubjects = 20, kPredicates = 5, kObjects = 15;
-  const int n = 200;
-  for (int i = 0; i < n; ++i) {
-    store.Add(Iri("s" + std::to_string(rng.Uniform(kSubjects))),
-              Iri("p" + std::to_string(rng.Uniform(kPredicates))),
-              Iri("o" + std::to_string(rng.Uniform(kObjects))));
-  }
-  store.Finalize();
+  ShapesSeen seen;
+  for (const bool compact : {false, true}) {
+    for (const size_t shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(compact ? "compact" : "sorted") +
+                   " shard_count=" + std::to_string(shards));
+      Rng rng(GetParam());
+      TripleStore store;
+      store.SetShardCount(shards);
+      store.SetCompactLayout(compact);
+      const int kSubjects = 20, kPredicates = 5, kObjects = 15;
+      auto random_triple = [&rng, &store] {
+        return Triple{
+            store.Intern(Iri("s" + std::to_string(rng.Uniform(kSubjects)))),
+            store.Intern(Iri("p" + std::to_string(rng.Uniform(kPredicates)))),
+            store.Intern(Iri("o" + std::to_string(rng.Uniform(kObjects))))};
+      };
+      std::set<Triple> model;
+      for (int i = 0; i < 200; ++i) {
+        const Triple t = random_triple();
+        store.Add(t.s, t.p, t.o);
+        model.insert(t);
+      }
+      store.Finalize();
+      ExpectMatchesOracle(store, model, &rng, &seen);
 
-  const auto& all = store.triples();
-  // Try 50 random patterns across all 8 bound/unbound combinations.
-  for (int trial = 0; trial < 50; ++trial) {
-    uint64_t mask = rng.Uniform(8);
-    TermId s = (mask & 1) ? all[rng.Uniform(all.size())].s : kNullTermId;
-    TermId p = (mask & 2) ? all[rng.Uniform(all.size())].p : kNullTermId;
-    TermId o = (mask & 4) ? all[rng.Uniform(all.size())].o : kNullTermId;
-
-    std::multiset<std::tuple<TermId, TermId, TermId>> expected;
-    for (const Triple& t : all) {
-      if ((s == kNullTermId || t.s == s) && (p == kNullTermId || t.p == p) &&
-          (o == kNullTermId || t.o == o)) {
-        expected.emplace(t.s, t.p, t.o);
+      for (int batch = 0; batch < 4; ++batch) {
+        SCOPED_TRACE("delta batch " + std::to_string(batch));
+        std::vector<Triple> adds, deletes;
+        // A fresh subject interns above every existing id.
+        const TermId fresh = store.Intern(
+            Iri("fresh" + std::to_string(batch)));
+        for (int i = 0; i < 3; ++i) {
+          const Triple t = random_triple();
+          adds.push_back(Triple{fresh, t.p, t.o});
+        }
+        // Drop a whole subject — every other batch the largest one, so
+        // the directory shrinks.
+        const TermId victim = batch % 2 == 1
+                                  ? model.rbegin()->s
+                                  : random_triple().s;
+        for (const Triple& t : model) {
+          if (t.s == victim) deletes.push_back(t);
+        }
+        for (int i = 0; i < 10; ++i) {
+          (rng.Uniform(2) == 0 ? adds : deletes).push_back(random_triple());
+        }
+        // The store's semantics: (G \ deletes) ∪ adds.
+        for (const Triple& t : adds) store.StageAdd(t.s, t.p, t.o);
+        for (const Triple& t : deletes) {
+          store.StageDelete(t.s, t.p, t.o);
+          model.erase(t);
+        }
+        model.insert(adds.begin(), adds.end());
+        store.ApplyDelta();
+        ExpectMatchesOracle(store, model, &rng, &seen);
       }
     }
-    std::multiset<std::tuple<TermId, TermId, TermId>> actual;
-    for (const Triple& t : store.Scan(s, p, o)) {
-      actual.emplace(t.s, t.p, t.o);
-    }
-    EXPECT_EQ(actual, expected) << "pattern mask=" << mask;
   }
+  // The comparison above must have covered every directory shape.
+  EXPECT_GT(seen.spo_hits, 0);
+  EXPECT_GT(seen.sop_hits, 0);
+  EXPECT_GT(seen.past_end_misses, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, ScanPropertyTest,
