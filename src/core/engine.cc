@@ -93,6 +93,28 @@ void SofosEngine::ApplyStoreLayout() {
   }
 }
 
+Result<RootTable*> SofosEngine::CurrentRootTable() {
+  if (!root_table_.has_value()) {
+    SOFOS_ASSIGN_OR_RETURN(
+        RootTable root,
+        RootTable::Evaluate(&store_, *facet_, ExecOptionsFor(0)));
+    root_table_ = std::move(root);
+    view_queries_total_->Add();
+  }
+  return &*root_table_;
+}
+
+bool SofosEngine::PatternSeesEncodings() const {
+  for (const sparql::TriplePattern& tp : facet_->pattern()) {
+    if (tp.p.is_var()) return true;
+    if (tp.p.term().is_iri() &&
+        StrStartsWith(tp.p.term().lexical(), vocab::kSofosNs)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<SofosEngine::StoreLayout> ParseStoreLayout(const std::string& name) {
   if (name == "auto") return SofosEngine::StoreLayout::kAuto;
   if (name == "sorted") return SofosEngine::StoreLayout::kSorted;
@@ -176,6 +198,7 @@ Status SofosEngine::LoadStore(TripleStore&& store) {
   base_bytes_ = store_.MemoryBytes();
   materialized_.clear();
   profile_.reset();
+  root_table_.reset();
   maintainer_.reset();
   staleness_ = maintenance::StalenessMonitor(staleness_.options());
   if (facet_.has_value()) {
@@ -208,6 +231,7 @@ Status SofosEngine::SetFacet(Facet facet) {
   rewriter_.emplace(&*facet_);
   materializer_ = std::make_unique<Materializer>(&store_, &*facet_);
   profile_.reset();
+  root_table_.reset();
   maintainer_.reset();
   // The old baseline tracked the previous facet's predicates; the next
   // Profile() re-anchors against this one.
@@ -234,9 +258,12 @@ Result<const LatticeProfile*> SofosEngine::Profile(const ProfileOptions& options
   ProfileOptions effective = options;
   if (effective.pool == nullptr) effective.pool = pool();
   if (effective.exec_dop == 0) effective.exec_dop = exec_threads_;
+  RootTable root;
   SOFOS_ASSIGN_OR_RETURN(LatticeProfile profile,
-                         ProfileLattice(&store_, *facet_, effective));
+                         ProfileLattice(&store_, *facet_, effective, &root));
   profile_ = std::move(profile);
+  root_table_ = std::move(root);
+  view_queries_total_->Add(profile_->view_queries);
 
   // Selections are made against this fresh profile, so it becomes the
   // staleness baseline future update batches drift away from. Predicates
@@ -322,8 +349,12 @@ Result<std::vector<MaterializedView>> SofosEngine::MaterializeViews(
       }
     }
   }
+  SOFOS_ASSIGN_OR_RETURN(RootTable * root, CurrentRootTable());
+  const uint64_t queries_before = materializer_->view_queries();
   SOFOS_ASSIGN_OR_RETURN(std::vector<MaterializedView> views,
-                         materializer_->MaterializeAll(masks, pool()));
+                         materializer_->MaterializeAll(masks, *root, pool()));
+  view_queries_total_->Add(materializer_->view_queries() - queries_before);
+  if (PatternSeesEncodings()) root_table_.reset();
   for (const auto& view : views) materialized_.push_back(view);
   maintainer_.reset();  // view set changed; rebuilt on the next ApplyUpdates
   ++epoch_;
@@ -345,6 +376,7 @@ Status SofosEngine::UpdateBaseGraph(
   base_snapshot_ = store_.triples();
   base_bytes_ = store_.MemoryBytes();
   materialized_.clear();
+  root_table_.reset();
   maintainer_.reset();
   ++epoch_;
 
@@ -362,6 +394,7 @@ Status SofosEngine::DropMaterializedViews() {
   store_.ReplaceTriples(base_snapshot_);
   store_.Finalize(pool());
   materialized_.clear();
+  if (facet_.has_value() && PatternSeesEncodings()) root_table_.reset();
   maintainer_.reset();
   ++epoch_;
   RecordStateGauges();
@@ -398,9 +431,13 @@ Result<UpdateOutcome> SofosEngine::ApplyUpdates(
       maintainer_->SetOptions(maintain_options_);
     }
     if (!maintainer_->initialized()) {
-      SOFOS_RETURN_IF_ERROR(maintainer_->Initialize(materialized_, pool()));
+      SOFOS_ASSIGN_OR_RETURN(RootTable * root, CurrentRootTable());
+      SOFOS_RETURN_IF_ERROR(
+          maintainer_->Initialize(materialized_, std::move(*root)));
     }
   }
+  // The graph changes below; the maintainer keeps its own table current.
+  root_table_.reset();
   const bool affects = maintainer_ != nullptr && maintainer_->Affects(delta);
 
   // Stage and merge the base delta (no six-way re-sort).

@@ -21,6 +21,7 @@
 #include "core/materializer.h"
 #include "core/profiler.h"
 #include "core/rewriter.h"
+#include "core/root_table.h"
 #include "core/selection.h"
 #include "core/workload_recorder.h"
 #include "core/workload_types.h"
@@ -285,7 +286,9 @@ class SofosEngine {
 
   /// ---- Offline module ----
 
-  /// Computes (or recomputes) the lattice profile.
+  /// Computes (or recomputes) the lattice profile: one evaluation of the
+  /// root view, rolled up into every other view. The root table it builds
+  /// is kept for MaterializeViews and the maintainer.
   Result<const LatticeProfile*> Profile(const ProfileOptions& options = {});
   const LatticeProfile* profile() const {
     return profile_.has_value() ? &*profile_ : nullptr;
@@ -308,7 +311,9 @@ class SofosEngine {
   Result<std::vector<MaterializedView>> MaterializeSelection(
       const SelectionResult& selection);
 
-  /// Materializes explicit masks (the "user selected views" demo step).
+  /// Materializes explicit masks (the "user selected views" demo step),
+  /// rolled up from the root table Profile() left, or from one fresh root
+  /// evaluation when the graph changed since.
   Result<std::vector<MaterializedView>> MaterializeViews(
       const std::vector<uint32_t>& masks);
 
@@ -488,6 +493,15 @@ class SofosEngine {
   /// line with store_layout_ (no-op when already there or not finalized).
   void ApplyStoreLayout();
 
+  /// The facet's root table over the current graph: the one Profile() or
+  /// an earlier call left, else one fresh root evaluation.
+  Result<RootTable*> CurrentRootTable();
+
+  /// True when the facet pattern can match view-encoding triples (a
+  /// variable predicate or one in the reserved sofos: namespace), so that
+  /// materializing or dropping views changes the root table.
+  bool PatternSeesEncodings() const;
+
   /// Refreshes the registry's state gauges (epoch, triple counts,
   /// materialized-view count, staleness drift, storage amplification).
   /// Called from every mutating entry point after the state settles, so
@@ -501,6 +515,12 @@ class SofosEngine {
   std::optional<Facet> facet_;
   std::optional<Lattice> lattice_;
   std::optional<LatticeProfile> profile_;
+  /// The root table of the current graph, shared by profiling,
+  /// materialization and maintenance (core/root_table.h). Profile() builds
+  /// it, MaterializeViews reuses it, and the first ApplyUpdates hands it to
+  /// the maintainer, which keeps its own copy current from then on. Every
+  /// other change to the graph drops it.
+  std::optional<RootTable> root_table_;
   std::optional<Rewriter> rewriter_;
   std::unique_ptr<Materializer> materializer_;
   std::vector<MaterializedView> materialized_;
@@ -552,6 +572,8 @@ class SofosEngine {
       metrics_.Counter("sofos_maintain_mode_total{mode=\"skip\"}");
   MetricCounter* publishes_total_ =
       metrics_.Counter("sofos_engine_publishes_total");
+  MetricCounter* view_queries_total_ =
+      metrics_.Counter("sofos_engine_view_queries_total");
   mutable std::mutex snapshot_mu_;  // guards snapshot_ (the published slot)
   std::shared_ptr<const EngineSnapshot> snapshot_;
 };

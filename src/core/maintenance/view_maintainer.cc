@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <numeric>
 #include <set>
 #include <unordered_set>
@@ -13,7 +14,6 @@
 #include "common/timer.h"
 #include "rdf/vocab.h"
 #include "sparql/delta_join.h"
-#include "sparql/query_engine.h"
 #include "sparql/value.h"
 
 namespace sofos {
@@ -93,9 +93,12 @@ ViewMaintainer::ViewMaintainer(TripleStore* store, const Facet* facet)
     : store_(store), facet_(facet) {}
 
 Status ViewMaintainer::Initialize(const std::vector<MaterializedView>& views,
-                                  ThreadPool* pool) {
+                                  RootTable root) {
   if (!store_->finalized()) {
     return Status::Internal("ViewMaintainer requires a finalized store");
+  }
+  if (root.num_dims() != facet_->num_dims()) {
+    return Status::InvalidArgument("root table of a different facet");
   }
   view_pred_id_ = store_->Intern(Term::Iri(std::string(vocab::kSofosView)));
   value_pred_id_ = store_->Intern(Term::Iri(std::string(vocab::kSofosValue)));
@@ -127,7 +130,7 @@ Status ViewMaintainer::Initialize(const std::vector<MaterializedView>& views,
     agg_slot_ = slot.value_or(-1);
   }
 
-  SOFOS_ASSIGN_OR_RETURN(root_, ComputeRootTable(pool));
+  root_ = std::move(root);
 
   views_.clear();
   views_.reserve(views.size());
@@ -195,51 +198,6 @@ Status ViewMaintainer::PrepareDelta(const std::vector<Triple>& add_ids,
   return Status::OK();
 }
 
-Result<ViewMaintainer::RootTable> ViewMaintainer::ComputeRootTable(
-    ThreadPool* pool) const {
-  // The one root-view evaluation dominates full-mode maintenance (see the
-  // README's cost breakdown), so it runs with full intra-query morsel
-  // parallelism; the result is identical to a serial evaluation by the
-  // executor's determinism contract.
-  sparql::ExecOptions exec_options;
-  exec_options.pool = pool;
-  exec_options.dop =
-      pool != nullptr ? static_cast<unsigned>(pool->num_threads()) : 1;
-  sparql::QueryEngine engine(store_, exec_options);
-  SOFOS_ASSIGN_OR_RETURN(
-      sparql::QueryResult result,
-      engine.Execute(facet_->ViewQuerySparql(facet_->FullMask())));
-
-  const size_t num_dims = facet_->num_dims();
-  const size_t agg_col = num_dims;
-  const size_t rows_col = num_dims + 1;
-  RootTable table;
-  for (size_t r = 0; r < result.rows.size(); ++r) {
-    Key key(num_dims, kNullTermId);
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (result.bound[r][d]) key[d] = store_->Intern(result.rows[r][d]);
-    }
-    RootCell cell;
-    if (result.bound[r][agg_col]) {
-      const Term& value = result.rows[r][agg_col];
-      cell.value_id = store_->Intern(value);
-      if (value.datatype() == Term::Datatype::kDouble) {
-        cell.dsum = value.AsDouble().ValueOr(0.0);
-        cell.saw_double = true;
-      } else if (value.datatype() == Term::Datatype::kInteger) {
-        cell.isum = value.AsInt64().ValueOr(0);
-      }
-    }
-    if (result.bound[r][rows_col]) {
-      cell.rows_id = store_->Intern(result.rows[r][rows_col]);
-      cell.rows = static_cast<uint64_t>(
-          result.rows[r][rows_col].AsInt64().ValueOr(0));
-    }
-    table[std::move(key)] = cell;
-  }
-  return table;
-}
-
 Status ViewMaintainer::IndexViewRows(ViewState* view) const {
   // Resume the fresh-row counter past any labels a previous maintainer
   // instance minted (the maintainer is rebuilt whenever the view set
@@ -280,9 +238,11 @@ Status ViewMaintainer::IndexViewRows(ViewState* view) const {
 }
 
 void ViewMaintainer::BuildViewAccumulators(ViewState* view) const {
-  // root_ iterates in sorted key order, so every bucket vector comes out
+  // root_ rows are in sorted key order, so every bucket vector comes out
   // sorted — the invariant the incremental bucket edits preserve.
-  for (const auto& [root_key, cell] : root_) {
+  for (size_t r = 0; r < root_.size(); ++r) {
+    const RootCell& cell = root_.cell(r);
+    Key root_key(root_.key(r), root_.key(r) + root_.num_dims());
     Key pk = ProjectKey(root_key, *view);
     ViewCell& c = view->cells[pk];
     c.rows += static_cast<int64_t>(cell.rows);
@@ -303,8 +263,7 @@ ViewMaintainer::Key ViewMaintainer::ProjectKey(const Key& root_key,
   return key;
 }
 
-Result<ViewMaintainer::RootCell> ViewMaintainer::EvalRootGroup(
-    const Key& key) const {
+Result<RootCell> ViewMaintainer::EvalRootGroup(const Key& key) const {
   // Seed the full facet BGP with the dimension slots pre-bound to the
   // group key: the targeted re-evaluation behind MIN/MAX and double
   // groups. Emits the group's bindings in the seeded plan's match order.
@@ -325,8 +284,8 @@ Result<ViewMaintainer::RootCell> ViewMaintainer::EvalRootGroup(
 
   // Fold exactly like the executor's aggregate accumulator, then decode
   // the finalized term back into the cell decomposition the same way
-  // ComputeRootTable decodes query results — one canonical decomposition
-  // regardless of which path produced the cell.
+  // RootTable::Evaluate decodes query results — one canonical
+  // decomposition regardless of which path produced the cell.
   const Dictionary& dict = store_->dictionary();
   Accum acc;
   for (const sparql::Row& row : res.rows) {
@@ -625,9 +584,9 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
   const bool minmax = facet_->agg_kind() == sparql::AggKind::kMin ||
                       facet_->agg_kind() == sparql::AggKind::kMax;
   for (const auto& [key, dc] : accum) {
-    auto it = root_.find(key);
-    const bool had_old = it != root_.end();
-    const RootCell old_cell = had_old ? it->second : RootCell{};
+    const size_t row = root_.Find(key.data());
+    const bool had_old = row < root_.size();
+    const RootCell old_cell = had_old ? root_.cell(row) : RootCell{};
     const int64_t new_rows =
         (had_old ? static_cast<int64_t>(old_cell.rows) : 0) + dc.drows;
     if (new_rows < 0) return false;  // algebra violated: fall back to full
@@ -667,54 +626,57 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
 
 Result<std::vector<ViewMaintainer::RootDiff>> ViewMaintainer::ComputeFullDiff(
     ThreadPool* pool) {
-  SOFOS_ASSIGN_OR_RETURN(RootTable next_root, ComputeRootTable(pool));
+  // The one root-view evaluation dominates full-mode maintenance (see the
+  // README's cost breakdown), so it runs with full intra-query morsel
+  // parallelism; the result is identical to a serial evaluation by the
+  // executor's determinism contract.
+  sparql::ExecOptions exec_options;
+  exec_options.pool = pool;
+  exec_options.dop =
+      pool != nullptr ? static_cast<unsigned>(pool->num_threads()) : 1;
+  SOFOS_ASSIGN_OR_RETURN(RootTable next_root,
+                         RootTable::Evaluate(store_, *facet_, exec_options));
   // Lockstep diff of the sorted tables: keys present on one side only, or
   // present on both with a different encoding, changed.
-  std::vector<RootDiff> diff;
-  auto it = root_.begin();
-  auto jt = next_root.begin();
-  while (it != root_.end() || jt != next_root.end()) {
-    if (jt == next_root.end() ||
-        (it != root_.end() && it->first < jt->first)) {
-      RootDiff entry;
-      entry.key = it->first;
-      entry.old_cell = it->second;
-      entry.had_old = true;
-      diff.push_back(std::move(entry));
-      ++it;
-    } else if (it == root_.end() || jt->first < it->first) {
-      RootDiff entry;
-      entry.key = jt->first;
-      entry.new_cell = jt->second;
-      entry.has_new = true;
-      diff.push_back(std::move(entry));
-      ++jt;
-    } else {
-      if (!it->second.SameEncoding(jt->second)) {
-        RootDiff entry;
-        entry.key = it->first;
-        entry.old_cell = it->second;
-        entry.new_cell = jt->second;
-        entry.had_old = true;
-        entry.has_new = true;
-        diff.push_back(std::move(entry));
-      }
-      ++it;
-      ++jt;
+  const size_t n = root_.num_dims();
+  auto compare = [n](const TermId* a, const TermId* b) {
+    for (size_t d = 0; d < n; ++d) {
+      if (a[d] != b[d]) return a[d] < b[d] ? -1 : 1;
     }
+    return 0;
+  };
+  std::vector<RootDiff> diff;
+  size_t i = 0, j = 0;
+  while (i < root_.size() || j < next_root.size()) {
+    const int c = i == root_.size()       ? 1
+                  : j == next_root.size() ? -1
+                  : compare(root_.key(i), next_root.key(j));
+    RootDiff entry;
+    const TermId* key = c <= 0 ? root_.key(i) : next_root.key(j);
+    entry.key.assign(key, key + n);
+    if (c <= 0) {
+      entry.old_cell = root_.cell(i++);
+      entry.had_old = true;
+    }
+    if (c >= 0) {
+      entry.new_cell = next_root.cell(j++);
+      entry.has_new = true;
+    }
+    if (c == 0 && entry.old_cell.SameEncoding(entry.new_cell)) continue;
+    diff.push_back(std::move(entry));
   }
   root_ = std::move(next_root);
   return diff;
 }
 
 void ViewMaintainer::ApplyRootDiff(const std::vector<RootDiff>& diff) {
+  std::vector<RootTable::Edit> edits;
+  edits.reserve(diff.size());
   for (const RootDiff& entry : diff) {
-    if (entry.has_new) {
-      root_[entry.key] = entry.new_cell;
-    } else {
-      root_.erase(entry.key);
-    }
+    edits.push_back(
+        {entry.key.data(), entry.has_new ? &entry.new_cell : nullptr});
   }
+  root_.Apply(edits);
 }
 
 void ViewMaintainer::MaintainView(ViewState* view,
@@ -818,11 +780,11 @@ void ViewMaintainer::MaintainView(ViewState* view,
     bool live = false;
     if (is_root) {
       // Identity projection: the root view's cell IS the root-table cell.
-      auto it = root_.find(key);
-      if (it != root_.end() && it->second.rows > 0) {
+      const size_t row = root_.Find(key.data());
+      if (row < root_.size() && root_.cell(row).rows > 0) {
         live = true;
-        fold(&acc, it->second);
-        if (minmax) fold_best(&acc, it->second);
+        fold(&acc, root_.cell(row));
+        if (minmax) fold_best(&acc, root_.cell(row));
       }
     } else {
       auto cit = view->cells.find(key);
@@ -836,11 +798,12 @@ void ViewMaintainer::MaintainView(ViewState* view,
           auto bit = view->buckets.find(key);
           if (bit != view->buckets.end()) {
             for (const Key& rk : bit->second) {
-              auto rit = root_.find(rk);
-              if (rit == root_.end()) continue;
-              fold(&acc, rit->second);
-              if (minmax) fold_best(&acc, rit->second);
-              if (rit->second.saw_double) ++double_roots;
+              const size_t row = root_.Find(rk.data());
+              if (row == root_.size()) continue;
+              const RootCell& root_cell = root_.cell(row);
+              fold(&acc, root_cell);
+              if (minmax) fold_best(&acc, root_cell);
+              if (root_cell.saw_double) ++double_roots;
             }
           }
           // Resync the additive state to the exact fold (clears any

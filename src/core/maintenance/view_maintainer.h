@@ -2,7 +2,6 @@
 #define SOFOS_CORE_MAINTENANCE_VIEW_MAINTAINER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "core/facet.h"
 #include "core/maintenance/delta.h"
 #include "core/materializer.h"
+#include "core/root_table.h"
 #include "rdf/triple_store.h"
 #include "sparql/binding.h"
 
@@ -82,16 +82,18 @@ struct MaintenanceReport {
 };
 
 /// Incrementally repairs the blank-node encodings of materialized views
-/// after a base-graph delta, instead of re-running every view query and
+/// after a base-graph delta, instead of rematerializing every view and
 /// re-finalizing the store.
 ///
 /// Roll-up algebra: every lattice view is a roll-up of the root view (the
 /// one grouping by ALL facet dimensions), because the partition of pattern
 /// bindings by the full dimension tuple refines the partition by any
-/// subset. The maintainer caches the root-view table (full group key →
-/// (aggregate decomposition, contributing rows)) plus, per coarser view,
-/// additive roll-up accumulators and a projected-key → root-key bucket
-/// index. One maintenance pass then costs:
+/// subset. The maintainer keeps the facet's RootTable (core/root_table.h:
+/// full group key → aggregate decomposition and contributing rows), the
+/// same table the profiler and the materializer derive views from:
+/// Initialize adopts the engine's table instead of evaluating the root
+/// again. Per coarser view it adds additive roll-up accumulators and a
+/// projected-key → root-key bucket index. One maintenance pass then costs:
 ///
 ///   1. repair the cached root table — in **delta mode** by evaluating the
 ///      Δ of the facet-pattern join directly from the staged adds/deletes
@@ -131,15 +133,13 @@ class ViewMaintainer {
  public:
   ViewMaintainer(TripleStore* store, const Facet* facet);
 
-  /// Captures the pre-update state: evaluates the root view over the
+  /// Captures the pre-update state: adopts `root`, the root table of the
   /// *current* graph, builds every view's roll-up accumulators and bucket
-  /// index, and indexes the blank-node rows of every materialized view.
-  /// Must run while the store still reflects the state the views were
-  /// materialized against (i.e. before the base delta merges). When
-  /// `pool` is non-null the root-view evaluation uses intra-query morsel
-  /// parallelism (identical result, see the Executor contract).
+  /// index from it, and indexes the blank-node rows of every materialized
+  /// view. Must run while the store still reflects the state the views
+  /// were materialized against (i.e. before the base delta merges).
   Status Initialize(const std::vector<MaterializedView>& views,
-                    ThreadPool* pool = nullptr);
+                    RootTable root);
   bool initialized() const { return initialized_; }
 
   void SetOptions(const MaintainOptions& options) { options_ = options; }
@@ -179,24 +179,6 @@ class ViewMaintainer {
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };
-
-  /// Cached root-view cell: the encoded literal ids plus the numeric
-  /// decomposition used for roll-up addition (mirrors the executor's
-  /// aggregate accumulator so rolled-up sums match its results).
-  struct RootCell {
-    TermId value_id = kNullTermId;
-    TermId rows_id = kNullTermId;
-    int64_t isum = 0;
-    double dsum = 0.0;
-    bool saw_double = false;
-    uint64_t rows = 0;
-
-    bool SameEncoding(const RootCell& other) const {
-      return value_id == other.value_id && rows_id == other.rows_id;
-    }
-  };
-  /// std::map: deterministic iteration and lockstep diffing.
-  using RootTable = std::map<Key, RootCell>;
 
   /// One changed root-table key: the cell before and after the repair.
   /// Both repair modes reduce to a sorted vector of these; everything
@@ -257,9 +239,6 @@ class ViewMaintainer {
     bool prepared = false;
   };
 
-  /// Evaluates the root view; `pool` enables intra-query parallelism for
-  /// this single dominant query (thread-count-invariant result).
-  Result<RootTable> ComputeRootTable(ThreadPool* pool = nullptr) const;
   Status IndexViewRows(ViewState* view) const;
   /// Folds the cached root table into `view`'s accumulators and bucket
   /// index (Initialize; skipped for the root view).
@@ -278,6 +257,7 @@ class ViewMaintainer {
   /// Full-recompute fallback: evaluates the root and lockstep-diffs it
   /// against the cache; replaces root_ with the fresh table.
   Result<std::vector<RootDiff>> ComputeFullDiff(ThreadPool* pool);
+  /// Applies a key-sorted diff to root_ (RootTable::Apply).
   void ApplyRootDiff(const std::vector<RootDiff>& diff);
 
   /// Rolls the root diff up into one view and stages the triple edits.

@@ -1,36 +1,29 @@
 #include "core/materializer.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "rdf/vocab.h"
-#include "sparql/query_engine.h"
 
 namespace sofos {
 namespace core {
 
-Result<MaterializedView> Materializer::Materialize(uint32_t mask) {
-  SOFOS_ASSIGN_OR_RETURN(std::vector<MaterializedView> views,
-                         MaterializeAll({mask}));
-  return views[0];
-}
-
 Result<std::vector<MaterializedView>> Materializer::MaterializeAll(
-    const std::vector<uint32_t>& masks, ThreadPool* pool) {
+    const std::vector<uint32_t>& masks, const RootTable& root,
+    ThreadPool* pool) {
   if (!store_->finalized()) {
     return Status::Internal("materializer requires a finalized store");
   }
 
-  // Phase 1: compute every view over the current graph, fanned out over
-  // the pool (each query gets its own engine/executor; the store stays
-  // finalized and is only read). All queries run before any encoding is
-  // appended so that each view is defined over the same graph state.
-  // Threads are budgeted between the two parallelism levels: with fewer
-  // views than pool workers the surplus goes into per-query morsel
-  // parallelism (intra dop = pool / views), so a single huge view — the
-  // root, typically — cannot serialize the whole phase.
+  // Phase 1: derive every view, fanned out over the pool, before any
+  // encoding is appended, so that each view is defined over the same graph
+  // state. A view query (the inexact roll-up case) gets intra-query morsel
+  // parallelism from the threads the batch leaves idle (dop = pool /
+  // views).
+  LatticeRollup rollup(&root, facet_, store_->dictionary());
   sparql::ExecOptions exec_options;
   exec_options.pool = pool;
   if (pool != nullptr && !masks.empty()) {
@@ -38,17 +31,19 @@ Result<std::vector<MaterializedView>> Materializer::MaterializeAll(
     exec_options.dop = static_cast<unsigned>(
         std::max<size_t>(1, pool->num_threads() / inflight));
   }
-  std::vector<sparql::QueryResult> results(masks.size());
-  std::vector<double> query_micros(masks.size(), 0.0);
+  std::vector<ViewRows> rows(masks.size());
+  std::vector<double> derive_micros(masks.size(), 0.0);
   SOFOS_RETURN_IF_ERROR(
       ParallelForEachStatus(pool, masks.size(), [&](size_t i) -> Status {
-        sparql::QueryEngine engine(store_, exec_options);
         WallTimer timer;
         SOFOS_ASSIGN_OR_RETURN(
-            results[i], engine.Execute(facet_->ViewQuerySparql(masks[i])));
-        query_micros[i] = timer.ElapsedMicros();
+            rows[i], rollup.ComputeView(masks[i], store_, exec_options));
+        derive_micros[i] = timer.ElapsedMicros();
         return Status::OK();
       }));
+  for (uint32_t mask : masks) {
+    if (rollup.NeedsQuery(mask)) ++view_queries_;
+  }
 
   // Phase 2: append the blank-node encodings, serially in mask order (Add
   // and the blank counter require exclusive access; keeping this serial
@@ -57,8 +52,8 @@ Result<std::vector<MaterializedView>> Materializer::MaterializeAll(
   views.reserve(masks.size());
   for (size_t i = 0; i < masks.size(); ++i) {
     WallTimer timer;
-    views.push_back(Encode(masks[i], results[i]));
-    views.back().build_micros = query_micros[i] + timer.ElapsedMicros();
+    views.push_back(Encode(rows[i]));
+    views.back().build_micros = derive_micros[i] + timer.ElapsedMicros();
   }
 
   // Phase 3: one re-finalization for the whole batch.
@@ -71,48 +66,53 @@ Result<std::vector<MaterializedView>> Materializer::MaterializeAll(
   return views;
 }
 
-MaterializedView Materializer::Encode(uint32_t mask,
-                                      const sparql::QueryResult& result) {
+MaterializedView Materializer::Encode(const ViewRows& rows) {
   MaterializedView view;
-  view.mask = mask;
-  view.view_iri = vocab::ViewIri(facet_->name(), mask);
+  view.mask = rows.mask;
+  view.view_iri = vocab::ViewIri(facet_->name(), rows.mask);
 
-  const Term view_pred = Term::Iri(std::string(vocab::kSofosView));
-  const Term value_pred = Term::Iri(std::string(vocab::kSofosValue));
-  const Term rows_pred = Term::Iri(std::string(vocab::kSofosRows));
-  const Term view_iri_term = Term::Iri(view.view_iri);
+  auto intern_iri = [&](std::string iri) {
+    return store_->Intern(Term::Iri(std::move(iri)));
+  };
+  const TermId view_pred = intern_iri(std::string(vocab::kSofosView));
+  const TermId value_pred = intern_iri(std::string(vocab::kSofosValue));
+  const TermId rows_pred = intern_iri(std::string(vocab::kSofosRows));
+  const TermId view_iri = intern_iri(view.view_iri);
 
-  // Dim predicates for the grouped dimensions, in result column order: the
-  // view query selects grouped dims first, then ?agg, then ?rows.
-  std::vector<Term> dim_preds;
+  // Dim predicates for the grouped dimensions, in key column order.
+  std::vector<TermId> dim_preds;
   for (size_t d = 0; d < facet_->num_dims(); ++d) {
-    if ((mask >> d) & 1u) {
-      dim_preds.push_back(Term::Iri(vocab::DimPredicate(facet_->dims()[d].var)));
+    if ((rows.mask >> d) & 1u) {
+      dim_preds.push_back(
+          intern_iri(vocab::DimPredicate(facet_->dims()[d].var)));
     }
   }
+  // Row counts repeat heavily (1 on every group of a one-binding root).
+  std::unordered_map<uint64_t, TermId> rows_ids;
 
   uint64_t before = store_->NumTriples();
-  for (size_t r = 0; r < result.rows.size(); ++r) {
-    Term blank = Term::Blank(
-        StrFormat("mv_%s_%u_%llu", facet_->name().c_str(), mask,
-                  static_cast<unsigned long long>(next_blank_++)));
-    store_->Add(blank, view_pred, view_iri_term);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    TermId blank = store_->Intern(Term::Blank(
+        StrFormat("mv_%s_%u_%llu", facet_->name().c_str(), rows.mask,
+                  static_cast<unsigned long long>(next_blank_++))));
+    store_->Add(blank, view_pred, view_iri);
     for (size_t d = 0; d < dim_preds.size(); ++d) {
-      if (result.bound[r][d]) {
-        store_->Add(blank, dim_preds[d], result.rows[r][d]);
-      }
+      TermId dim = rows.key(r)[d];
+      if (dim != kNullTermId) store_->Add(blank, dim_preds[d], dim);
     }
-    size_t agg_col = dim_preds.size();
-    size_t rows_col = agg_col + 1;
-    if (result.bound[r][agg_col]) {
-      store_->Add(blank, value_pred, result.rows[r][agg_col]);
+    TermId value = rows.values.empty()
+                       ? store_->Intern(Term::Integer(rows.sums[r]))
+                       : rows.values[r];
+    if (value != kNullTermId) store_->Add(blank, value_pred, value);
+    auto [it, fresh] = rows_ids.try_emplace(rows.rows[r], kNullTermId);
+    if (fresh) {
+      it->second =
+          store_->Intern(Term::Integer(static_cast<int64_t>(rows.rows[r])));
     }
-    if (result.bound[r][rows_col]) {
-      store_->Add(blank, rows_pred, result.rows[r][rows_col]);
-    }
+    store_->Add(blank, rows_pred, it->second);
     ++view.nodes_added;
   }
-  view.rows = result.NumRows();
+  view.rows = rows.size();
   // The append log only grows (blank nodes are fresh, no dedup possible).
   view.triples_added = store_->NumTriples() - before;
   return view;

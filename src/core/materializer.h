@@ -7,8 +7,8 @@
 
 #include "common/result.h"
 #include "core/facet.h"
+#include "core/root_table.h"
 #include "rdf/triple_store.h"
-#include "sparql/query_engine.h"
 
 namespace sofos {
 
@@ -37,32 +37,39 @@ struct MaterializedView {
 /// The sofos: vocabulary is disjoint from application predicates, so
 /// original queries over G+ keep their answers; the rows counter makes
 /// COUNT and AVG roll-ups exact.
+///
+/// Every view is derived from the facet's root table (core/root_table.h):
+/// a roll-up, or its view query when LatticeRollup::NeedsQuery says a
+/// roll-up cannot be exact. The encoded rows equal the view query's rows
+/// byte for byte.
 class Materializer {
  public:
   Materializer(TripleStore* store, const Facet* facet)
       : store_(store), facet_(facet) {}
 
-  /// Computes the view query over the current graph and appends its
-  /// encoding. The store is left finalized.
-  Result<MaterializedView> Materialize(uint32_t mask);
-
-  /// Materializes a batch with a single re-finalization at the end
-  /// (cheaper than per-view Finalize for multi-view selections). When
-  /// `pool` is non-null the per-view queries run concurrently (each one
-  /// only does const store scans plus synchronized dictionary interning)
-  /// and the final Finalize sorts on the pool; the encoding phase stays
-  /// serial in mask order, so results — including blank-node labels — are
-  /// identical to the serial run.
+  /// Encodes the views `masks` of the current graph, derived from `root`
+  /// (the root table of that graph), with a single re-finalization at the
+  /// end. When `pool` is non-null, the views are derived concurrently
+  /// (roll-ups only read `root`; view queries only do const store scans
+  /// plus synchronized dictionary interning) and the final Finalize sorts
+  /// on the pool; the encoding phase stays serial in mask order, so
+  /// results, blank-node labels included, are identical to the serial run.
   Result<std::vector<MaterializedView>> MaterializeAll(
-      const std::vector<uint32_t>& masks, ThreadPool* pool = nullptr);
+      const std::vector<uint32_t>& masks, const RootTable& root,
+      ThreadPool* pool = nullptr);
+
+  /// View queries MaterializeAll has evaluated so far (views a roll-up
+  /// cannot compute exactly).
+  uint64_t view_queries() const { return view_queries_; }
 
  private:
-  /// Appends the blank-node encoding of one computed view result.
-  MaterializedView Encode(uint32_t mask, const sparql::QueryResult& result);
+  /// Appends the blank-node encoding of one view's rows.
+  MaterializedView Encode(const ViewRows& view);
 
   TripleStore* store_;
   const Facet* facet_;
   uint64_t next_blank_ = 0;
+  uint64_t view_queries_ = 0;
 };
 
 }  // namespace core

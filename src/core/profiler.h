@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "core/facet.h"
+#include "core/root_table.h"
 #include "rdf/triple_store.h"
 
 namespace sofos {
@@ -23,28 +24,29 @@ struct ViewStats {
   uint64_t encoded_triples = 0;  // |G_V|: triples of the view's RDF encoding
   uint64_t encoded_nodes = 0;    // |I_V ∪ B_V ∪ L_V|: distinct terms
   uint64_t encoded_bytes = 0;    // approximate storage footprint
-  double eval_micros = 0.0;      // time to compute the view over G
+  /// Time to derive the view: the root-view query for the root, the
+  /// roll-up (or sample regrouping) for every other view.
+  double eval_micros = 0.0;
   bool estimated = false;        // true when derived from a sample
 };
 
-/// How the lattice statistics are obtained: kExact executes every view
-/// query over the base graph; kSampled executes only the root view and
-/// derives the rest from a row sample with naive linear scale-up (the E9
-/// ablation quantifies the error this introduces).
+/// How the lattice statistics are obtained. Both modes evaluate the root
+/// view query once (core/root_table.h). kExact derives every other view
+/// exactly by rolling the root table up; kSampled rolls up a row sample of
+/// it and scales the counts up linearly (the E9 ablation quantifies the
+/// error this introduces). The root and the apex are exact in both modes.
 enum class ProfileMode { kExact, kSampled };
 
 struct ProfileOptions {
   ProfileMode mode = ProfileMode::kExact;
   double sample_rate = 0.1;  // kSampled: fraction of root rows kept
   uint64_t seed = 42;
-  /// When set, lattice nodes are profiled concurrently on this pool (each
-  /// node's view query only does const store scans — see the TripleStore
-  /// thread-safety contract), and the root-view query additionally runs
-  /// with intra-query morsel parallelism on the same pool (it is the
-  /// profiling pass's serial bottleneck). All ViewStats except the timing
-  /// field eval_micros are identical to the serial (pool == nullptr) run;
-  /// errors are reported for the smallest failing mask, matching serial
-  /// order. Not owned; SofosEngine::Profile injects its own pool when unset.
+  /// When set, the root-view query runs with intra-query morsel
+  /// parallelism on this pool, and the lattice nodes are then rolled up
+  /// concurrently on it. All ViewStats except the timing field eval_micros
+  /// are identical to the serial (pool == nullptr) run; errors are reported
+  /// for the smallest failing mask, matching serial order. Not owned;
+  /// SofosEngine::Profile injects its own pool when unset.
   ThreadPool* pool = nullptr;
   /// Intra-query dop for the root-view query; 0 = the pool's thread count.
   /// SofosEngine::Profile injects its exec-threads knob here.
@@ -61,14 +63,21 @@ struct LatticeProfile {
   double profile_micros = 0.0;
   ProfileMode mode = ProfileMode::kExact;
   double sample_rate = 1.0;
+  /// View queries the profile evaluated: 1 (the root) plus one per view a
+  /// roll-up cannot compute exactly (a SUM/AVG root with an xsd:double
+  /// cell; LatticeRollup::NeedsQuery).
+  uint64_t view_queries = 0;
 
   const ViewStats& ForMask(uint32_t mask) const { return views[mask]; }
 };
 
 /// Computes the lattice profile for `facet` over `store` (which must be
-/// finalized; its dictionary may grow through aggregate interning).
+/// finalized; its dictionary may grow through aggregate interning). When
+/// `root_out` is set it receives the evaluated root table, for the
+/// materializer and the view maintainer to reuse.
 Result<LatticeProfile> ProfileLattice(TripleStore* store, const Facet& facet,
-                                      const ProfileOptions& options = {});
+                                      const ProfileOptions& options = {},
+                                      RootTable* root_out = nullptr);
 
 }  // namespace core
 }  // namespace sofos

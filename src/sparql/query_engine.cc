@@ -106,6 +106,19 @@ Result<QueryResult> QueryEngine::Execute(Query* query) {
   return result;
 }
 
+Result<RowBuffer> QueryEngine::ExecuteIds(std::string_view sparql) {
+  if (!store_->finalized()) {
+    return Status::Internal("query engine requires a finalized store");
+  }
+  SOFOS_ASSIGN_OR_RETURN(Query query, Parser::Parse(sparql));
+  SOFOS_ASSIGN_OR_RETURN(Plan plan, Planner::Build(&query, *store_));
+  RowBuffer raw;
+  ExecStats stats;
+  Executor executor(&plan, store_, store_->mutable_dictionary(), options_);
+  SOFOS_RETURN_IF_ERROR(executor.Run(&raw, &stats));
+  return raw;
+}
+
 Result<std::string> QueryEngine::Explain(std::string_view sparql) {
   SOFOS_ASSIGN_OR_RETURN(Query query, Parser::Parse(sparql));
   SOFOS_ASSIGN_OR_RETURN(Plan plan, Planner::Build(&query, *store_));

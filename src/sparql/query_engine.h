@@ -61,6 +61,10 @@ class QueryEngine {
   /// a side effect of planning.
   Result<QueryResult> Execute(Query* query);
 
+  /// Runs a query and returns the executor's rows as TermIds in result
+  /// column order, without decoding them into Terms.
+  Result<RowBuffer> ExecuteIds(std::string_view sparql);
+
   /// Returns the plan rendering plus the physical (batch/exchange) schedule
   /// this engine's options would execute it with, for diagnostics.
   Result<std::string> Explain(std::string_view sparql);

@@ -129,6 +129,22 @@ Result<bool> Value::EffectiveBool() const {
 namespace {
 int Sign(int64_t v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
 int SignD(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+/// Exact order of an integer against a non-NaN double: -1/0/+1. Converting
+/// the integer to double would round beyond 2^53 and call distinct values
+/// equal.
+int CompareIntDouble(int64_t i, double d) {
+  // 2^63 is exact in a double: every double at or above it exceeds any
+  // int64, every double below -2^63 is below any int64, and in between
+  // the truncated double converts to int64 without loss.
+  if (d >= 9223372036854775808.0) return -1;
+  if (d < -9223372036854775808.0) return 1;
+  const double whole = std::trunc(d);
+  const int64_t whole_int = static_cast<int64_t>(whole);
+  if (i != whole_int) return i < whole_int ? -1 : 1;
+  const double frac = d - whole;
+  return frac > 0 ? -1 : (frac < 0 ? 1 : 0);
+}
 }  // namespace
 
 Result<int> Value::Compare(const Value& other, bool equality_only) const {
@@ -191,7 +207,7 @@ int Value::TotalCompare(const Value& other) const {
       return static_cast<int>(bool_) - static_cast<int>(other.bool_);
     case Type::kInt:
     case Type::kDouble:
-      return SignD(double_value(), other.double_value());
+      return TotalCompareNumeric(other);
     default: {
       int c = str_.compare(other.str_);
       if (c != 0) return c < 0 ? -1 : 1;
@@ -199,6 +215,32 @@ int Value::TotalCompare(const Value& other) const {
       return lc < 0 ? -1 : (lc > 0 ? 1 : 0);
     }
   }
+}
+
+int Value::TotalCompareNumeric(const Value& other) const {
+  const bool a_int = type_ == Type::kInt;
+  const bool b_int = other.type_ == Type::kInt;
+  if (a_int && b_int) return Sign((int_ > other.int_) - (int_ < other.int_));
+  // NaN sorts after every other number (and equal to itself: every NaN
+  // encodes to the same "NaN" literal).
+  const bool a_nan = !a_int && std::isnan(double_);
+  const bool b_nan = !b_int && std::isnan(other.double_);
+  if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
+  // Equal numbers of different types are distinct terms: the integer
+  // sorts first, so MIN/MAX never depend on which one arrives first.
+  if (a_int) {
+    const int c = CompareIntDouble(int_, other.double_);
+    return c != 0 ? c : -1;
+  }
+  if (b_int) {
+    const int c = CompareIntDouble(other.int_, double_);
+    return c != 0 ? -c : 1;
+  }
+  if (double_ != other.double_) return double_ < other.double_ ? -1 : 1;
+  // -0 and 0 compare equal but encode as distinct literals ("-0", "0").
+  const bool a_neg = std::signbit(double_);
+  const bool b_neg = std::signbit(other.double_);
+  return a_neg == b_neg ? 0 : (a_neg ? -1 : 1);
 }
 
 std::string Value::ToString() const {

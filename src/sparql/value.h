@@ -64,13 +64,21 @@ class Value {
 
   /// Total deterministic order across all types (unbound < blank < iri <
   /// bool < numeric < string < opaque); never errors. Used by ORDER BY,
-  /// MIN/MAX, and canonical result sorting.
+  /// MIN/MAX, and canonical result sorting. Numbers compare exactly (two
+  /// integers as integers, an integer against a double without rounding);
+  /// an integer sorts before an equal double, -0 before 0, and NaN after
+  /// every other number. Two values compare 0 only when they encode to the
+  /// same term, so MIN/MAX depend on the multiset of values alone, not on
+  /// their arrival order.
   int TotalCompare(const Value& other) const;
 
   /// Human-readable form for diagnostics.
   std::string ToString() const;
 
  private:
+  /// TotalCompare for two numeric values.
+  int TotalCompareNumeric(const Value& other) const;
+
   Type type_;
   bool bool_ = false;
   int64_t int_ = 0;

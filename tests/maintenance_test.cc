@@ -14,6 +14,7 @@
 #include "core/engine.h"
 #include "core/maintenance/delta.h"
 #include "gtest/gtest.h"
+#include "rdf/vocab.h"
 #include "tests/core_test_util.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -638,6 +639,71 @@ TEST(DeltaMaintenanceTest, MinMaxGroupsFallBackToTargetedReeval) {
   }
   EXPECT_GT(regrouped, 0u)
       << "MIN/MAX deltas must exercise the targeted re-evaluation path";
+}
+
+TEST(DeltaMaintenanceTest, MinMaxTieOfIntegerAndDoubleMatchesFreshView) {
+  // Group g=a holds "1"^^xsd:integer (h=x) and "1"^^xsd:double (h=y):
+  // equal numbers, distinct terms. MIN keeps the integer and MAX the
+  // double, in the view query and in the maintained view alike, before
+  // and after an update to group a that leaves both extremes alone.
+  auto ex = [](const std::string& s) { return Term::Iri("http://tie/" + s); };
+  auto observation = [&](const std::string& o, const std::string& h,
+                         const Term& v) {
+    return std::vector<TermTriple>{{ex(o), ex("g"), ex("a")},
+                                   {ex(o), ex("h"), ex(h)},
+                                   {ex(o), ex("v"), v}};
+  };
+  for (const std::string agg : {"MIN", "MAX"}) {
+    for (MaintainOptions::Mode mode :
+         {MaintainOptions::Mode::kForceFull, MaintainOptions::Mode::kForceDelta}) {
+      SCOPED_TRACE(agg + (mode == MaintainOptions::Mode::kForceFull ? " full"
+                                                                    : " delta"));
+      core::SofosEngine engine;
+      TripleStore store;
+      for (const auto& obs : {observation("o1", "x", Term::Integer(1)),
+                              observation("o2", "y", Term::Double(1.0))}) {
+        for (const TermTriple& t : obs) store.Add(t.s, t.p, t.o);
+      }
+      store.Finalize();
+      auto facet = core::Facet::FromSparql(
+          "SELECT ?g ?h (" + agg + "(?v) AS ?agg) WHERE { ?o <http://tie/g> ?g . "
+          "?o <http://tie/h> ?h . ?o <http://tie/v> ?v } GROUP BY ?g ?h",
+          "tie");
+      ASSERT_TRUE(facet.ok()) << facet.status().ToString();
+      SOFOS_ASSERT_OK(engine.LoadStore(std::move(store)));
+      SOFOS_ASSERT_OK(engine.SetFacet(std::move(facet).value()));
+      testing::MustProfile(&engine);
+      const uint32_t g_view = 1;  // {g}
+      SOFOS_ASSERT_OK(
+          engine.MaterializeViews({g_view, engine.facet().FullMask()}).status());
+      MaintainOptions options;
+      options.mode = mode;
+      engine.SetMaintainOptions(options);
+
+      const Term expected = agg == "MIN" ? Term::Integer(1) : Term::Double(1.0);
+      auto check = [&](const std::string& when) {
+        sparql::QueryResult fresh = MustExecute(
+            engine.store(), engine.facet().ViewQuerySparql(g_view));
+        ASSERT_EQ(fresh.NumRows(), 1u) << when;
+        EXPECT_EQ(fresh.rows[0][1], expected)
+            << when << ": " << fresh.rows[0][1].ToNTriples();
+        sparql::QueryResult maintained = MustExecute(
+            engine.store(),
+            "SELECT ?v WHERE { ?b <" + std::string(vocab::kSofosView) + "> <" +
+                vocab::ViewIri("tie", g_view) + "> . ?b <" +
+                std::string(vocab::kSofosValue) + "> ?v }");
+        ASSERT_EQ(maintained.NumRows(), 1u) << when;
+        EXPECT_EQ(maintained.rows[0][0], fresh.rows[0][1])
+            << when << ": " << maintained.rows[0][0].ToNTriples();
+      };
+      check("materialized");
+      GraphDelta delta;
+      delta.adds = observation("o3", "x", Term::Integer(agg == "MIN" ? 7 : -7));
+      SOFOS_ASSERT_OK_AND_ASSIGN(auto outcome, engine.ApplyUpdates(delta));
+      ASSERT_FALSE(outcome.maintenance.skipped);
+      check("maintained");
+    }
+  }
 }
 
 TEST(DeltaMaintenanceTest, CrossoverPolicySwitchesModes) {

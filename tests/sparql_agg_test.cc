@@ -88,6 +88,41 @@ TEST_F(AggTest, MinMaxOnStrings) {
   EXPECT_EQ(r.rows[0][1].lexical(), "Italian");
 }
 
+TEST(AggOrderTest, MinMaxCompareLargeIntegersExactly) {
+  // 2^53 + 1 and 2^53 are distinct integers that round to the same double.
+  TripleStore store;
+  store.Add(Term::Iri("http://t/a"), Term::Iri("http://t/v"),
+            Term::Integer(9007199254740993));
+  store.Add(Term::Iri("http://t/b"), Term::Iri("http://t/v"),
+            Term::Integer(9007199254740992));
+  store.Finalize();
+  QueryResult r = MustExecute(
+      &store, "SELECT (MIN(?v) AS ?m) (MAX(?v) AS ?x) WHERE { ?s <http://t/v> ?v }");
+  ASSERT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(r.rows[0][0], Term::Integer(9007199254740992));
+  EXPECT_EQ(r.rows[0][1], Term::Integer(9007199254740993));
+}
+
+TEST(AggOrderTest, MinMaxOfEqualIntegerAndDoubleIgnoreStreamOrder) {
+  // "1"^^xsd:integer and "1"^^xsd:double are equal numbers but distinct
+  // terms: MIN keeps the integer and MAX the double, whichever the scan
+  // meets first.
+  for (bool integer_first : {true, false}) {
+    TripleStore store;
+    store.Add(Term::Iri("http://t/a"), Term::Iri("http://t/v"),
+              integer_first ? Term::Integer(1) : Term::Double(1.0));
+    store.Add(Term::Iri("http://t/b"), Term::Iri("http://t/v"),
+              integer_first ? Term::Double(1.0) : Term::Integer(1));
+    store.Finalize();
+    QueryResult r = MustExecute(
+        &store,
+        "SELECT (MIN(?v) AS ?m) (MAX(?v) AS ?x) WHERE { ?s <http://t/v> ?v }");
+    ASSERT_EQ(r.NumRows(), 1u);
+    EXPECT_EQ(r.rows[0][0], Term::Integer(1)) << integer_first;
+    EXPECT_EQ(r.rows[0][1], Term::Double(1.0)) << integer_first;
+  }
+}
+
 TEST_F(AggTest, CountDistinct) {
   QueryResult r = MustExecute(
       &store_,

@@ -103,6 +103,31 @@ TEST_F(ModifierTest, UnboundSortsFirstAscending) {
   EXPECT_GT(r.NumRows(), 0u);
 }
 
+TEST(ModifierOrderTest, OrderByComparesLargeIntegersExactly) {
+  // 2^53 + 1 and 2^53 round to the same double; ORDER BY must still sort
+  // them as integers, like FILTER's comparison does.
+  TripleStore store;
+  store.Add(Ex("a"), Ex("v"), Term::Integer(9007199254740993));
+  store.Add(Ex("b"), Ex("v"), Term::Integer(9007199254740992));
+  store.Finalize();
+  QueryEngine engine(&store);
+  auto asc = engine.Execute("SELECT ?v WHERE { ?s <http://m/v> ?v } ORDER BY ?v");
+  ASSERT_TRUE(asc.ok()) << asc.status().ToString();
+  ASSERT_EQ(asc->NumRows(), 2u);
+  EXPECT_EQ(asc->rows[0][0], Term::Integer(9007199254740992));
+  EXPECT_EQ(asc->rows[1][0], Term::Integer(9007199254740993));
+  auto desc =
+      engine.Execute("SELECT ?v WHERE { ?s <http://m/v> ?v } ORDER BY DESC(?v)");
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  ASSERT_EQ(desc->NumRows(), 2u);
+  EXPECT_EQ(desc->rows[0][0], Term::Integer(9007199254740993));
+  auto filtered = engine.Execute(
+      "SELECT ?v WHERE { ?s <http://m/v> ?v FILTER(?v < 9007199254740993) }");
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  ASSERT_EQ(filtered->NumRows(), 1u);
+  EXPECT_EQ(filtered->rows[0][0], Term::Integer(9007199254740992));
+}
+
 TEST_F(ModifierTest, CountDistinctVsPlainInOneQuery) {
   QueryResult r = Run(
       "SELECT (COUNT(?v) AS ?n) (COUNT(DISTINCT ?v) AS ?d) WHERE { ?s ?p ?v }");

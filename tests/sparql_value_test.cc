@@ -1,5 +1,7 @@
 #include "sparql/value.h"
 
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "sparql/expression.h"
 #include "sparql/parser.h"
@@ -116,6 +118,45 @@ TEST(ValueTest, TotalCompareIsATotalOrder) {
       EXPECT_LE(ij, 0) << values[i].ToString() << " vs " << values[j].ToString();
     }
   }
+}
+
+TEST(ValueTest, TotalCompareOrdersNumbersExactly) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Ascending; every value is a distinct term. Integers beyond 2^53 differ
+  // from each other and from the double they would round to; an integer
+  // sorts before an equal double (0 before -0.0), -0.0 before 0.0, and NaN
+  // after every number.
+  std::vector<Value> ascending = {
+      Value::MakeDouble(-inf),
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(-1),
+      Value::MakeDouble(-0.5),
+      Value::Int(0),
+      Value::MakeDouble(-0.0),
+      Value::MakeDouble(0.0),
+      Value::Int(1),
+      Value::MakeDouble(1.0),
+      Value::MakeDouble(1.5),
+      Value::Int(9007199254740992),
+      Value::MakeDouble(9007199254740992.0),
+      Value::Int(9007199254740993),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::MakeDouble(9223372036854775808.0),
+      Value::MakeDouble(inf),
+      Value::MakeDouble(nan),
+  };
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    EXPECT_EQ(ascending[i].TotalCompare(ascending[i]), 0)
+        << ascending[i].ToString();
+    for (size_t j = i + 1; j < ascending.size(); ++j) {
+      EXPECT_EQ(ascending[i].TotalCompare(ascending[j]), -1)
+          << ascending[i].ToString() << " vs " << ascending[j].ToString();
+      EXPECT_EQ(ascending[j].TotalCompare(ascending[i]), 1)
+          << ascending[j].ToString() << " vs " << ascending[i].ToString();
+    }
+  }
+  EXPECT_EQ(Value::MakeDouble(nan).TotalCompare(Value::MakeDouble(-nan)), 0);
 }
 
 TEST(ValueTest, ToStringForDiagnostics) {
