@@ -1,17 +1,14 @@
-/// P3 — vectorized, morsel-parallel query execution: root-view query
-/// scaling curve. For each bundled dataset, measures the facet's root-view
-/// query (the Amdahl bottleneck of profiling and of ApplyUpdates) under
+/// P3 — vectorized query execution: the facet's root-view query (the
+/// largest single evaluation of profiling and of full-mode maintenance) on
+/// each bundled dataset, under
 ///
-///   - the legacy row-at-a-time Volcano executor (the serial baseline),
-///   - the vectorized batch engine at 1/2/4/8 morsel workers,
+///   - the legacy row-at-a-time Volcano executor (the baseline),
+///   - the vectorized batch engine,
 ///
-/// verifying on the fly that every configuration returns byte-identical
-/// results (the executor determinism contract), then reports speedups:
-/// `speedup_vs_volcano_4t` is the acceptance metric (batch @ 4 workers vs
-/// the serial executor), `batch_scaling_4t` isolates the exchange scaling
-/// (batch @ 4 vs batch @ 1). On a single-core host the scaling column
-/// degenerates to ~1x; the batch-vs-volcano column still reflects the
-/// vectorization win (hash joins, hash aggregation, no per-row allocation).
+/// verifying on the fly that both return byte-identical results (the
+/// executor determinism contract), then reports the batch engine's speedup
+/// (`speedup_vs_volcano`): hash joins, hash aggregation, no per-row
+/// allocation. Both run on the caller's thread.
 ///
 ///   ./bench_exec [json_path]
 
@@ -21,7 +18,6 @@
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "sparql/query_engine.h"
 
@@ -30,20 +26,12 @@ namespace {
 using namespace sofos;
 
 constexpr int kRepetitions = 5;
-const unsigned kWorkerCounts[] = {1, 2, 4, 8};
 
-struct ExecPoint {
-  unsigned dop = 1;
-  double wall_ms = 0.0;
-  double cpu_ms = 0.0;
-  uint64_t morsels = 0;
-};
-
-struct DatasetCurve {
+struct DatasetPoint {
   std::string name;
   uint64_t pattern_rows = 0;  // bindings the root query aggregates
   double volcano_ms = 0.0;
-  std::vector<ExecPoint> points;
+  double batch_ms = 0.0;
 };
 
 /// Canonical fingerprint of a result for cross-configuration comparison.
@@ -63,8 +51,8 @@ std::string Fingerprint(const sparql::QueryResult& result) {
 /// query error or a result mismatch against `reference`.
 bool Measure(TripleStore* store, const std::string& query,
              const sparql::ExecOptions& options, const std::string& reference,
-             double* wall_ms, double* cpu_ms, uint64_t* morsels) {
-  std::vector<double> walls, cpus;
+             double* wall_ms) {
+  std::vector<double> walls;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     sparql::QueryEngine engine(store, options);
     auto result = engine.Execute(query);
@@ -72,30 +60,26 @@ bool Measure(TripleStore* store, const std::string& query,
       std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
       return false;
     }
-    if (!reference.empty() && Fingerprint(*result) != reference) {
-      std::fprintf(stderr, "results diverged from the serial executor!\n");
+    if (Fingerprint(*result) != reference) {
+      std::fprintf(stderr, "results diverged from the Volcano executor!\n");
       return false;
     }
     walls.push_back(result->stats.exec_micros / 1000.0);
-    cpus.push_back(result->stats.cpu_micros / 1000.0);
-    if (morsels != nullptr) *morsels = result->stats.morsels;
   }
   *wall_ms = bench::Median(walls);
-  if (cpu_ms != nullptr) *cpu_ms = bench::Median(cpus);
   return true;
 }
 
-bool MeasureDataset(const std::string& name, DatasetCurve* curve) {
+bool MeasureDataset(const std::string& name, DatasetPoint* point) {
   core::SofosEngine engine;
   bench::LoadEngine(&engine, name, datagen::Scale::kDemo);
   TripleStore* store = engine.store();
   const core::Facet& facet = engine.facet();
   const std::string query = facet.ViewQuerySparql(facet.FullMask());
 
-  curve->name = name;
-  curve->pattern_rows = engine.profile()->base_pattern_rows;
+  point->name = name;
+  point->pattern_rows = engine.profile()->base_pattern_rows;
 
-  // Serial baseline: the pre-refactor row-at-a-time executor.
   sparql::ExecOptions volcano;
   volcano.mode = sparql::ExecMode::kVolcano;
   std::string reference;
@@ -105,70 +89,32 @@ bool MeasureDataset(const std::string& name, DatasetCurve* curve) {
     if (!result.ok()) return false;
     reference = Fingerprint(*result);
   }
-  double cpu_unused = 0.0;
-  if (!Measure(store, query, volcano, reference, &curve->volcano_ms, &cpu_unused,
-               nullptr)) {
-    return false;
-  }
-
-  for (unsigned dop : kWorkerCounts) {
-    ThreadPool pool(dop);
-    sparql::ExecOptions options;
-    options.pool = dop > 1 ? &pool : nullptr;
-    options.dop = dop;
-    ExecPoint point;
-    point.dop = dop;
-    if (!Measure(store, query, options, reference, &point.wall_ms, &point.cpu_ms,
-                 &point.morsels)) {
-      return false;
-    }
-    curve->points.push_back(point);
-  }
-  return true;
+  return Measure(store, query, volcano, reference, &point->volcano_ms) &&
+         Measure(store, query, sparql::ExecOptions{}, reference,
+                 &point->batch_ms);
 }
 
-double PointAt(const DatasetCurve& curve, unsigned dop) {
-  for (const ExecPoint& p : curve.points) {
-    if (p.dop == dop) return p.wall_ms;
-  }
-  return 0.0;
+double Speedup(const DatasetPoint& point) {
+  return point.batch_ms > 0 ? point.volcano_ms / point.batch_ms : 0.0;
 }
 
-void WriteJson(const std::string& path, const std::vector<DatasetCurve>& curves) {
+void WriteJson(const std::string& path, const std::vector<DatasetPoint>& points) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"exec\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               ThreadPool::DefaultNumThreads());
   std::fprintf(f, "  \"repetitions\": %d,\n  \"datasets\": [\n", kRepetitions);
-  for (size_t d = 0; d < curves.size(); ++d) {
-    const DatasetCurve& curve = curves[d];
+  for (size_t d = 0; d < points.size(); ++d) {
+    const DatasetPoint& p = points[d];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"pattern_rows\": %llu, "
-                 "\"volcano_serial_ms\": %.3f, \"points\": [\n",
-                 curve.name.c_str(),
-                 static_cast<unsigned long long>(curve.pattern_rows),
-                 curve.volcano_ms);
-    for (size_t i = 0; i < curve.points.size(); ++i) {
-      const ExecPoint& p = curve.points[i];
-      std::fprintf(f,
-                   "      {\"dop\": %u, \"batch_wall_ms\": %.3f, "
-                   "\"batch_cpu_ms\": %.3f, \"morsels\": %llu}%s\n",
-                   p.dop, p.wall_ms, p.cpu_ms,
-                   static_cast<unsigned long long>(p.morsels),
-                   i + 1 < curve.points.size() ? "," : "");
-    }
-    double batch_1t = PointAt(curve, 1), batch_4t = PointAt(curve, 4);
-    std::fprintf(f,
-                 "    ], \"speedup_vs_volcano_1t\": %.3f, "
-                 "\"speedup_vs_volcano_4t\": %.3f, \"batch_scaling_4t\": %.3f}%s\n",
-                 batch_1t > 0 ? curve.volcano_ms / batch_1t : 0.0,
-                 batch_4t > 0 ? curve.volcano_ms / batch_4t : 0.0,
-                 batch_4t > 0 ? batch_1t / batch_4t : 0.0,
-                 d + 1 < curves.size() ? "," : "");
+                 "\"volcano_ms\": %.3f, \"batch_ms\": %.3f, "
+                 "\"speedup_vs_volcano\": %.3f}%s\n",
+                 p.name.c_str(), static_cast<unsigned long long>(p.pattern_rows),
+                 p.volcano_ms, p.batch_ms, Speedup(p),
+                 d + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  ");
   bench::WriteMemoryJson(f);
@@ -180,36 +126,22 @@ void WriteJson(const std::string& path, const std::vector<DatasetCurve>& curves)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("P3 | Vectorized morsel-parallel execution: root-view query\n");
-  std::printf("hardware_concurrency=%u\n", ThreadPool::DefaultNumThreads());
+  std::printf("P3 | Vectorized execution: root-view query, batch vs Volcano\n");
 
-  std::vector<DatasetCurve> curves;
+  std::vector<DatasetPoint> points;
+  TablePrinter table(
+      {"dataset", "pattern rows", "volcano ms", "batch ms", "speedup"});
   for (const std::string& name : datagen::DatasetNames()) {
-    DatasetCurve curve;
-    if (!MeasureDataset(name, &curve)) return 1;
-
-    TablePrinter table(
-        {"dop", "batch wall ms", "vs volcano", "vs batch 1t", "cpu ms", "morsels"});
-    for (const ExecPoint& p : curve.points) {
-      table.AddRow({TablePrinter::Cell(uint64_t{p.dop}),
-                    TablePrinter::Cell(p.wall_ms, 3),
-                    TablePrinter::Cell(
-                        p.wall_ms > 0 ? curve.volcano_ms / p.wall_ms : 0.0, 2),
-                    TablePrinter::Cell(
-                        p.wall_ms > 0 ? curve.points.front().wall_ms / p.wall_ms
-                                      : 0.0,
-                        2),
-                    TablePrinter::Cell(p.cpu_ms, 3),
-                    TablePrinter::Cell(p.morsels)});
-    }
-    std::printf("\n[%s] root view over %llu pattern rows, volcano serial %.3f ms\n",
-                curve.name.c_str(),
-                static_cast<unsigned long long>(curve.pattern_rows),
-                curve.volcano_ms);
-    table.Print();
-    curves.push_back(std::move(curve));
+    DatasetPoint point;
+    if (!MeasureDataset(name, &point)) return 1;
+    table.AddRow({point.name, TablePrinter::Cell(point.pattern_rows),
+                  TablePrinter::Cell(point.volcano_ms, 3),
+                  TablePrinter::Cell(point.batch_ms, 3),
+                  TablePrinter::Cell(Speedup(point), 2)});
+    points.push_back(std::move(point));
   }
+  table.Print();
 
-  if (argc > 1) WriteJson(argv[1], curves);
+  if (argc > 1) WriteJson(argv[1], points);
   return 0;
 }

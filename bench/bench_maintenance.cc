@@ -3,16 +3,15 @@
 ///   store level:  TripleStore::ApplyDelta (staged delta, six linear
 ///                 merges) vs a full six-way re-Finalize of the same final
 ///                 graph, for a small-delta workload (~0.5% of |G|).
-///   engine level: SofosEngine::ApplyUpdates (delta merge + roll-up view
-///                 maintenance + staleness tracking) vs UpdateBaseGraph
-///                 (strip views, rebuild base, re-profile, rematerialize).
+///   engine level: SofosEngine::ApplyUpdates in its default (auto) mode
+///                 vs the same call under MaintainOptions kForceFull
+///                 (re-evaluate the root view and diff it), same stream.
 ///
 ///   ./bench_maintenance [json_path]
 ///
 /// With `json_path` the results are written as BENCH_maintenance.json (the
 /// perf-trajectory artifact consumed by scripts/run_benches.sh).
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -114,24 +113,27 @@ bool MeasureStore(const std::string& dataset, DatasetResult* out) {
   return true;
 }
 
-/// Engine-level comparison: ApplyUpdates (incremental maintenance) vs
-/// UpdateBaseGraph (full rebuild + re-profile + rematerialization), same
-/// update stream, same selected views.
+/// Engine-level comparison: ApplyUpdates in auto mode (incremental
+/// maintenance) vs ApplyUpdates under kForceFull (the full-recompute
+/// path), same update stream, same selected views.
 bool MeasureEngine(const std::string& dataset, DatasetResult* out) {
   auto setup = [&](core::SofosEngine* engine,
-                   std::vector<uint32_t>* masks) -> bool {
+                   core::maintenance::MaintainOptions::Mode mode) -> bool {
     bench::LoadEngine(engine, dataset, datagen::Scale::kDemo);
     core::TripleCountCostModel model;
     auto selection = engine->SelectViews(model, 3);
     if (!selection.ok()) return false;
     if (!engine->MaterializeSelection(*selection).ok()) return false;
-    *masks = selection->views;
+    core::maintenance::MaintainOptions options;
+    options.mode = mode;
+    engine->SetMaintainOptions(options);
     return true;
   };
-
-  core::SofosEngine incremental;
-  std::vector<uint32_t> masks;
-  if (!setup(&incremental, &masks)) return false;
+  core::SofosEngine incremental, full;
+  if (!setup(&incremental, core::maintenance::MaintainOptions::Mode::kAuto) ||
+      !setup(&full, core::maintenance::MaintainOptions::Mode::kForceFull)) {
+    return false;
+  }
 
   workload::UpdateStreamOptions options;
   options.num_batches = kRepetitions;
@@ -141,47 +143,18 @@ bool MeasureEngine(const std::string& dataset, DatasetResult* out) {
       incremental.base_snapshot(), incremental.store()->dictionary(), options);
   if (!stream.ok()) return false;
 
-  std::vector<double> incremental_runs;
-  for (const auto& delta : *stream) {
-    WallTimer timer;
-    if (!incremental.ApplyUpdates(delta).ok()) return false;
-    incremental_runs.push_back(timer.ElapsedMillis());
+  auto run = [&](core::SofosEngine* engine, std::vector<double>* runs) {
+    for (const auto& delta : *stream) {
+      WallTimer timer;
+      if (!engine->ApplyUpdates(delta).ok()) return false;
+      runs->push_back(timer.ElapsedMillis());
+    }
+    return true;
+  };
+  std::vector<double> incremental_runs, full_runs;
+  if (!run(&incremental, &incremental_runs) || !run(&full, &full_runs)) {
+    return false;
   }
-
-  core::SofosEngine full;
-  std::vector<uint32_t> full_masks;
-  if (!setup(&full, &full_masks)) return false;
-  std::vector<double> full_runs;
-  for (const auto& delta : *stream) {
-    WallTimer timer;
-    Status status = full.UpdateBaseGraph([&](TripleStore* store) {
-      // Express the delta through the legacy interface: filter deletes out
-      // of the base content, append adds.
-      std::vector<Triple> deletes;
-      for (const auto& t : delta.deletes) {
-        auto s = store->dictionary().Lookup(t.s);
-        auto p = store->dictionary().Lookup(t.p);
-        auto o = store->dictionary().Lookup(t.o);
-        if (s && p && o) deletes.push_back(Triple{*s, *p, *o});
-      }
-      std::sort(deletes.begin(), deletes.end());
-      std::vector<Triple> next;
-      next.reserve(store->NumTriples());
-      for (const Triple& t : store->triples()) {
-        if (!std::binary_search(deletes.begin(), deletes.end(), t)) {
-          next.push_back(t);
-        }
-      }
-      for (const auto& t : delta.adds) {
-        next.push_back(Triple{store->Intern(t.s), store->Intern(t.p),
-                              store->Intern(t.o)});
-      }
-      store->ReplaceTriples(std::move(next));
-    });
-    if (!status.ok()) return false;
-    full_runs.push_back(timer.ElapsedMillis());
-  }
-
   out->incremental_ms = bench::Median(incremental_runs);
   out->full_update_ms = bench::Median(full_runs);
   return true;

@@ -1,5 +1,7 @@
-/// P1 — parallel execution core scaling curve: lattice profiling and
-/// batched workload execution at 1/2/4/8 threads. Verifies on the fly that
+/// P1 — parallel execution core scaling curve: lattice profiling (one
+/// root-view evaluation on the caller's thread, then roll-ups fanned out
+/// per lattice node) and batched workload execution (one task per query)
+/// at 1/2/4/8 threads. Verifies on the fly that
 /// every thread count produces the same profile statistics, greedy
 /// selection, and workload answers as the serial run (the determinism
 /// contract), then reports wall-clock speedups.

@@ -223,19 +223,6 @@ class Cli {
         status = Client(static_cast<uint16_t>(port),
                         std::string(StrTrim(request)));
       }
-    } else if (cmd == "exec-threads") {
-      long n = -1;
-      if (!(in >> n) || n < 0 ||
-          n > static_cast<long>(ThreadPool::kMaxThreads)) {
-        std::printf(
-            "usage: exec-threads <n> with 0 <= n <= %zu (0=auto budget)\n",
-            ThreadPool::kMaxThreads);
-      } else {
-        engine_.SetExecThreads(static_cast<unsigned>(n));
-        std::printf("intra-query dop: %s\n",
-                    n == 0 ? "auto (pool / in-flight queries)"
-                           : std::to_string(n).c_str());
-      }
     } else if (cmd == "threads") {
       long n = -1;
       if (!(in >> n) || n < 0 ||
@@ -332,7 +319,7 @@ class Cli {
         "  train                train the learned cost model\n"
         "  challenge <k>        oracle best-k vs every cost model\n"
         "  sparql <query>       run a raw SPARQL query\n"
-        "  explain <query>      show the batch plan (join algos, morsels, dop)\n"
+        "  explain <query>      show the batch plan (join algos, leaf rows)\n"
         "  analyze [query]      EXPLAIN ANALYZE: run and annotate the plan\n"
         "                       with per-operator actuals (default: root view)\n"
         "  trace [query]        run with span tracing on; prints the span\n"
@@ -359,7 +346,6 @@ class Cli {
         "  layout [mode]        auto|sorted|compact store layout (compact =\n"
         "                       CSR shards + front-coded dictionary)\n"
         "  threads <n>          size the thread pool (0=auto, 1=serial)\n"
-        "  exec-threads <n>     pin intra-query dop (0=auto budget)\n"
         "  shards [n]           hash shards per index family (0=auto;\n"
         "                       results never change, rebuild/publish do)\n"
         "  quit\n");
@@ -713,20 +699,18 @@ class Cli {
   }
 
   Status RunSparql(const std::string& query) {
-    // Same execution schedule as `explain` describes (pool + exec-threads).
-    sparql::QueryEngine qe(engine_.store(), engine_.ExecOptionsFor(0));
+    sparql::QueryEngine qe(engine_.store());
     SOFOS_ASSIGN_OR_RETURN(sparql::QueryResult result, qe.Execute(query));
-    std::printf("%s(%llu rows, %.1f us wall, %.1f us cpu)\n",
-                result.ToTable(20).c_str(),
+    std::printf("%s(%llu rows, %.1f us)\n", result.ToTable(20).c_str(),
                 static_cast<unsigned long long>(result.NumRows()),
-                result.stats.exec_micros, result.stats.cpu_micros);
+                result.stats.exec_micros);
     return Status::OK();
   }
 
   /// EXPLAIN: logical plan (join order, algorithms, build/probe sides) plus
-  /// the physical schedule (morsel count, dop) under the current knobs. If
-  /// no query is given, explains the facet's root-view query — the one the
-  /// offline pipeline and the maintenance path keep re-evaluating.
+  /// the physical batch line. If no query is given, explains the facet's
+  /// root-view query — the one the offline pipeline and the maintenance
+  /// path keep re-evaluating.
   Status Explain(const std::string& query) {
     std::string text = query;
     size_t first = text.find_first_not_of(" \t");
@@ -751,7 +735,7 @@ class Cli {
       text = engine_.facet().ViewQuerySparql(engine_.facet().FullMask());
       std::printf("(root view query)\n");
     }
-    sparql::QueryEngine qe(engine_.store(), engine_.ExecOptionsFor(0));
+    sparql::QueryEngine qe(engine_.store());
     SOFOS_ASSIGN_OR_RETURN(std::string annotated, qe.Analyze(text));
     std::printf("%s", annotated.c_str());
     return Status::OK();
@@ -768,7 +752,7 @@ class Cli {
       std::printf("(root view query)\n");
     }
     TraceContext trace;
-    sparql::ExecOptions options = engine_.ExecOptionsFor(0);
+    sparql::ExecOptions options;
     options.trace = &trace;
     sparql::QueryEngine qe(engine_.store(), options);
     SOFOS_ASSIGN_OR_RETURN(sparql::QueryResult result, qe.Execute(text));

@@ -15,7 +15,7 @@ looks like a performance figure is compared:
     fresh > base * (1 + threshold);
   - "higher is better" (throughput_qps, speedup_*, *_rate, *_scaling,
     triples_per_second) regresses when fresh < base * (1 - threshold);
-  - neutral keys (counts, sizes, dop, morsels, epochs, ...) are skipped —
+  - neutral keys (counts, sizes, epochs, ...) are skipped —
     they describe the workload, not its performance.
 
 Tiny absolute values are ignored (< 1.0 in the metric's unit): a 0.2us →
@@ -63,8 +63,6 @@ NEUTRAL = (
     "errors",
     "rows",
     "triples",
-    "morsels",
-    "dop",
     "epoch",
     "count",
     "repetitions",

@@ -5,12 +5,13 @@
 #
 # Currently emits:
 #   BENCH_parallel.json    — thread-scaling curve (1/2/4/8) of lattice
-#                            profiling and batched workload execution
+#                            profiling (one root evaluation plus parallel
+#                            roll-ups) and batched workload execution (one
+#                            task per query)
 #   BENCH_maintenance.json — staged-delta merge vs full re-finalize and
-#                            incremental vs full view maintenance
-#   BENCH_exec.json        — root-view query: vectorized batch engine at
-#                            1/2/4/8 morsel workers vs the row-at-a-time
-#                            Volcano executor
+#                            ApplyUpdates in auto vs forced-full mode
+#   BENCH_exec.json        — root-view query: vectorized batch engine vs
+#                            the row-at-a-time Volcano executor
 #   BENCH_server.json      — online serving (epoll event loops): closed-
 #                            loop cold/warm/mixed phases, telemetry-overhead
 #                            A/B (median of interleaved rounds), open-loop

@@ -97,7 +97,7 @@ Result<RootTable*> SofosEngine::CurrentRootTable() {
   if (!root_table_.has_value()) {
     SOFOS_ASSIGN_OR_RETURN(
         RootTable root,
-        RootTable::Evaluate(&store_, *facet_, ExecOptionsFor(0)));
+        RootTable::Evaluate(&store_, *facet_));
     root_table_ = std::move(root);
     view_queries_total_->Add();
   }
@@ -166,21 +166,6 @@ ThreadPool* SofosEngine::pool() const {
     pool_ = std::make_unique<ThreadPool>(n);
   }
   return pool_.get();
-}
-
-sparql::ExecOptions SofosEngine::ExecOptionsFor(unsigned intra_dop) const {
-  sparql::ExecOptions options;
-  options.pool = pool();
-  if (options.pool == nullptr) {
-    options.dop = 1;
-  } else if (intra_dop != 0) {
-    options.dop = intra_dop;
-  } else if (exec_threads_ != 0) {
-    options.dop = exec_threads_;
-  } else {
-    options.dop = num_threads();
-  }
-  return options;
 }
 
 Status SofosEngine::LoadStore(TripleStore&& store) {
@@ -257,7 +242,6 @@ Result<const LatticeProfile*> SofosEngine::Profile(const ProfileOptions& options
   if (!facet_.has_value()) return Status::Internal("no facet set");
   ProfileOptions effective = options;
   if (effective.pool == nullptr) effective.pool = pool();
-  if (effective.exec_dop == 0) effective.exec_dop = exec_threads_;
   RootTable root;
   SOFOS_ASSIGN_OR_RETURN(LatticeProfile profile,
                          ProfileLattice(&store_, *facet_, effective, &root));
@@ -360,34 +344,6 @@ Result<std::vector<MaterializedView>> SofosEngine::MaterializeViews(
   ++epoch_;
   RecordStateGauges();
   return views;
-}
-
-Status SofosEngine::UpdateBaseGraph(
-    const std::function<void(TripleStore*)>& update,
-    const ProfileOptions& profile_options) {
-  std::vector<uint32_t> masks = MaterializedMasks();
-
-  // Strip view encodings so the update sees (and the snapshot captures)
-  // base data only.
-  store_.ReplaceTriples(base_snapshot_);
-  store_.Finalize(pool());
-  update(&store_);
-  store_.Finalize(pool());
-  base_snapshot_ = store_.triples();
-  base_bytes_ = store_.MemoryBytes();
-  materialized_.clear();
-  root_table_.reset();
-  maintainer_.reset();
-  ++epoch_;
-
-  if (facet_.has_value()) {
-    SOFOS_RETURN_IF_ERROR(Profile(profile_options).status());
-    if (!masks.empty()) {
-      SOFOS_RETURN_IF_ERROR(MaterializeViews(masks).status());
-    }
-  }
-  RecordStateGauges();
-  return Status::OK();
 }
 
 Status SofosEngine::DropMaterializedViews() {
@@ -562,15 +518,6 @@ std::vector<uint32_t> SofosEngine::MaterializedMasks() const {
 Result<QueryOutcome> SofosEngine::Answer(const WorkloadQuery& query,
                                          bool allow_views,
                                          const CostModel* routing_model) {
-  // A standalone query gets the whole pool as intra-query parallelism
-  // (unless the exec-threads knob pins it).
-  return AnswerWithDop(query, allow_views, routing_model, /*intra_dop=*/0);
-}
-
-Result<QueryOutcome> SofosEngine::AnswerWithDop(const WorkloadQuery& query,
-                                                bool allow_views,
-                                                const CostModel* routing_model,
-                                                unsigned intra_dop) {
   if (!facet_.has_value()) return Status::Internal("no facet set");
   QueryOutcome outcome;
   outcome.query_id = query.id;
@@ -605,7 +552,7 @@ Result<QueryOutcome> SofosEngine::AnswerWithDop(const WorkloadQuery& query,
     }
   }
 
-  sparql::QueryEngine engine(&store_, ExecOptionsFor(intra_dop));
+  sparql::QueryEngine engine(&store_);
   WallTimer timer;
   SOFOS_ASSIGN_OR_RETURN(sparql::QueryResult result,
                          engine.Execute(outcome.executed_sparql));
@@ -628,25 +575,11 @@ Result<WorkloadReport> SofosEngine::RunWorkload(
   // synchronized). Outcomes land in their input slot, which makes the
   // merged report's ordering — and with one thread, every byte of it —
   // identical to the serial loop.
-  //
-  // Thread budget: the pool is split between inter-query parallelism (one
-  // task per query) and intra-query morsel parallelism inside each task —
-  // intra = max(1, pool / in-flight). A large batch runs queries serially
-  // inside (intra = 1, maximal throughput); a small batch lets each query
-  // fan its scans out (minimal latency). Either way results are identical.
-  const unsigned threads = num_threads();
-  const size_t inflight =
-      std::max<size_t>(1, std::min<size_t>(queries.size(), threads));
-  const unsigned intra_dop =
-      exec_threads_ != 0
-          ? exec_threads_
-          : static_cast<unsigned>(std::max<size_t>(1, threads / inflight));
   std::vector<QueryOutcome> outcomes(queries.size());
   SOFOS_RETURN_IF_ERROR(
       ParallelForEachStatus(pool(), queries.size(), [&](size_t i) -> Status {
-        SOFOS_ASSIGN_OR_RETURN(
-            outcomes[i],
-            AnswerWithDop(queries[i], allow_views, routing_model, intra_dop));
+        SOFOS_ASSIGN_OR_RETURN(outcomes[i],
+                               Answer(queries[i], allow_views, routing_model));
         return Status::OK();
       }));
 
@@ -704,13 +637,35 @@ Result<std::shared_ptr<const EngineSnapshot>> SofosEngine::PublishSnapshot() {
   // Snapshot-served queries feed the same registry as the engine's own
   // entry points (instrument pointers are deque-stable for the registry's
   // lifetime, which spans every snapshot's).
-  snap->metrics_ = &metrics_;
   snap->parse_hist_ = parse_hist_;
   snap->route_hist_ = route_hist_;
+  snap->rewrite_hist_ = rewrite_hist_;
   snap->exec_hist_ = exec_hist_;
   snap->queries_total_ = queries_total_;
   snap->view_hits_total_ = view_hits_total_;
   snap->recorder_ = &recorder_;
+  if (facet_.has_value()) {
+    // The benefit of a hit is fixed by the snapshot's profile, so resolve
+    // each view's counters and per-hit benefit once here instead of on
+    // every routed query.
+    for (const MaterializedView& view : materialized_) {
+      const std::string label = facet_->MaskLabel(view.mask);
+      EngineSnapshot::ViewCounters counters;
+      counters.hits =
+          metrics_.Counter("sofos_view_hits_total{view=\"" + label + "\"}");
+      counters.benefit_rows = metrics_.Counter(
+          "sofos_view_benefit_rows_total{view=\"" + label + "\"}");
+      if (profile_.has_value()) {
+        const uint64_t root_rows =
+            profile_->views[facet_->FullMask()].result_rows;
+        const uint64_t view_rows = profile_->views[view.mask].result_rows;
+        if (root_rows > view_rows) {
+          counters.benefit_per_hit = root_rows - view_rows;
+        }
+      }
+      snap->view_counters_.push_back(counters);
+    }
+  }
   std::shared_ptr<const EngineSnapshot> published = std::move(snap);
   publish_hist_->Record(publish_timer.ElapsedMicros());
   publishes_total_->Add();
@@ -733,7 +688,7 @@ Result<QueryOutcome> EngineSnapshot::Answer(const std::string& sparql,
 
   ScopedSpan answer_span(trace, "snapshot.answer");
 
-  // Mirror of SofosEngine::AnswerSparql + AnswerWithDop, pinned to this
+  // Mirror of SofosEngine::AnswerSparql + Answer, pinned to this
   // snapshot's state: parse errors surface, shape mismatches merely disable
   // view routing, and routing consults the snapshot's profile + views.
   ScopedSpan parse_span(trace, "engine.parse", answer_span.id());
@@ -756,24 +711,27 @@ Result<QueryOutcome> EngineSnapshot::Answer(const std::string& sparql,
       std::optional<uint32_t> best =
           rewriter_->PickBestView(*signature, masks, *profile_, nullptr);
       if (best.has_value()) {
+        WallTimer rewrite_timer;
         SOFOS_ASSIGN_OR_RETURN(std::string rewritten,
                                rewriter_->RewriteToView(*signature, *best));
+        if (rewrite_hist_ != nullptr) {
+          rewrite_hist_->Record(rewrite_timer.ElapsedMicros());
+        }
         outcome.used_view = true;
         outcome.view_mask = *best;
         outcome.executed_sparql = std::move(rewritten);
         if (view_hits_total_ != nullptr) view_hits_total_->Add();
-        if (metrics_ != nullptr && facet_.has_value()) {
-          metrics_
-              ->Counter("sofos_view_hits_total{view=\"" +
-                        facet_->MaskLabel(*best) + "\"}")
-              ->Add();
+        for (size_t i = 0; i < view_counters_.size(); ++i) {
+          if (materialized_[i].mask != *best) continue;
+          view_counters_[i].hits->Add();
+          view_counters_[i].benefit_rows->Add(view_counters_[i].benefit_per_hit);
         }
       }
     }
     if (route_hist_ != nullptr) route_hist_->Record(route_timer.ElapsedMicros());
   }
 
-  sparql::ExecOptions options;  // default: serial batch engine, dop 1
+  sparql::ExecOptions options;
   ScopedSpan exec_span(trace, "engine.exec", answer_span.id());
   options.trace = trace;
   options.trace_parent = exec_span.id();
@@ -842,7 +800,7 @@ Result<std::string> EngineSnapshot::Analyze(const std::string& sparql,
       }
     }
   }
-  sparql::QueryEngine engine(&store_);  // serial, dop 1 like Answer()
+  sparql::QueryEngine engine(&store_);
   SOFOS_ASSIGN_OR_RETURN(std::string text, engine.Analyze(executed));
   return routed_line + text;
 }
@@ -876,7 +834,7 @@ Result<std::string> SofosEngine::ExplainSparql(const std::string& sparql) {
   if (!store_.finalized()) {
     return Status::Internal("ExplainSparql requires a loaded store");
   }
-  sparql::QueryEngine engine(&store_, ExecOptionsFor(/*intra_dop=*/0));
+  sparql::QueryEngine engine(&store_);
   return engine.Explain(sparql);
 }
 

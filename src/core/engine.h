@@ -1,7 +1,6 @@
 #ifndef SOFOS_CORE_ENGINE_H_
 #define SOFOS_CORE_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -110,9 +109,8 @@ struct UpdateOutcome {
 /// shards) instead of O(dictionary)); the known cost is that literals
 /// computed by snapshot queries intern into the engine-wide dictionary
 /// and outlive the snapshot (see the ROADMAP's overlay-dictionary
-/// follow-up). Queries run serially inside (dop 1): the server's
-/// parallelism axis is sessions, not morsels, and the executor determinism
-/// contract makes the results identical to any parallel schedule anyway.
+/// follow-up). Each query runs on its caller's thread: the server's
+/// parallelism axis is sessions.
 class EngineSnapshot {
  public:
   /// Monotone mutation counter of the owning engine at capture time; the
@@ -141,8 +139,8 @@ class EngineSnapshot {
   /// EXPLAIN ANALYZE over this snapshot: routes like Answer() (a routed
   /// query is analyzed in its rewritten form, with a leading "ROUTED
   /// view=..." line), executes with per-operator instrumentation, and
-  /// returns the annotated plan text. Serial (dop 1) like every snapshot
-  /// query, so per-operator self times sum to ~exec_micros.
+  /// returns the annotated plan text. It runs on the caller's thread like
+  /// every query, so per-operator self times sum to ~exec_micros.
   Result<std::string> Analyze(const std::string& sparql,
                               bool allow_views) const;
 
@@ -162,19 +160,28 @@ class EngineSnapshot {
   std::optional<Rewriter> rewriter_;  // bound to facet_ (never moves)
   std::optional<LatticeProfile> profile_;
   std::vector<MaterializedView> materialized_;
-  /// The owning engine's registry plus cached phase instruments, so
-  /// snapshot-served queries land in the same METRICS the engine's own
-  /// entry points feed. Null in never-published snapshots; valid while
-  /// the owning engine lives (the server owns both, engine outlasting
-  /// its snapshots).
-  MetricsRegistry* metrics_ = nullptr;
+  /// The owning engine's phase instruments, so snapshot-served queries
+  /// land in the same METRICS the engine's own entry points feed. Null in
+  /// never-published snapshots; valid while the owning engine lives (the
+  /// server owns both, engine outlasting its snapshots).
   LatencyHistogram* parse_hist_ = nullptr;
   LatencyHistogram* route_hist_ = nullptr;
+  LatencyHistogram* rewrite_hist_ = nullptr;
   LatencyHistogram* exec_hist_ = nullptr;
   MetricCounter* queries_total_ = nullptr;
   MetricCounter* view_hits_total_ = nullptr;
-  /// The owning engine's workload recorder (same lifetime argument as
-  /// metrics_): snapshot-served queries append their routing outcome so
+  /// Per materialized view, parallel to materialized_: its labeled
+  /// sofos_view_{hits,benefit_rows}_total counters and the benefit rows one
+  /// hit adds under this snapshot's profile (root rows minus view rows).
+  /// Resolved once by PublishSnapshot; empty in never-published snapshots.
+  struct ViewCounters {
+    MetricCounter* hits = nullptr;
+    MetricCounter* benefit_rows = nullptr;
+    uint64_t benefit_per_hit = 0;
+  };
+  std::vector<ViewCounters> view_counters_;
+  /// The owning engine's workload recorder (same lifetime argument as the
+  /// instruments above): snapshot-served queries append their routing outcome so
   /// the recorded workload covers live traffic, not just the engine's own
   /// entry points. Null in never-published snapshots.
   WorkloadRecorder* recorder_ = nullptr;
@@ -194,10 +201,10 @@ class EngineSnapshot {
 /// concurrently — all over const TripleStore scans plus the internally
 /// synchronized dictionary (see rdf/triple_store.h for the store contract).
 /// Results are reduced in deterministic order, so every engine result is
-/// independent of the thread count; only timing fields differ. Mutating
-/// entry points (LoadStore, MaterializeViews, UpdateBaseGraph, Drop...)
-/// remain single-threaded and must not run concurrently with anything
-/// else. The engine itself is not a thread-safe object: callers drive it
+/// independent of the thread count; only timing fields differ. Each query
+/// runs on one thread. Mutating entry points (LoadStore, MaterializeViews,
+/// ApplyUpdates, Drop...) remain single-threaded and must not run
+/// concurrently with anything else. The engine itself is not a thread-safe object: callers drive it
 /// from one thread and the engine parallelizes internally.
 ///
 /// Typical flow:
@@ -236,15 +243,6 @@ class SofosEngine {
   /// The resolved thread count (auto already expanded).
   unsigned num_threads() const;
 
-  /// Pins the intra-query parallelism degree (morsel-exchange workers per
-  /// query) independently of the pool size. 0 = auto: single queries run
-  /// at full pool dop, and the batched workload runner budgets
-  /// intra = max(1, pool / in-flight queries) between inter-query and
-  /// intra-query parallelism. Results never depend on this knob (the
-  /// executor's determinism contract) — it trades latency vs throughput.
-  void SetExecThreads(unsigned exec_threads) { exec_threads_ = exec_threads; }
-  unsigned exec_threads() const { return exec_threads_; }
-
   /// Sets the store's hash-shard count (TripleStore::SetShardCount): the
   /// number of copy-on-write buckets per index family. 0 = auto — the
   /// smallest power of two >= the resolved thread count (capped at 64), so
@@ -260,8 +258,8 @@ class SofosEngine {
 
   /// Index layout policy, applied to the loaded store and re-applied by
   /// every LoadStore: kSorted keeps the classic sorted-run indexes and the
-  /// plain dictionary; kCompact switches the subject/object index families
-  /// to the CSR adjacency layout and front-codes the dictionary
+  /// plain dictionary; kCompact switches the object index family to the
+  /// CSR adjacency layout and front-codes the dictionary
   /// (TripleStore::SetCompactLayout + Dictionary::SetFrontCoding — about
   /// half the bytes/triple at million-triple scale); kAuto picks compact
   /// once the store holds at least kCompactAutoTriples triples, so the
@@ -320,18 +318,6 @@ class SofosEngine {
   /// Rolls G+ back to the base snapshot G and forgets materializations.
   Status DropMaterializedViews();
 
-  /// Full-recompute view maintenance (the fallback path): applies updates
-  /// to the *base* graph and refreshes every materialized view against the
-  /// new data. `update` receives the store holding exactly the base triples
-  /// (views stripped) and may Add() to it; afterwards the base snapshot is
-  /// re-captured, the lattice is re-profiled with `profile_options`, and
-  /// all previously materialized views are recomputed from scratch. Use
-  /// ApplyUpdates for the incremental path; this one remains for updates
-  /// the delta path cannot express (arbitrary store surgery) and as the
-  /// reference semantics incremental maintenance is tested against.
-  Status UpdateBaseGraph(const std::function<void(TripleStore*)>& update,
-                         const ProfileOptions& profile_options = {});
-
   /// ---- Maintenance subsystem (incremental path) ----
 
   /// Applies one update batch to the base graph through the store's
@@ -343,6 +329,8 @@ class SofosEngine {
   /// re-running Profile()/SelectViews()/Materialize* is worth it (the
   /// paper's evolving-KG challenge). Deltas must not touch the reserved
   /// sofos: encoding vocabulary. Works with or without materialized views.
+  /// Under MaintainOptions::Mode::kForceFull every batch re-evaluates the
+  /// root view and diffs it: the full-recompute path.
   Result<UpdateOutcome> ApplyUpdates(const maintenance::GraphDelta& delta);
 
   /// Staleness of the current selection relative to the last Profile().
@@ -387,9 +375,8 @@ class SofosEngine {
 
   /// Monotone counter of queryable-state mutations: every entry point that
   /// changes what a query could answer (LoadStore, SetFacet, Profile,
-  /// Materialize*, Drop, UpdateBaseGraph, ApplyUpdates) bumps it. The
-  /// result cache keys on it, so an epoch bump implicitly invalidates all
-  /// cached answers.
+  /// Materialize*, Drop, ApplyUpdates) bumps it. The result cache keys on
+  /// it, so an epoch bump implicitly invalidates all cached answers.
   uint64_t epoch() const { return epoch_; }
 
   /// Clones the current queryable state into a fresh EngineSnapshot and
@@ -456,9 +443,9 @@ class SofosEngine {
                                     bool allow_views = true,
                                     const CostModel* routing_model = nullptr);
 
-  /// Renders the logical plan plus the physical batch schedule (join
-  /// algorithms, morsel count, dop) the engine would execute `sparql` with
-  /// — the CLI's `explain` command.
+  /// Renders the logical plan plus the physical batch line (join
+  /// algorithms, leaf rows, batch size) the engine would execute `sparql`
+  /// with — the CLI's `explain` command.
   Result<std::string> ExplainSparql(const std::string& sparql);
 
   /// ---- Storage metrics ----
@@ -470,24 +457,11 @@ class SofosEngine {
   /// Triples of G+ relative to G (>= 1; the demo's "space amplification").
   double StorageAmplification() const;
 
-  /// Execution options for one query: the shared pool plus an intra-query
-  /// dop of `intra_dop` (0 = the exec-threads knob, else full pool). Public
-  /// so ad-hoc QueryEngines (the CLI's raw `sparql` command) can run with
-  /// exactly the schedule `explain`/`exec-threads` describe.
-  sparql::ExecOptions ExecOptionsFor(unsigned intra_dop) const;
-
  private:
   /// The pool serving parallel sections, or nullptr when the effective
   /// thread count is 1. Lazily (re)built; mutable because const read-only
   /// entry points (SelectViews) also fan out.
   ThreadPool* pool() const;
-
-  /// Answer() with an explicit intra-query dop (the workload runner passes
-  /// its inter/intra budget split; 0 = auto).
-  Result<QueryOutcome> AnswerWithDop(const WorkloadQuery& query,
-                                     bool allow_views,
-                                     const CostModel* routing_model,
-                                     unsigned intra_dop);
 
   /// Brings the loaded store's shard layout and dictionary encoding in
   /// line with store_layout_ (no-op when already there or not finalized).
@@ -532,9 +506,8 @@ class SofosEngine {
   double update_rate_ = 0.0;        // 0 = classic (update-oblivious) greedy
   double avg_delta_bindings_ = 0.0; // EWMA over maintained batches
   std::shared_ptr<learned::Mlp> learned_mlp_;
-  unsigned num_threads_ = 0;   // 0 = auto (hardware_concurrency)
-  unsigned exec_threads_ = 0;  // 0 = auto intra-query dop (budgeted)
-  unsigned shard_count_ = 0;   // 0 = auto (pool-size-derived power of two)
+  unsigned num_threads_ = 0;  // 0 = auto (hardware_concurrency)
+  unsigned shard_count_ = 0;  // 0 = auto (pool-size-derived power of two)
   StoreLayout store_layout_ = StoreLayout::kAuto;
   mutable std::unique_ptr<ThreadPool> pool_;
   uint64_t epoch_ = 0;

@@ -624,18 +624,10 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
   return true;
 }
 
-Result<std::vector<ViewMaintainer::RootDiff>> ViewMaintainer::ComputeFullDiff(
-    ThreadPool* pool) {
-  // The one root-view evaluation dominates full-mode maintenance (see the
-  // README's cost breakdown), so it runs with full intra-query morsel
-  // parallelism; the result is identical to a serial evaluation by the
-  // executor's determinism contract.
-  sparql::ExecOptions exec_options;
-  exec_options.pool = pool;
-  exec_options.dop =
-      pool != nullptr ? static_cast<unsigned>(pool->num_threads()) : 1;
+Result<std::vector<ViewMaintainer::RootDiff>>
+ViewMaintainer::ComputeFullDiff() {
   SOFOS_ASSIGN_OR_RETURN(RootTable next_root,
-                         RootTable::Evaluate(store_, *facet_, exec_options));
+                         RootTable::Evaluate(store_, *facet_));
   // Lockstep diff of the sorted tables: keys present on one side only, or
   // present on both with a different encoding, changed.
   const size_t n = root_.num_dims();
@@ -953,7 +945,7 @@ Result<MaintenanceReport> ViewMaintainer::MaintainAll(ThreadPool* pool) {
     }
   }
   if (!use_delta) {
-    SOFOS_ASSIGN_OR_RETURN(diff, ComputeFullDiff(pool));
+    SOFOS_ASSIGN_OR_RETURN(diff, ComputeFullDiff());
     report.mode = MaintainMode::kFull;
   }
   report.root_query_micros = root_timer.ElapsedMicros();

@@ -256,7 +256,7 @@ class ViewMaintainer {
   Result<RootCell> EvalRootGroup(const Key& key) const;
   /// Full-recompute fallback: evaluates the root and lockstep-diffs it
   /// against the cache; replaces root_ with the fresh table.
-  Result<std::vector<RootDiff>> ComputeFullDiff(ThreadPool* pool);
+  Result<std::vector<RootDiff>> ComputeFullDiff();
   /// Applies a key-sorted diff to root_ (RootTable::Apply).
   void ApplyRootDiff(const std::vector<RootDiff>& diff);
 

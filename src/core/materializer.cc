@@ -1,6 +1,5 @@
 #include "core/materializer.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "common/parallel.h"
@@ -20,24 +19,14 @@ Result<std::vector<MaterializedView>> Materializer::MaterializeAll(
 
   // Phase 1: derive every view, fanned out over the pool, before any
   // encoding is appended, so that each view is defined over the same graph
-  // state. A view query (the inexact roll-up case) gets intra-query morsel
-  // parallelism from the threads the batch leaves idle (dop = pool /
-  // views).
+  // state.
   LatticeRollup rollup(&root, facet_, store_->dictionary());
-  sparql::ExecOptions exec_options;
-  exec_options.pool = pool;
-  if (pool != nullptr && !masks.empty()) {
-    size_t inflight = std::min(masks.size(), pool->num_threads());
-    exec_options.dop = static_cast<unsigned>(
-        std::max<size_t>(1, pool->num_threads() / inflight));
-  }
   std::vector<ViewRows> rows(masks.size());
   std::vector<double> derive_micros(masks.size(), 0.0);
   SOFOS_RETURN_IF_ERROR(
       ParallelForEachStatus(pool, masks.size(), [&](size_t i) -> Status {
         WallTimer timer;
-        SOFOS_ASSIGN_OR_RETURN(
-            rows[i], rollup.ComputeView(masks[i], store_, exec_options));
+        SOFOS_ASSIGN_OR_RETURN(rows[i], rollup.ComputeView(masks[i], store_));
         derive_micros[i] = timer.ElapsedMicros();
         return Status::OK();
       }));

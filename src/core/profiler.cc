@@ -4,7 +4,6 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace sofos {
@@ -139,18 +138,9 @@ Result<LatticeProfile> ProfileLattice(TripleStore* store, const Facet& facet,
   profile.views.resize(lattice_size);
 
   // The root view is the one query evaluation: every other view is a
-  // roll-up of it. It is by far the most expensive step, so it runs with
-  // full intra-query parallelism (morsel exchange).
-  sparql::ExecOptions root_options;
-  root_options.pool = options.pool;
-  root_options.dop = options.exec_dop != 0
-                         ? options.exec_dop
-                         : (options.pool != nullptr
-                                ? static_cast<unsigned>(options.pool->num_threads())
-                                : 1);
+  // roll-up of it.
   WallTimer root_timer;
-  SOFOS_ASSIGN_OR_RETURN(RootTable root,
-                         RootTable::Evaluate(store, facet, root_options));
+  SOFOS_ASSIGN_OR_RETURN(RootTable root, RootTable::Evaluate(store, facet));
   const double root_micros = root_timer.ElapsedMicros();
   profile.view_queries = 1;
   profile.base_pattern_rows = root.PatternRows();
@@ -160,7 +150,7 @@ Result<LatticeProfile> ProfileLattice(TripleStore* store, const Facet& facet,
   // Exact stats of one view; the root's time includes its evaluation.
   auto compute = [&](uint32_t mask) -> Status {
     WallTimer timer;
-    SOFOS_ASSIGN_OR_RETURN(ViewRows rows, rollup.ComputeView(mask, store, {}));
+    SOFOS_ASSIGN_OR_RETURN(ViewRows rows, rollup.ComputeView(mask, store));
     profile.views[mask] =
         StatsFromRows(rows, dict,
                       timer.ElapsedMicros() + (mask == full ? root_micros : 0));

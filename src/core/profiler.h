@@ -41,16 +41,13 @@ struct ProfileOptions {
   ProfileMode mode = ProfileMode::kExact;
   double sample_rate = 0.1;  // kSampled: fraction of root rows kept
   uint64_t seed = 42;
-  /// When set, the root-view query runs with intra-query morsel
-  /// parallelism on this pool, and the lattice nodes are then rolled up
-  /// concurrently on it. All ViewStats except the timing field eval_micros
-  /// are identical to the serial (pool == nullptr) run; errors are reported
-  /// for the smallest failing mask, matching serial order. Not owned;
-  /// SofosEngine::Profile injects its own pool when unset.
+  /// When set, the lattice nodes are rolled up concurrently on this pool
+  /// (the root-view query runs on the caller's thread). All ViewStats
+  /// except the timing field eval_micros are identical to the serial
+  /// (pool == nullptr) run; errors are reported for the smallest failing
+  /// mask, matching serial order. Not owned; SofosEngine::Profile injects
+  /// its own pool when unset.
   ThreadPool* pool = nullptr;
-  /// Intra-query dop for the root-view query; 0 = the pool's thread count.
-  /// SofosEngine::Profile injects its exec-threads knob here.
-  unsigned exec_dop = 0;
 };
 
 /// Per-facet lattice statistics plus the base-graph figures cost models

@@ -48,9 +48,8 @@ uint64_t RowsOf(const Dictionary& dict, TermId id) {
 
 }  // namespace
 
-Result<RootTable> RootTable::Evaluate(TripleStore* store, const Facet& facet,
-                                      const sparql::ExecOptions& options) {
-  sparql::QueryEngine engine(store, options);
+Result<RootTable> RootTable::Evaluate(TripleStore* store, const Facet& facet) {
+  sparql::QueryEngine engine(store);
   SOFOS_ASSIGN_OR_RETURN(
       sparql::RowBuffer raw,
       engine.ExecuteIds(facet.ViewQuerySparql(facet.FullMask())));
@@ -230,11 +229,10 @@ ViewRows LatticeRollup::Rollup(uint32_t mask,
   return out;
 }
 
-Result<ViewRows> LatticeRollup::ComputeView(
-    uint32_t mask, TripleStore* store,
-    const sparql::ExecOptions& options) const {
+Result<ViewRows> LatticeRollup::ComputeView(uint32_t mask,
+                                            TripleStore* store) const {
   if (!NeedsQuery(mask)) return Rollup(mask);
-  sparql::QueryEngine engine(store, options);
+  sparql::QueryEngine engine(store);
   SOFOS_ASSIGN_OR_RETURN(sparql::RowBuffer raw,
                          engine.ExecuteIds(facet_->ViewQuerySparql(mask)));
   ViewRows out;

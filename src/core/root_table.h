@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "core/facet.h"
 #include "rdf/triple_store.h"
-#include "sparql/executor.h"
 #include "sparql/value.h"
 
 namespace sofos {
@@ -45,10 +44,8 @@ class RootTable {
   RootTable() = default;
   explicit RootTable(size_t num_dims) : num_dims_(num_dims) {}
 
-  /// Evaluates the root view query over `store`. `options` only changes
-  /// how fast (the executor's determinism contract).
-  static Result<RootTable> Evaluate(TripleStore* store, const Facet& facet,
-                                    const sparql::ExecOptions& options);
+  /// Evaluates the root view query over `store`.
+  static Result<RootTable> Evaluate(TripleStore* store, const Facet& facet);
 
   size_t num_dims() const { return num_dims_; }
   size_t size() const { return cells_.size(); }
@@ -131,9 +128,8 @@ class LatticeRollup {
   }
 
   /// The rows of view `mask`: Rollup(mask), or its view query evaluated
-  /// over `store` with `options` when NeedsQuery(mask).
-  Result<ViewRows> ComputeView(uint32_t mask, TripleStore* store,
-                               const sparql::ExecOptions& options) const;
+  /// over `store` when NeedsQuery(mask).
+  Result<ViewRows> ComputeView(uint32_t mask, TripleStore* store) const;
 
  private:
   const RootTable* root_;

@@ -2,9 +2,10 @@
 // actually answered — normalized text, routing decision, epoch, latency,
 // output rows, cache hit — exportable as a workload the profiler/selector
 // can re-profile against *observed* traffic. This is the recorded-workload
-// input the self-driving re-selection loop (ROADMAP item 5) needs: drift
-// triggers and re-selection should be driven by what clients really ask,
-// not by the synthetic workload the views were first chosen for.
+// input the self-driving re-selection loop (the ROADMAP's first Deferred
+// item) needs: drift triggers and re-selection should be driven by what
+// clients really ask, not by the synthetic workload the views were first
+// chosen for.
 //
 // Threading: Record() is called from snapshot query threads and server
 // sessions concurrently; one mutex around a fixed-capacity deque. The

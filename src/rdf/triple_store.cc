@@ -725,26 +725,6 @@ uint64_t TripleStore::Count(TermId s, TermId p, TermId o) const {
   return Scan(s, p, o).size();
 }
 
-std::vector<TripleStore::ScanRange> TripleStore::ScanPartitions(
-    TermId s, TermId p, TermId o, size_t max_partitions) const {
-  ScanRange full = Scan(s, p, o);
-  std::vector<ScanRange> parts;
-  if (full.empty()) return parts;
-  size_t n = full.size();
-  size_t chunks = max_partitions < 1 ? 1 : std::min(max_partitions, n);
-  parts.reserve(chunks);
-  size_t base = n / chunks, extra = n % chunks;
-  const Triple* begin = full.begin();
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t len = base + (c < extra ? 1 : 0);
-    // Every partition shares the full range's backing (if any) so
-    // materialized scans outlive the morsel that reads them.
-    parts.emplace_back(begin, begin + len, full.backing());
-    begin += len;
-  }
-  return parts;
-}
-
 const PredicateStats* TripleStore::StatsFor(TermId predicate) const {
   auto it = predicate_stats_.find(predicate);
   if (it == predicate_stats_.end()) return nullptr;

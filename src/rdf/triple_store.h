@@ -56,8 +56,8 @@ struct PredicateStats {
 /// and the dictionary is front-coded. Object scans materialize the node's
 /// block into a buffer carried by the returned ScanRange (see ScanRange::
 /// backing()), in exactly the order the sorted run would have had, so
-/// Scan()/Count()/ScanPartitions() results are byte-identical across
-/// layouts at every shard count.
+/// Scan()/Count() results are byte-identical across layouts at every shard
+/// count.
 ///
 /// Usage: Add() triples (interning terms through the embedded Dictionary),
 /// then Finalize() to (re)build the indexes; Scan()/Count() require a
@@ -275,20 +275,6 @@ class TripleStore {
   ScanRange Scan(const TripleIdPattern& pattern) const {
     return Scan(pattern.s, pattern.p, pattern.o);
   }
-
-  /// Splits Scan(s, p, o) into at most `max_partitions` contiguous,
-  /// near-equal sub-ranges in index order (the morsels of the vectorized
-  /// executor's exchange scans). Concatenating the partitions in return
-  /// order yields exactly the Scan() range, so any order-preserving
-  /// per-partition computation reduced in partition order is identical to a
-  /// single full-range scan. Partition boundaries depend only on the range
-  /// length, never on the shard layout, so morsel schedules (and Explain
-  /// output) are shard-count-invariant. Never returns empty partitions; an
-  /// empty scan yields an empty vector.
-  /// Requires finalized(); partitions stay valid as long as the underlying
-  /// ScanRange would.
-  std::vector<ScanRange> ScanPartitions(TermId s, TermId p, TermId o,
-                                        size_t max_partitions) const;
 
   /// The field comparison priority of the index Scan() would serve this
   /// bound-set from (0 = subject, 1 = predicate, 2 = object; e.g. SPO =

@@ -1,12 +1,7 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,7 +9,6 @@
 
 #include "common/hash.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "sparql/delta_join.h"
@@ -541,7 +535,7 @@ class EmptyOp : public Operator {
 // slot layout shared by both engines, plus timing wrappers that record
 // per-operator actuals into ExecStats::operators. The layout depends only
 // on the Plan, so the slot sequence — and with it the ANALYZE output shape
-// — is identical across ExecMode, dop and shard count.
+// — is identical across ExecMode and shard count.
 // ---------------------------------------------------------------------------
 
 struct SlotLayout {
@@ -553,7 +547,7 @@ struct SlotLayout {
   int distinct = -1;
   int order_by = -1;
   int slice = -1;
-  size_t fragment_slots = 0;  // leading slots instantiated per morsel fragment
+  size_t step_slots = 0;  // leading slots: the pattern steps and their filters
   size_t total = 0;
 };
 
@@ -568,7 +562,7 @@ SlotLayout ComputeSlotLayout(const Plan& plan) {
       layout.step_filter.push_back(step.filters.empty() ? -1 : next++);
     }
   }
-  layout.fragment_slots = static_cast<size_t>(next);
+  layout.step_slots = static_cast<size_t>(next);
   if (plan.is_aggregate) {
     layout.aggregate = next++;
     if (!plan.having.empty()) layout.having = next++;
@@ -698,7 +692,7 @@ class BatchEmptyOp : public BatchOperator {
   Result<bool> Next(RowBatch*) override { return false; }
 };
 
-/// Morsel leaf: scans a (partition of a) pattern range into batches.
+/// Leaf: scans a pattern's range into batches.
 class BatchScanOp : public BatchOperator {
  public:
   BatchScanOp(TripleStore::ScanRange range, const PatternStep* step, size_t width,
@@ -771,9 +765,8 @@ namespace internal {
 /// grouped by join-key value plus a key → (offset, length) index — a flat
 /// layout so a build of n triples costs two passes and one hash map, not
 /// one heap-allocated bucket per distinct key (keys are near-unique in
-/// star-shaped facet patterns). Built once on the caller thread, then
-/// read-only — every morsel worker probes it concurrently without
-/// synchronization.
+/// star-shaped facet patterns). Built once per query, then probed
+/// read-only.
 struct JoinHashTable {
   struct Range {
     uint32_t offset = 0;
@@ -1160,8 +1153,7 @@ class BatchAggregateOp : public BatchOperator {
   size_t cursor_ = 0;
 };
 
-/// Projection into the output layout; expression results are interned (on
-/// the caller thread — projection always runs above the exchange).
+/// Projection into the output layout; expression results are interned.
 class BatchProjectOp : public BatchOperator {
  public:
   BatchProjectOp(std::unique_ptr<BatchOperator> child, const Plan* plan,
@@ -1317,7 +1309,7 @@ class BatchOrderByOp : public BatchOperator {
 };
 
 /// OFFSET/LIMIT over batches; stops pulling its child once the limit is
-/// reached (so upstream work — including exchange morsels — can stop).
+/// reached (so upstream work can stop).
 class BatchSliceOp : public BatchOperator {
  public:
   BatchSliceOp(std::unique_ptr<BatchOperator> child, int64_t offset, int64_t limit)
@@ -1351,237 +1343,6 @@ class BatchSliceOp : public BatchOperator {
   int64_t skipped_ = 0;
   int64_t emitted_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Exchange: morsel-driven parallel execution of a pipeline fragment.
-// ---------------------------------------------------------------------------
-
-/// Runs one fragment instance (scan → joins → filters) per leaf morsel on
-/// the thread pool and streams the per-morsel outputs back to the caller in
-/// deterministic partition order. Workers claim morsels from a shared
-/// counter (dynamic load balance); each worker drains its fragment into a
-/// private buffer, then publishes it. The consumer — the query's caller
-/// thread — never blocks idle: while its next morsel is pending it helps
-/// drain the pool queue (TryRunOneTask), which also makes nested fan-outs
-/// (a query running inside a pool task, as in the batched workload runner)
-/// deadlock-free.
-///
-/// Determinism: concatenating morsel outputs in partition order yields
-/// exactly the single-fragment full-range stream, so results are identical
-/// at every dop. Row counters merge additively per consumed morsel, also in
-/// partition order. Errors surface for the smallest failing morsel.
-class ExchangeOp : public BatchOperator {
- public:
-  using FragmentFactory = std::function<std::unique_ptr<BatchOperator>(
-      TripleStore::ScanRange, ExecStats*)>;
-
-  ExchangeOp(FragmentFactory factory,
-             std::vector<TripleStore::ScanRange> morsels, ThreadPool* pool,
-             unsigned dop, ExecStats* stats, TraceContext* trace = nullptr,
-             uint64_t parent_span = 0)
-      : factory_(std::move(factory)),
-        morsels_(std::move(morsels)),
-        pool_(pool),
-        stats_(stats),
-        trace_(trace),
-        parent_span_(parent_span),
-        slots_(morsels_.size()) {
-    size_t workers = std::min<size_t>(dop, morsels_.size());
-    futures_.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      futures_.push_back(pool_->Submit([this] { WorkerLoop(); }));
-    }
-  }
-
-  ~ExchangeOp() override {
-    abort_.store(true, std::memory_order_relaxed);
-    JoinWorkers();
-    // Account the work of morsels that were executed but never consumed
-    // (an upstream LIMIT stopped pulling): their row counters stay
-    // unmerged — the deterministic counters reflect consumed morsels only —
-    // but their CPU time was really spent.
-    for (size_t m = consume_; m < slots_.size(); ++m) {
-      if (slots_[m].done) stats_->cpu_micros += slots_[m].cpu_micros;
-    }
-    stats_->cpu_micros -= wait_micros_;
-  }
-
-  Result<bool> Next(RowBatch* out) override {
-    while (consume_ < slots_.size()) {
-      Slot& slot = slots_[consume_];
-      WaitForSlot(consume_);
-      if (!slot.status.ok()) return slot.status;
-      if (batch_cursor_ < slot.batches.size()) {
-        *out = std::move(slot.batches[batch_cursor_++]);
-        return true;
-      }
-      // Morsel fully consumed: merge its counters (partition order) and
-      // free its buffers before moving on.
-      stats_->rows_scanned += slot.stats.rows_scanned;
-      stats_->intermediate_rows += slot.stats.intermediate_rows;
-      stats_->filtered_rows += slot.stats.filtered_rows;
-      stats_->cpu_micros += slot.cpu_micros;
-      // Per-operator actuals (EXPLAIN ANALYZE): the fragment's slots are a
-      // prefix of the main layout, merged by index. Fragment `micros`
-      // accumulates across workers, making it a per-operator CPU figure.
-      for (size_t i = 0; i < slot.stats.operators.size() &&
-                         i < stats_->operators.size();
-           ++i) {
-        OperatorStats& dst = stats_->operators[i];
-        const OperatorStats& src = slot.stats.operators[i];
-        dst.rows_out += src.rows_out;
-        dst.batches += src.batches;
-        dst.micros += src.micros;
-        ++dst.morsels;
-      }
-      slot.batches.clear();
-      slot.batches.shrink_to_fit();
-      ++consume_;
-      batch_cursor_ = 0;
-    }
-    return false;
-  }
-
- private:
-  struct Slot {
-    std::vector<RowBatch> batches;
-    ExecStats stats;
-    Status status = Status::OK();
-    double cpu_micros = 0.0;
-    bool done = false;
-  };
-
-  void WorkerLoop() {
-    while (!abort_.load(std::memory_order_relaxed)) {
-      size_t m = next_morsel_.fetch_add(1, std::memory_order_relaxed);
-      if (m >= morsels_.size()) return;
-      RunMorsel(m);
-    }
-  }
-
-  void RunMorsel(size_t m) {
-    ScopedSpan span(trace_, "exchange.morsel", parent_span_);
-    WallTimer timer;
-    ExecStats fstats;
-    std::vector<RowBatch> batches;
-    Status status = Status::OK();
-    std::unique_ptr<BatchOperator> fragment = factory_(morsels_[m], &fstats);
-    while (true) {
-      RowBatch batch;
-      auto has = fragment->Next(&batch);
-      if (!has.ok()) {
-        status = has.status();
-        break;
-      }
-      if (!has.value()) break;
-      if (batch.ActiveCount() > 0) batches.push_back(std::move(batch));
-    }
-    double cpu = timer.ElapsedMicros();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Slot& slot = slots_[m];
-      slot.batches = std::move(batches);
-      slot.stats = fstats;
-      slot.status = std::move(status);
-      slot.cpu_micros = cpu;
-      slot.done = true;
-    }
-    cv_.notify_all();
-  }
-
-  void WaitForSlot(size_t m) {
-    WallTimer timer;
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!slots_[m].done) {
-      lock.unlock();
-      // Work on the pool queue instead of idling; this may run our own
-      // pending morsels (their time is then counted as worker CPU, and
-      // excluded here via wait_micros_) or other queries' tasks.
-      if (!pool_->TryRunOneTask()) {
-        lock.lock();
-        if (!slots_[m].done) {
-          cv_.wait_for(lock, std::chrono::microseconds(200));
-        }
-        lock.unlock();
-      }
-      lock.lock();
-    }
-    wait_micros_ += timer.ElapsedMicros();
-  }
-
-  void JoinWorkers() {
-    for (std::future<void>& future : futures_) {
-      while (future.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        if (!pool_->TryRunOneTask()) {
-          future.wait_for(std::chrono::microseconds(200));
-        }
-      }
-      try {
-        future.get();
-      } catch (...) {
-        // Fragment code reports errors via Status; an exception here would
-        // be a bug in operator code. Swallow rather than terminate: the
-        // per-slot Status still carries the user-visible error.
-      }
-    }
-    futures_.clear();
-  }
-
-  FragmentFactory factory_;
-  std::vector<TripleStore::ScanRange> morsels_;
-  ThreadPool* pool_;
-  ExecStats* stats_;
-  TraceContext* trace_;
-  uint64_t parent_span_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Slot> slots_;
-  std::vector<std::future<void>> futures_;
-  std::atomic<size_t> next_morsel_{0};
-  std::atomic<bool> abort_{false};
-
-  // Consumer state (caller thread only).
-  size_t consume_ = 0;
-  size_t batch_cursor_ = 0;
-  double wait_micros_ = 0.0;
-};
-
-}  // namespace
-
-namespace {
-
-/// The exchange schedule for a leaf scan of `leaf_rows` triples under
-/// `options` — shared by RunBatch and DescribePhysical so EXPLAIN always
-/// reports exactly what execution would do. Large scans split at
-/// morsel_rows; small leading scans (the planner starts from the smallest
-/// pattern, which then fans out through the joins) split finer, about
-/// kMorselsPerWorker per worker, so they still parallelize.
-struct MorselSchedule {
-  size_t num_morsels = 0;
-  unsigned dop = 1;      // workers the exchange would actually use
-  bool exchange = false; // false: run one fragment inline on the caller
-};
-
-MorselSchedule ComputeMorselSchedule(size_t leaf_rows,
-                                     const ExecOptions& options) {
-  constexpr size_t kMorselsPerWorker = 8;
-  MorselSchedule schedule;
-  const size_t morsel_rows = std::max<size_t>(1, options.morsel_rows);
-  const unsigned dop = options.dop < 1 ? 1 : options.dop;
-  const size_t by_size = (leaf_rows + morsel_rows - 1) / morsel_rows;
-  schedule.num_morsels = std::min<size_t>(
-      leaf_rows,
-      std::max<size_t>(by_size, static_cast<size_t>(dop) * kMorselsPerWorker));
-  schedule.exchange =
-      options.pool != nullptr && dop > 1 && schedule.num_morsels > 1;
-  schedule.dop =
-      schedule.exchange
-          ? static_cast<unsigned>(std::min<size_t>(dop, schedule.num_morsels))
-          : 1;
-  return schedule;
-}
 
 }  // namespace
 
@@ -1697,9 +1458,15 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
     }
   }
   ScopedSpan run_span(options_.trace, "exec.batch", options_.trace_parent);
+  // Wraps `inner` to record its actuals into `slot` when ANALYZE is on.
+  auto timed = [&](std::unique_ptr<BatchOperator> inner,
+                   int slot) -> std::unique_ptr<BatchOperator> {
+    if (!analyze || slot < 0) return inner;
+    return std::make_unique<TimedBatchOp>(std::move(inner),
+                                          &stats->operators[slot]);
+  };
 
-  // Shared-build sides of the plan's hash joins: built once here on the
-  // caller thread, then probed read-only by every morsel worker.
+  // Build sides of the plan's hash joins, built before the pipeline runs.
   std::vector<std::unique_ptr<internal::JoinHashTable>> tables(
       plan_->steps.size());
   if (!plan_->empty_guaranteed) {
@@ -1719,127 +1486,64 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
     }
   }
 
-  // One fragment = scan → joins → pushed-down filters, instantiated per
-  // morsel with fragment-local stats. Under ANALYZE each fragment operator
-  // is wrapped to record actuals into the leading `fragment_slots` entries
-  // of `fstats->operators` (the main stats inline, a fragment-local vector
-  // under the exchange — merged back by index in partition order).
-  auto make_fragment =
-      [this, width, batch_size, &tables, analyze, &layout](
-          TripleStore::ScanRange range,
-          ExecStats* fstats) -> std::unique_ptr<BatchOperator> {
-    auto timed = [&](std::unique_ptr<BatchOperator> inner,
-                     int slot) -> std::unique_ptr<BatchOperator> {
-      if (!analyze || slot < 0) return inner;
-      return std::make_unique<TimedBatchOp>(std::move(inner),
-                                            &fstats->operators[slot]);
-    };
-    if (analyze && fstats->operators.size() < layout.fragment_slots) {
-      fstats->operators.resize(layout.fragment_slots);
-    }
-    std::unique_ptr<BatchOperator> op = std::make_unique<BatchScanOp>(
-        range, &plan_->steps[0], width, batch_size, fstats);
-    op = timed(std::move(op), analyze ? layout.step_op[0] : -1);
-    if (!plan_->steps[0].filters.empty()) {
-      op = timed(std::make_unique<BatchFilterOp>(std::move(op),
-                                                 plan_->steps[0].filters, dict_,
-                                                 &plan_->pattern_vars, fstats),
-                 analyze ? layout.step_filter[0] : -1);
-    }
-    for (size_t i = 1; i < plan_->steps.size(); ++i) {
+  // Scan → joins → pushed-down filters over the leaf pattern's full range.
+  std::unique_ptr<BatchOperator> op;
+  if (plan_->empty_guaranteed || plan_->steps.empty()) {
+    op = timed(std::make_unique<BatchEmptyOp>(), 0);
+  } else {
+    for (size_t i = 0; i < plan_->steps.size(); ++i) {
       const PatternStep& step = plan_->steps[i];
-      const int slot = analyze ? layout.step_op[i] : -1;
-      op = std::make_unique<BatchJoinOp>(std::move(op), store_, &step,
-                                         tables[i].get(), width, batch_size,
-                                         fstats);
-      op = timed(std::move(op), slot);
+      if (i == 0) {
+        op = std::make_unique<BatchScanOp>(
+            store_->Scan(step.consts[0], step.consts[1], step.consts[2]),
+            &step, width, batch_size, stats);
+      } else {
+        op = std::make_unique<BatchJoinOp>(std::move(op), store_, &step,
+                                           tables[i].get(), width, batch_size,
+                                           stats);
+      }
+      op = timed(std::move(op), analyze ? layout.step_op[i] : -1);
       if (!step.filters.empty()) {
         op = timed(std::make_unique<BatchFilterOp>(std::move(op), step.filters,
                                                    dict_, &plan_->pattern_vars,
-                                                   fstats),
+                                                   stats),
                    analyze ? layout.step_filter[i] : -1);
       }
     }
-    return op;
-  };
-
-  // Leaf scheduling: morsel-partition the first pattern's range and fan the
-  // fragments out when a pool is available; otherwise run one fragment over
-  // the full range inline (see ComputeMorselSchedule). Row counters are
-  // additive over morsels and therefore independent of the partitioning
-  // for fully-drained queries. Partition boundaries depend only on the leaf
-  // range's length, never on where the store keeps it, keeping schedules
-  // (and Explain) identical at every shard count and layout.
-  std::unique_ptr<BatchOperator> op;
-  if (plan_->empty_guaranteed || plan_->steps.empty()) {
-    op = std::make_unique<BatchEmptyOp>();
-    if (analyze) {
-      op = std::make_unique<TimedBatchOp>(std::move(op), &stats->operators[0]);
-    }
-  } else {
-    const PatternStep& leaf = plan_->steps.front();
-    TripleStore::ScanRange full =
-        store_->Scan(leaf.consts[0], leaf.consts[1], leaf.consts[2]);
-    MorselSchedule schedule = ComputeMorselSchedule(full.size(), options_);
-    if (schedule.exchange) {
-      std::vector<TripleStore::ScanRange> morsels = store_->ScanPartitions(
-          leaf.consts[0], leaf.consts[1], leaf.consts[2],
-          schedule.num_morsels);
-      stats->morsels = morsels.size();
-      stats->dop = static_cast<uint32_t>(
-          std::min<size_t>(schedule.dop, morsels.size()));
-      op = std::make_unique<ExchangeOp>(make_fragment, std::move(morsels),
-                                        options_.pool, schedule.dop, stats,
-                                        options_.trace, run_span.id());
-    } else {
-      op = make_fragment(full, stats);
-    }
   }
 
-  // Serial tail: aggregation, HAVING, projection, DISTINCT, ORDER BY, slice
-  // — everything that interns literals or is an inherent pipeline breaker
-  // runs on the caller thread, consuming the deterministic batch stream.
-  auto timed_tail = [&](std::unique_ptr<BatchOperator> inner,
-                        int slot) -> std::unique_ptr<BatchOperator> {
-    if (!analyze || slot < 0) return inner;
-    return std::make_unique<TimedBatchOp>(std::move(inner),
-                                          &stats->operators[slot]);
-  };
+  // Tail: aggregation, HAVING, projection, DISTINCT, ORDER BY, slice.
   int agg_base = -1;
   const VariableTable* project_input = &plan_->pattern_vars;
   if (plan_->is_aggregate) {
-    op = timed_tail(std::make_unique<BatchAggregateOp>(std::move(op), plan_,
-                                                       dict_, dict_, batch_size,
-                                                       stats),
-                    layout.aggregate);
+    op = timed(std::make_unique<BatchAggregateOp>(std::move(op), plan_, dict_,
+                                                  dict_, batch_size, stats),
+               layout.aggregate);
     agg_base = static_cast<int>(plan_->group_slots.size());
     project_input = &plan_->group_vars;
     if (!plan_->having.empty()) {
-      op = timed_tail(std::make_unique<BatchFilterOp>(std::move(op),
-                                                      plan_->having, dict_,
-                                                      &plan_->group_vars, stats,
-                                                      agg_base),
-                      layout.having);
+      op = timed(std::make_unique<BatchFilterOp>(std::move(op), plan_->having,
+                                                 dict_, &plan_->group_vars,
+                                                 stats, agg_base),
+                 layout.having);
     }
   }
-  op = timed_tail(std::make_unique<BatchProjectOp>(std::move(op), plan_, dict_,
-                                                   dict_, project_input,
-                                                   agg_base),
-                  layout.project);
+  op = timed(std::make_unique<BatchProjectOp>(std::move(op), plan_, dict_,
+                                              dict_, project_input, agg_base),
+             layout.project);
   if (plan_->distinct) {
-    op = timed_tail(std::make_unique<BatchDistinctOp>(std::move(op)),
-                    layout.distinct);
+    op = timed(std::make_unique<BatchDistinctOp>(std::move(op)),
+               layout.distinct);
   }
   if (!plan_->order_keys.empty()) {
-    op = timed_tail(std::make_unique<BatchOrderByOp>(std::move(op), plan_,
-                                                     dict_, agg_base,
-                                                     batch_size),
-                    layout.order_by);
+    op = timed(std::make_unique<BatchOrderByOp>(std::move(op), plan_, dict_,
+                                                agg_base, batch_size),
+               layout.order_by);
   }
   if (plan_->limit >= 0 || plan_->offset > 0) {
-    op = timed_tail(std::make_unique<BatchSliceOp>(std::move(op),
-                                                   plan_->offset, plan_->limit),
-                    layout.slice);
+    op = timed(std::make_unique<BatchSliceOp>(std::move(op), plan_->offset,
+                                              plan_->limit),
+               layout.slice);
   }
 
   RowBatch batch;
@@ -1858,10 +1562,6 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
     }
     out->rows += n;
   }
-  // `op` (and with it any ExchangeOp, which joins its workers in its
-  // destructor) dies here, before `tables` and `make_fragment` go out of
-  // scope.
-  op.reset();
   return Status::OK();
 }
 
@@ -1870,11 +1570,7 @@ Status Executor::Run(RowBuffer* out, ExecStats* stats) {
   out->width = plan_->outputs.size();
   Status status = options_.mode == ExecMode::kVolcano ? RunVolcano(out, stats)
                                                       : RunBatch(out, stats);
-  double wall = timer.ElapsedMicros();
-  stats->exec_micros += wall;
-  // The caller thread's busy time; ExchangeOp already added worker CPU and
-  // subtracted the consumer's blocked time.
-  stats->cpu_micros += wall;
+  stats->exec_micros += timer.ElapsedMicros();
   if (!status.ok()) return status;
   stats->output_rows += out->rows;
   return Status::OK();
@@ -1889,29 +1585,21 @@ std::string Executor::DescribePhysical(const Plan& plan, const TripleStore& stor
     return "PHYSICAL batch (empty plan)\n";
   }
   const PatternStep& leaf = plan.steps.front();
-  const size_t leaf_rows = static_cast<size_t>(
-      store.Count(leaf.consts[0], leaf.consts[1], leaf.consts[2]));
-  MorselSchedule schedule = ComputeMorselSchedule(leaf_rows, options);
+  const uint64_t leaf_rows =
+      store.Count(leaf.consts[0], leaf.consts[1], leaf.consts[2]);
   size_t hash_joins = 0;
   for (const PatternStep& step : plan.steps) {
     if (step.algo == JoinAlgo::kHashProbe) ++hash_joins;
   }
-  const size_t rows_per_morsel =
-      schedule.num_morsels == 0 ? 0 : leaf_rows / schedule.num_morsels;
-  return StrFormat(
-      "PHYSICAL batch size=%zu dop=%u morsels=%zu (~%zu leaf rows each) "
-      "hash_joins=%zu%s\n",
-      options.batch_size, schedule.dop, schedule.num_morsels, rows_per_morsel,
-      hash_joins,
-      schedule.exchange ? "  EXCHANGE" : "  (serial: no pool or single morsel)");
+  return StrFormat("PHYSICAL batch size=%zu leaf_rows=%llu hash_joins=%zu\n",
+                   options.batch_size,
+                   static_cast<unsigned long long>(leaf_rows), hash_joins);
 }
 
 namespace {
 
 /// Self time of slot `i`: inclusive micros minus the child's inclusive
-/// micros (the previous slot in the linear pipeline). Clamped at 0 — under
-/// an exchange, fragment-slot micros are summed across workers, so the
-/// serial tail's first slot can measure less than its "child".
+/// micros (the previous slot in the linear pipeline), clamped at 0.
 double SelfMicros(const std::vector<OperatorStats>& slots, size_t i) {
   double self = slots[i].micros - (i > 0 ? slots[i - 1].micros : 0.0);
   return self < 0.0 ? 0.0 : self;
@@ -1929,11 +1617,11 @@ std::string Executor::RenderAnalyze(const Plan& plan, const ExecStats& stats) {
   }
   for (size_t i = 0; i < stats.operators.size(); ++i) {
     const OperatorStats& slot = stats.operators[i];
-    const bool is_fragment = i < layout.fragment_slots;
+    const bool is_step = i < layout.step_slots;
     const bool is_filter = slot.label.rfind("FILTER", 0) == 0;
     // FILTER slots indent under their step, matching Plan::ToString.
     out += is_filter ? "   " + slot.label : slot.label;
-    if (is_fragment && !is_filter && slot.label != "EMPTY") {
+    if (is_step && !is_filter && slot.label != "EMPTY") {
       out += StrFormat("  [est=%llu]",
                        static_cast<unsigned long long>(slot.est_rows));
     }
@@ -1946,22 +1634,16 @@ std::string Executor::RenderAnalyze(const Plan& plan, const ExecStats& stats) {
                        static_cast<unsigned long long>(slot.hash_build_rows),
                        slot.build_micros);
     }
-    if (is_fragment) {
-      out += StrFormat(" morsels=%llu",
-                       static_cast<unsigned long long>(slot.morsels));
-    }
     out += ")\n";
   }
   out += StrFormat(
       "TOTALS output_rows=%llu rows_scanned=%llu intermediate_rows=%llu "
-      "filtered_rows=%llu plan=%.1fus exec=%.1fus cpu=%.1fus dop=%u "
-      "morsels=%llu\n",
+      "filtered_rows=%llu plan=%.1fus exec=%.1fus\n",
       static_cast<unsigned long long>(stats.output_rows),
       static_cast<unsigned long long>(stats.rows_scanned),
       static_cast<unsigned long long>(stats.intermediate_rows),
       static_cast<unsigned long long>(stats.filtered_rows), stats.plan_micros,
-      stats.exec_micros, stats.cpu_micros, stats.dop,
-      static_cast<unsigned long long>(stats.morsels));
+      stats.exec_micros);
   return out;
 }
 

@@ -13,7 +13,6 @@
 
 namespace sofos {
 
-class ThreadPool;
 class TraceContext;
 
 namespace sparql {
@@ -21,15 +20,11 @@ namespace sparql {
 /// Per-operator actuals, collected only when ExecOptions::analyze is set
 /// (EXPLAIN ANALYZE). One entry per physical operator in pipeline order:
 /// per plan step a scan/join slot plus an optional FILTER slot, then the
-/// serial tail (AGGREGATE / HAVING / PROJECT / DISTINCT / ORDER BY /
-/// SLICE) as applicable. The slot layout is derived from the Plan alone,
-/// so it is identical across ExecMode, dop, and shard count; `rows_out`
-/// is additive over morsels and therefore also schedule-invariant for
-/// fully drained queries, while `batches`, `micros` and `morsels`
-/// describe the schedule actually used. Under an exchange, fragment-slot
-/// `micros` is the summed busy time across morsel workers (a CPU-like
-/// figure); at dop 1 it is plain inclusive wall time, and self time
-/// (inclusive minus child inclusive) sums to ~exec_micros.
+/// tail (AGGREGATE / HAVING / PROJECT / DISTINCT / ORDER BY / SLICE) as
+/// applicable. The slot layout is derived from the Plan alone, so it is
+/// identical across ExecMode and shard count. `micros` is inclusive wall
+/// time, so self time (inclusive minus child inclusive) sums to
+/// ~exec_micros.
 struct OperatorStats {
   std::string label;            // "SCAN <pattern>", "FILTER <expr>", ...
   uint64_t est_rows = 0;        // planner estimate (pattern steps only)
@@ -37,30 +32,16 @@ struct OperatorStats {
   uint64_t batches = 0;         // successful Next() calls
   double micros = 0.0;          // inclusive time spent in Next()
   uint64_t hash_build_rows = 0; // HJOIN: build-side triples
-  double build_micros = 0.0;    // HJOIN: build time (caller thread)
-  uint64_t morsels = 0;         // fragment slots: morsels merged in
+  double build_micros = 0.0;    // HJOIN: build time
 };
 
 /// Execution counters. The paper's online module reports per-query work;
 /// these counters feed its statistics (Sofos GUI panel ④) and the learned
 /// cost model's training features.
 ///
-/// Timing mirrors WorkloadReport's wall/CPU split: `exec_micros` is the
-/// elapsed wall-clock time of Run(); `cpu_micros` is the aggregate busy
-/// time across every thread that worked on the query (morsel workers plus
-/// the caller's non-blocked time). A serial run has cpu ≈ exec; a parallel
-/// run has cpu > exec, and exec shows the latency win directly. Keeping
-/// them separate stops parallel work from being double-counted as latency
-/// in cost-model training features.
-///
-/// Row counters are additive over morsels with a fixed plan, so for fully
-/// drained queries they are independent of the thread count and of
-/// batch/morsel boundaries. Queries that stop pulling early (LIMIT with no
-/// pipeline breaker above the scan) count only the work actually consumed,
-/// which does vary with the schedule — the serial path stops mid-scan,
-/// the exchange merges whole consumed morsels. `morsels` and `dop`
-/// describe the schedule actually used and, like the timing fields, may
-/// differ across thread counts.
+/// Row counters depend only on the plan for fully drained queries, never on
+/// batch boundaries. Queries that stop pulling early (LIMIT with no
+/// pipeline breaker above the scan) count only the work actually consumed.
 struct ExecStats {
   uint64_t rows_scanned = 0;       // triples touched by scans and joins
   uint64_t intermediate_rows = 0;  // rows flowing between pattern steps
@@ -68,45 +49,28 @@ struct ExecStats {
   uint64_t output_rows = 0;
   double plan_micros = 0.0;
   double exec_micros = 0.0;  // wall clock of Run()
-  double cpu_micros = 0.0;   // aggregated per-worker busy time
-  uint64_t morsels = 0;      // leaf partitions executed (0 = no exchange)
-  uint32_t dop = 1;          // intra-query parallelism actually used
   /// Per-operator actuals; empty unless ExecOptions::analyze was set.
   std::vector<OperatorStats> operators;
 };
 
 /// Which engine executes the plan. kBatch is the default vectorized engine
-/// (operators exchange columnar RowBatches, leaf scans are morsel-driven
-/// when a pool is supplied); kVolcano is the legacy row-at-a-time pull
-/// pipeline, kept as the reference semantics the batch engine is tested
-/// against and as the bench baseline.
+/// (operators exchange columnar RowBatches); kVolcano is the legacy
+/// row-at-a-time pull pipeline, kept as the reference semantics the batch
+/// engine is tested against and as the bench baseline.
 enum class ExecMode { kBatch, kVolcano };
 
-/// Per-query execution knobs. Defaults give the serial batch engine, whose
+/// Per-query execution knobs. Defaults give the batch engine, whose
 /// results (rows, order, interned literals) are byte-identical to kVolcano.
 struct ExecOptions {
   ExecMode mode = ExecMode::kBatch;
-  /// Pool serving morsel workers; nullptr = run everything on the caller.
-  ThreadPool* pool = nullptr;
-  /// Intra-query parallelism degree: number of morsel workers the exchange
-  /// operator spawns (clamped to the morsel count). <= 1 disables the
-  /// exchange; results are identical at every dop by construction (morsel
-  /// outputs are reduced in deterministic partition order).
-  unsigned dop = 1;
   /// Rows per RowBatch between operators.
   size_t batch_size = 1024;
-  /// Target leaf-scan triples per morsel for large scans. Small leading
-  /// scans are split finer (~8 morsels per worker) because the planner
-  /// starts from the smallest pattern, whose rows fan out through the
-  /// joins; see Executor::RunBatch. Partitioning never affects results,
-  /// and row counters are additive over morsels.
-  size_t morsel_rows = 16 * 1024;
   /// Collect per-operator actuals into ExecStats::operators (EXPLAIN
   /// ANALYZE). Off by default: the instrumented wrappers time every
   /// Next() call, which is not free on the hot path.
   bool analyze = false;
-  /// When non-null, the executor records spans (hash builds, morsel
-  /// fragments) into this context; null costs one branch per span site.
+  /// When non-null, the executor records spans (the run, hash builds)
+  /// into this context; null costs one branch per span site.
   TraceContext* trace = nullptr;
   /// Span id the executor's root span is parented under (0 = root) —
   /// lets engine-level phase spans own the executor subtree.
@@ -193,7 +157,8 @@ class BatchOperator {
   virtual Result<bool> Next(RowBatch* out) = 0;
 };
 
-/// Builds the operator tree for `plan` and runs it to completion.
+/// Builds the operator tree for `plan` and runs it to completion on the
+/// caller's thread.
 ///
 /// The dictionary is mutable because aggregation and expression projection
 /// intern freshly computed literals (sums, averages); interning never
@@ -201,20 +166,14 @@ class BatchOperator {
 ///
 /// Determinism contract: for a fixed plan, the output row stream — and the
 /// order in which fresh literals are interned — is identical across
-/// ExecMode and across every dop/pool/batch_size/morsel_rows setting. The
-/// exchange operator guarantees this by reducing morsel outputs in
-/// partition order, and the hash join by emitting per-probe matches in the
-/// index order the nested-loop join would use (PatternStep::match_order).
+/// ExecMode and batch_size. The hash join keeps it by emitting per-probe
+/// matches in the index order the nested-loop join would use
+/// (PatternStep::match_order).
 ///
 /// Thread safety: one Executor serves one query, but any number of
 /// Executors may Run() concurrently over the same finalized store — they
 /// perform const index scans only, and Dictionary::Intern is internally
-/// synchronized (see rdf/dictionary.h). Morsel workers submitted to
-/// options.pool only scan the store and write fragment-local state; all
-/// interning operators (aggregate, project) run on the caller thread. An
-/// Executor whose exchange fans out may itself be running inside a task of
-/// the same pool: while waiting, it helps drain the queue
-/// (ThreadPool::TryRunOneTask), so nested fan-outs cannot deadlock.
+/// synchronized (see rdf/dictionary.h).
 class Executor {
  public:
   Executor(const Plan* plan, const TripleStore* store, Dictionary* dict,
@@ -224,9 +183,9 @@ class Executor {
   /// layout) to `out`, setting its width.
   Status Run(RowBuffer* out, ExecStats* stats);
 
-  /// One-line rendering of the physical schedule the batch engine would use
-  /// for `plan` under `options` (dop, morsel count/size, batch size) — the
-  /// EXPLAIN companion to Plan::ToString().
+  /// One-line rendering of how the batch engine would run `plan` under
+  /// `options` (batch size, leaf-scan rows, hash joins) — the EXPLAIN
+  /// companion to Plan::ToString().
   static std::string DescribePhysical(const Plan& plan, const TripleStore& store,
                                       const ExecOptions& options);
 

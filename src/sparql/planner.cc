@@ -135,8 +135,8 @@ Result<Plan> Planner::Build(Query* query, const TripleStore& store) {
   }
 
   // ---- Physical join algorithm per step (batch engine). ----
-  // The choice must not depend on the execution thread count: the plan is
-  // part of the determinism contract (same plan at every dop).
+  // The choice depends only on the store's statistics: the plan is part of
+  // the determinism contract.
   {
     // Probe-side size hint for step i: the largest pattern joined so far.
     // Join orders start from the smallest pattern and fan out, so the

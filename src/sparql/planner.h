@@ -17,8 +17,8 @@ namespace sparql {
 /// Physical join algorithm of one pattern step (batch engine). The first
 /// step is always kScan. kIndexLoop probes the store's permutation indexes
 /// once per input row; kHashProbe probes a hash table built once from the
-/// step's full pattern scan (the build side), shared read-only by every
-/// morsel worker. Both algorithms emit the matches of each probe row in
+/// step's full pattern scan (the build side) and then probed read-only.
+/// Both algorithms emit the matches of each probe row in
 /// the same order (see TripleStore::ScanFieldOrder), so the choice never
 /// changes query results — only speed.
 enum class JoinAlgo { kScan, kIndexLoop, kHashProbe };
@@ -50,8 +50,8 @@ inline constexpr uint64_t kHashProbePerBuildRow = 2;
 inline constexpr uint64_t kFanoutHintMinRows = 64ull << 10;
 
 /// One basic-graph-pattern step in execution order. The first step is an
-/// index scan (morsel-partitioned under the exchange operator); every
-/// later step joins the rows produced so far against its pattern.
+/// index scan; every later step joins the rows produced so far against its
+/// pattern.
 struct PatternStep {
   TriplePattern pattern;           // surface form, for EXPLAIN
   std::array<int, 3> slots;        // var slot per position (-1 = constant)

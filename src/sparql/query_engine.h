@@ -41,18 +41,14 @@ struct QueryResult {
 /// so independent QueryEngine instances over the same store may Execute()
 /// concurrently (dictionary interning is internally synchronized).
 ///
-/// `options` selects the execution engine (vectorized batch by default) and
-/// its intra-query parallelism; results are identical for every setting
-/// (see the Executor determinism contract), so callers tune it purely for
-/// speed — e.g. the engine facade budgets dop between concurrent queries.
+/// `options` selects the execution engine (vectorized batch by default),
+/// the batch size and the instrumentation; results are identical for every
+/// setting (see the Executor determinism contract).
 class QueryEngine {
  public:
   explicit QueryEngine(TripleStore* store) : store_(store) {}
   QueryEngine(TripleStore* store, const ExecOptions& options)
       : store_(store), options_(options) {}
-
-  void set_exec_options(const ExecOptions& options) { options_ = options; }
-  const ExecOptions& exec_options() const { return options_; }
 
   /// Parses and runs a query.
   Result<QueryResult> Execute(std::string_view sparql);

@@ -1,16 +1,14 @@
 /// Vectorized-executor test suite (CTest label `exec`, also run under the
-/// TSan lane): batch-boundary edge cases, selection-vector behavior, the
-/// exchange operator's determinism contract, and byte-identity of the batch
-/// engine — serial and morsel-parallel at 1/2/4 threads — against the
-/// legacy row-at-a-time Volcano executor on every bundled dataset,
-/// including through ApplyUpdates maintenance.
+/// TSan lane): batch-boundary edge cases, selection-vector behavior, and
+/// byte-identity of the batch engine against the legacy row-at-a-time
+/// Volcano executor on every bundled dataset, including through
+/// ApplyUpdates maintenance at 1 and 4 engine threads.
 
 #include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/registry.h"
 #include "gtest/gtest.h"
@@ -58,17 +56,6 @@ QueryResult MustRun(TripleStore* store, const std::string& sparql,
 ExecOptions Volcano() {
   ExecOptions options;
   options.mode = ExecMode::kVolcano;
-  return options;
-}
-
-/// Batch options with aggressive morsel splitting so even tiny stores
-/// exercise the exchange at several threads.
-ExecOptions Parallel(ThreadPool* pool, unsigned dop, size_t batch_size = 1024) {
-  ExecOptions options;
-  options.pool = pool;
-  options.dop = dop;
-  options.batch_size = batch_size;
-  options.morsel_rows = 4;
   return options;
 }
 
@@ -151,29 +138,6 @@ TEST_F(Figure1ExecTest, BatchBoundaryEdgeCases) {
   }
 }
 
-TEST_F(Figure1ExecTest, ParallelExchangeByteIdentical) {
-  ThreadPool pool(4);
-  for (unsigned dop : {2u, 4u}) {
-    for (const char* q : kFigure1Queries) {
-      QueryResult reference = MustRun(&store_, q, Volcano());
-      QueryResult parallel = MustRun(&store_, q, Parallel(&pool, dop));
-      ExpectByteIdentical(reference, parallel,
-                          "dop=" + std::to_string(dop) + ": " + q);
-    }
-  }
-}
-
-TEST_F(Figure1ExecTest, ParallelBatchSizeOne) {
-  // The nastiest boundary combination: one-row batches through the exchange.
-  ThreadPool pool(2);
-  for (const char* q : kFigure1Queries) {
-    QueryResult reference = MustRun(&store_, q, Volcano());
-    QueryResult parallel =
-        MustRun(&store_, q, Parallel(&pool, 2, /*batch_size=*/1));
-    ExpectByteIdentical(reference, parallel, std::string("dop=2 bs=1: ") + q);
-  }
-}
-
 TEST_F(Figure1ExecTest, EmptyStore) {
   TripleStore empty;
   empty.Finalize();
@@ -189,7 +153,7 @@ TEST_F(Figure1ExecTest, EmptyStore) {
   }
 }
 
-TEST_F(Figure1ExecTest, StatsMatchAcrossModesAndThreads) {
+TEST_F(Figure1ExecTest, StatsMatchAcrossModes) {
   const char* q =
       "SELECT ?r (COUNT(?c) AS ?n) WHERE { ?c <http://example.org/partOf> ?r . "
       "?c <http://example.org/language> ?l . FILTER(?l != \"German\") } "
@@ -198,23 +162,17 @@ TEST_F(Figure1ExecTest, StatsMatchAcrossModesAndThreads) {
   auto reference = reference_engine.Execute(q);
   ASSERT_TRUE(reference.ok());
 
-  ThreadPool pool(4);
-  for (const ExecOptions& options :
-       {ExecOptions{}, Parallel(&pool, 2), Parallel(&pool, 4)}) {
-    QueryEngine engine(&store_, options);
-    auto result = engine.Execute(q);
-    ASSERT_TRUE(result.ok());
-    // Row counters are mode- and thread-count-invariant for fully drained
-    // queries (this plan has no hash joins, so no extra build-side scan).
-    EXPECT_EQ(result->stats.rows_scanned, reference->stats.rows_scanned);
-    EXPECT_EQ(result->stats.intermediate_rows,
-              reference->stats.intermediate_rows);
-    EXPECT_EQ(result->stats.filtered_rows, reference->stats.filtered_rows);
-    EXPECT_EQ(result->stats.output_rows, reference->stats.output_rows);
-    // The wall/CPU split: both populated, CPU ≈ wall when serial.
-    EXPECT_GT(result->stats.exec_micros, 0.0);
-    EXPECT_GT(result->stats.cpu_micros, 0.0);
-  }
+  QueryEngine engine(&store_);
+  auto result = engine.Execute(q);
+  ASSERT_TRUE(result.ok());
+  // Row counters are mode-invariant for fully drained queries (this plan
+  // has no hash joins, so no extra build-side scan).
+  EXPECT_EQ(result->stats.rows_scanned, reference->stats.rows_scanned);
+  EXPECT_EQ(result->stats.intermediate_rows,
+            reference->stats.intermediate_rows);
+  EXPECT_EQ(result->stats.filtered_rows, reference->stats.filtered_rows);
+  EXPECT_EQ(result->stats.output_rows, reference->stats.output_rows);
+  EXPECT_GT(result->stats.exec_micros, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,78 +231,10 @@ TEST_F(HashJoinExecTest, PlannerPicksHashProbe) {
   EXPECT_NE(plan->ToString().find("HJOIN"), std::string::npos);
 }
 
-TEST_F(HashJoinExecTest, HashJoinByteIdenticalAtEveryDop) {
-  ThreadPool pool(4);
+TEST_F(HashJoinExecTest, HashJoinByteIdenticalToVolcano) {
   QueryResult reference = MustRun(&store_, kJoinQuery, Volcano());
   ExpectByteIdentical(reference, MustRun(&store_, kJoinQuery, ExecOptions{}),
-                      "serial batch");
-  for (unsigned dop : {2u, 4u}) {
-    ExpectByteIdentical(reference, MustRun(&store_, kJoinQuery, Parallel(&pool, dop)),
-                        "dop=" + std::to_string(dop));
-  }
-}
-
-TEST_F(HashJoinExecTest, LimitAbandonsExchangeCleanly) {
-  // LIMIT without ORDER BY stops pulling mid-stream: the exchange must join
-  // its in-flight morsel workers in its destructor without losing rows or
-  // determinism.
-  ThreadPool pool(4);
-  const char* q =
-      "SELECT ?i ?g WHERE { ?i <http://example.org/inGroup> ?g . "
-      "?i <http://example.org/hasValue> ?v } LIMIT 5";
-  QueryResult reference = MustRun(&store_, q, Volcano());
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    ExpectByteIdentical(reference, MustRun(&store_, q, Parallel(&pool, 4)),
-                        "limit repeat " + std::to_string(repeat));
-  }
-}
-
-TEST_F(HashJoinExecTest, ExchangeReportsScheduleInStats) {
-  ThreadPool pool(4);
-  QueryEngine engine(&store_, Parallel(&pool, 4));
-  auto result = engine.Execute(kJoinQuery);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.morsels, 0u);
-  EXPECT_GT(result->stats.dop, 1u);
-
-  QueryEngine serial(&store_);
-  auto serial_result = serial.Execute(kJoinQuery);
-  ASSERT_TRUE(serial_result.ok());
-  EXPECT_EQ(serial_result->stats.dop, 1u);
-  // Row counters are identical to the serial batch run even through the
-  // exchange (additive merge in partition order).
-  EXPECT_EQ(result->stats.rows_scanned, serial_result->stats.rows_scanned);
-  EXPECT_EQ(result->stats.intermediate_rows,
-            serial_result->stats.intermediate_rows);
-  EXPECT_EQ(result->stats.output_rows, serial_result->stats.output_rows);
-}
-
-// ---------------------------------------------------------------------------
-// TripleStore partitioned-scan API.
-// ---------------------------------------------------------------------------
-
-TEST_F(HashJoinExecTest, ScanPartitionsConcatenateToFullRange) {
-  TripleStore::ScanRange full = store_.Scan(kNullTermId, kNullTermId, kNullTermId);
-  for (size_t parts : {size_t{1}, size_t{3}, size_t{16}, full.size(), full.size() * 2}) {
-    auto partitions =
-        store_.ScanPartitions(kNullTermId, kNullTermId, kNullTermId, parts);
-    ASSERT_FALSE(partitions.empty());
-    EXPECT_LE(partitions.size(), std::max<size_t>(parts, 1));
-    const Triple* cursor = full.begin();
-    size_t total = 0;
-    for (const auto& partition : partitions) {
-      EXPECT_EQ(partition.begin(), cursor) << "partitions must be contiguous";
-      EXPECT_FALSE(partition.empty());
-      cursor = partition.end();
-      total += partition.size();
-    }
-    EXPECT_EQ(cursor, full.end());
-    EXPECT_EQ(total, full.size());
-  }
-  // Empty scans yield no partitions.
-  TermId absent = store_.Intern(Term::Iri("http://example.org/unused"));
-  store_.Finalize();
-  EXPECT_TRUE(store_.ScanPartitions(absent, kNullTermId, kNullTermId, 4).empty());
+                      "batch");
 }
 
 TEST(ScanFieldOrderTest, MatchesIndexSelection) {
@@ -361,7 +251,7 @@ TEST(ScanFieldOrderTest, MatchesIndexSelection) {
 
 // ---------------------------------------------------------------------------
 // Dataset-level byte-identity: the engine's whole query surface (root view,
-// canonical queries, workload) on geopop/lubm/swdf at 1/2/4 threads.
+// canonical queries, maintained graphs) on geopop/lubm/swdf.
 // ---------------------------------------------------------------------------
 
 class DatasetExecTest : public ::testing::TestWithParam<const char*> {};
@@ -379,24 +269,18 @@ TEST_P(DatasetExecTest, RootAndCanonicalQueriesByteIdentical) {
     queries.push_back(facet.CanonicalQuerySparql(mask));
   }
 
-  ThreadPool pool(4);
   for (const std::string& q : queries) {
     QueryResult reference = MustRun(store, q, Volcano());
     ExpectByteIdentical(reference, MustRun(store, q, ExecOptions{}),
-                        std::string(GetParam()) + " serial: " + q);
-    for (unsigned dop : {2u, 4u}) {
-      ExpectByteIdentical(
-          reference, MustRun(store, q, Parallel(&pool, dop)),
-          std::string(GetParam()) + " dop=" + std::to_string(dop) + ": " + q);
-    }
+                        std::string(GetParam()) + ": " + q);
   }
 }
 
 TEST_P(DatasetExecTest, MaintainedGraphByteIdenticalAcrossThreads) {
-  // ApplyUpdates evaluates the cached root view through the batch engine
-  // (parallel at 4 threads); the maintained graph — including fresh blank
-  // labels — must be byte-identical to the single-threaded engine, and the
-  // post-update root view must still match the Volcano reference executor.
+  // ApplyUpdates repairs the root table and the views (parallel at 4
+  // threads); the maintained graph — including fresh blank labels — must be
+  // byte-identical to the single-threaded engine, and the post-update root
+  // view must still match the Volcano reference executor.
   auto run = [&](unsigned threads) {
     auto engine = std::make_unique<core::SofosEngine>();
     testing::SetUpEngine(engine.get(), GetParam());
@@ -470,7 +354,6 @@ TEST(FilterKernelExecTest, GeopopSliceMatchesVolcanoRowsAndInternOrder) {
     QueryResult result;
     std::vector<std::string> interned;  // terms the query added, in order
   };
-  ThreadPool pool(4);
   auto run = [&](const ExecOptions& options) {
     TripleStore store;
     auto spec = datagen::GenerateByName("geopop", datagen::Scale::kTiny, 42, &store);
@@ -488,24 +371,20 @@ TEST(FilterKernelExecTest, GeopopSliceMatchesVolcanoRowsAndInternOrder) {
   Run reference = run(Volcano());
   ASSERT_GT(reference.result.NumRows(), 0u);
   ASSERT_FALSE(reference.interned.empty());
-  for (unsigned dop : {1u, 4u}) {
-    Run batch = run(dop == 1 ? ExecOptions{} : Parallel(&pool, dop));
-    const std::string context = "dop=" + std::to_string(dop);
-    ExpectByteIdentical(reference.result, batch.result, context);
-    EXPECT_EQ(reference.interned, batch.interned) << context;
-  }
+  Run batch = run(ExecOptions{});
+  ExpectByteIdentical(reference.result, batch.result, "batch");
+  EXPECT_EQ(reference.interned, batch.interned);
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level knobs.
+// Engine level.
 // ---------------------------------------------------------------------------
 
-TEST(ExecEngineTest, WorkloadInvariantUnderExecThreadsKnob) {
-  auto run = [](unsigned threads, unsigned exec_threads) {
+TEST(ExecEngineTest, WorkloadInvariantUnderThreadCount) {
+  auto run = [](unsigned threads) {
     core::SofosEngine engine;
     testing::SetUpEngine(&engine, "geopop");
     engine.SetNumThreads(threads);
-    engine.SetExecThreads(exec_threads);
     testing::MustProfile(&engine);
     workload::WorkloadGenerator generator(&engine.facet(), engine.store());
     workload::WorkloadOptions options;
@@ -518,14 +397,12 @@ TEST(ExecEngineTest, WorkloadInvariantUnderExecThreadsKnob) {
     return std::move(report).value();
   };
 
-  core::WorkloadReport reference = run(1, 0);
-  const std::vector<std::pair<unsigned, unsigned>> configs = {
-      {4, 0}, {4, 1}, {4, 4}, {2, 3}};
-  for (auto [threads, exec_threads] : configs) {
-    core::WorkloadReport report = run(threads, exec_threads);
+  core::WorkloadReport reference = run(1);
+  for (unsigned threads : {4u, 2u}) {
+    core::WorkloadReport report = run(threads);
     ASSERT_EQ(report.outcomes.size(), reference.outcomes.size());
     EXPECT_EQ(report.total_rows_scanned, reference.total_rows_scanned)
-        << threads << "/" << exec_threads;
+        << threads;
     for (size_t i = 0; i < report.outcomes.size(); ++i) {
       EXPECT_EQ(report.outcomes[i].result_rows,
                 reference.outcomes[i].result_rows);
@@ -544,9 +421,11 @@ TEST(ExecEngineTest, ExplainShowsBatchSchedule) {
       engine.facet().ViewQuerySparql(engine.facet().FullMask()));
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("SCAN"), std::string::npos);
-  EXPECT_NE(text->find("PHYSICAL"), std::string::npos);
-  EXPECT_NE(text->find("dop="), std::string::npos);
-  EXPECT_NE(text->find("morsels="), std::string::npos);
+  EXPECT_NE(text->find("PHYSICAL batch size=1024 leaf_rows="),
+            std::string::npos);
+  EXPECT_NE(text->find("hash_joins="), std::string::npos);
+  EXPECT_EQ(text->find("dop="), std::string::npos);
+  EXPECT_EQ(text->find("morsels="), std::string::npos);
 }
 
 }  // namespace

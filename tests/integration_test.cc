@@ -116,19 +116,26 @@ TEST_F(MaintenanceTest, UpdateRefreshesMaterializedViews) {
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(before->used_view);
 
-  // Append a brand-new country with one observation.
-  SOFOS_ASSERT_OK(engine_.UpdateBaseGraph([](TripleStore* store) {
-    auto geo = [](const std::string& l) {
-      return Term::Iri("http://sofos.example.org/geo#" + l);
-    };
-    Term country = geo("country/NEW");
-    Term obs = Term::Blank("obs_new");
-    store->Add(country, geo("partOf"), geo("continent/Europe"));
-    store->Add(obs, geo("country"), country);
-    store->Add(obs, geo("language"), geo("lang/L0"));
-    store->Add(obs, geo("year"), Term::Integer(2019));
-    store->Add(obs, geo("population"), Term::Integer(123456));
-  }));
+  // Append a brand-new country with one observation, through the
+  // full-recompute path.
+  core::maintenance::MaintainOptions options;
+  options.mode = core::maintenance::MaintainOptions::Mode::kForceFull;
+  engine_.SetMaintainOptions(options);
+  auto geo = [](const std::string& l) {
+    return Term::Iri("http://sofos.example.org/geo#" + l);
+  };
+  const Term country = geo("country/NEW");
+  const Term obs = Term::Blank("obs_new");
+  core::maintenance::GraphDelta delta;
+  delta.adds = {{country, geo("partOf"), geo("continent/Europe")},
+                {obs, geo("country"), country},
+                {obs, geo("language"), geo("lang/L0")},
+                {obs, geo("year"), Term::Integer(2019)},
+                {obs, geo("population"), Term::Integer(123456)}};
+  SOFOS_ASSERT_OK_AND_ASSIGN(core::UpdateOutcome outcome,
+                             engine_.ApplyUpdates(delta));
+  EXPECT_EQ(outcome.maintenance.mode, core::maintenance::MaintainMode::kFull);
+  EXPECT_EQ(outcome.adds_applied, 5u);
 
   // Views are still materialized and now reflect the new data.
   EXPECT_EQ(engine_.MaterializedMasks().size(), 2u);
@@ -146,22 +153,13 @@ TEST_F(MaintenanceTest, UpdateRefreshesMaterializedViews) {
 
 TEST_F(MaintenanceTest, UpdateWithoutViewsJustGrowsBase) {
   uint64_t before = engine_.BaseTriples();
-  SOFOS_ASSERT_OK(engine_.UpdateBaseGraph([](TripleStore* store) {
-    store->Add(Term::Iri("http://x/a"), Term::Iri("http://x/b"),
-               Term::Iri("http://x/c"));
-  }));
+  core::maintenance::GraphDelta delta;
+  delta.adds = {{Term::Iri("http://x/a"), Term::Iri("http://x/b"),
+                 Term::Iri("http://x/c")}};
+  SOFOS_ASSERT_OK(engine_.ApplyUpdates(delta).status());
   EXPECT_EQ(engine_.BaseTriples(), before + 1);
   EXPECT_TRUE(engine_.materialized().empty());
   EXPECT_DOUBLE_EQ(engine_.StorageAmplification(), 1.0);
-}
-
-TEST_F(MaintenanceTest, SnapshotExcludesViewEncodings) {
-  ASSERT_TRUE(engine_.MaterializeViews({0}).ok());
-  uint64_t base = engine_.BaseTriples();
-  // The update callback must see the base graph only.
-  SOFOS_ASSERT_OK(engine_.UpdateBaseGraph([&](TripleStore* store) {
-    EXPECT_EQ(store->NumTriples(), base);
-  }));
 }
 
 // ------------------------------------------------- ad-hoc SPARQL routing

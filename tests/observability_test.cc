@@ -2,8 +2,8 @@
 /// trace span layer (nesting, cross-thread handoff, disabled no-op), the
 /// MetricsRegistry (instrument identity, collectors, Prometheus/JSON
 /// exposition completeness), EXPLAIN ANALYZE consistency (per-operator
-/// actuals vs ExecStats totals, shape invariance across dop and shard
-/// counts), result-cache TTLs under a fake clock, and the server's
+/// actuals vs ExecStats totals, shape invariance across shard counts),
+/// result-cache TTLs under a fake clock, and the server's
 /// ANALYZE/TRACE/METRICS verbs over loopback. Runs under the TSan lane
 /// (scripts/run_tsan.sh, label `observability`).
 
@@ -11,13 +11,13 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/latency_histogram.h"
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/engine.h"
 #include "core/facet.h"
@@ -428,8 +428,8 @@ TEST_F(AnalyzeTest, OperatorActualsSumToExecTotals) {
 }
 
 /// Reduces an ANALYZE rendering to its shape: operator labels, estimates
-/// and row counts — everything that must be invariant across dop and shard
-/// counts (timings, batch and morsel counts are not).
+/// and row counts — everything that must be invariant across shard counts
+/// (timings and batch counts are not).
 std::vector<std::string> AnalyzeShape(const std::string& text,
                                       const std::vector<sparql::OperatorStats>& ops) {
   std::vector<std::string> shape;
@@ -446,13 +446,10 @@ std::vector<std::string> AnalyzeShape(const std::string& text,
   return shape;
 }
 
-TEST_F(AnalyzeTest, ShapeIsInvariantAcrossDopAndShards) {
-  ThreadPool pool(4);
-  auto run = [this](TripleStore* store, ThreadPool* p, unsigned dop) {
+TEST_F(AnalyzeTest, ShapeIsInvariantAcrossShards) {
+  auto run = [this](TripleStore* store) {
     sparql::ExecOptions options;
     options.analyze = true;
-    options.pool = p;
-    options.dop = dop;
     sparql::QueryEngine qe(store, options);
     sparql::QueryResult result;
     auto text = qe.Analyze(root_query_, &result);
@@ -460,10 +457,8 @@ TEST_F(AnalyzeTest, ShapeIsInvariantAcrossDopAndShards) {
     return AnalyzeShape(text.ok() ? *text : "", result.stats.operators);
   };
 
-  std::vector<std::string> serial = run(&store_, nullptr, 1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(run(&store_, &pool, 2), serial);
-  EXPECT_EQ(run(&store_, &pool, 4), serial);
+  std::vector<std::string> reference = run(&store_);
+  ASSERT_FALSE(reference.empty());
 
   // A re-sharded copy of the same data must produce the identical shape.
   TripleStore sharded;
@@ -471,8 +466,7 @@ TEST_F(AnalyzeTest, ShapeIsInvariantAcrossDopAndShards) {
   auto spec = datagen::GenerateByName("geopop", datagen::Scale::kDemo, 42,
                                       &sharded);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  EXPECT_EQ(run(&sharded, nullptr, 1), serial);
-  EXPECT_EQ(run(&sharded, &pool, 4), serial);
+  EXPECT_EQ(run(&sharded), reference);
 }
 
 // ---- Engine registry + server verbs ---------------------------------------
@@ -509,29 +503,52 @@ TEST_F(ObservabilityEngineTest, EnginePhasesAndViewHitsReachTheRegistry) {
             gauge("sofos_engine_base_triples"));
   EXPECT_GE(gauge("sofos_engine_storage_amplification"), 1.0);
 
-  // A routed query ticks the phase histograms, the query counter, and the
-  // per-view labeled hit counter.
-  std::vector<uint32_t> masks = engine_.MaterializedMasks();
-  ASSERT_FALSE(masks.empty());
-  std::string sparql = engine_.facet().CanonicalQuerySparql(masks[0]);
+  // A routed query ticks the phase histograms (rewrite included), the
+  // query counter, and the per-view labeled hit and benefit counters —
+  // through the engine's own entry point, then through a published
+  // snapshot (the server's path).
+  const core::Facet& facet = engine_.facet();
+  const core::LatticeProfile& profile = *engine_.profile();
+  const uint64_t root_rows = profile.views[facet.FullMask()].result_rows;
+  std::optional<uint32_t> mask;
+  for (uint32_t m : engine_.MaterializedMasks()) {
+    if (profile.views[m].result_rows < root_rows) mask = m;
+  }
+  ASSERT_TRUE(mask.has_value()) << "no materialized view below the root";
+  std::string sparql = facet.CanonicalQuerySparql(*mask);
   SOFOS_ASSERT_OK_AND_ASSIGN(auto outcome, engine_.AnswerSparql(sparql, true));
   ASSERT_TRUE(outcome.used_view);
+  const uint64_t benefit_per_hit =
+      root_rows - profile.views[outcome.view_mask].result_rows;
+  ASSERT_GT(benefit_per_hit, 0u);
 
-  EXPECT_EQ(registry->Counter("sofos_engine_queries_total")->Value(), 1u);
-  EXPECT_EQ(registry->Counter("sofos_engine_view_hits_total")->Value(), 1u);
-  std::string labeled = "sofos_view_hits_total{view=\"" +
-                        engine_.facet().MaskLabel(outcome.view_mask) + "\"}";
-  EXPECT_EQ(registry->Counter(labeled)->Value(), 1u);
-  EXPECT_EQ(registry->Histogram("sofos_engine_parse_micros")
-                ->TakeSnapshot().count, 1u);
-  EXPECT_EQ(registry->Histogram("sofos_engine_exec_micros")
-                ->TakeSnapshot().count, 1u);
-  EXPECT_EQ(registry->Histogram("sofos_engine_route_micros")
-                ->TakeSnapshot().count, 1u);
+  const std::string label = facet.MaskLabel(outcome.view_mask);
+  const std::string labeled = "sofos_view_hits_total{view=\"" + label + "\"}";
+  const std::string benefit =
+      "sofos_view_benefit_rows_total{view=\"" + label + "\"}";
+  auto expect_counts = [&](uint64_t n, const char* path) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(registry->Counter("sofos_engine_queries_total")->Value(), n);
+    EXPECT_EQ(registry->Counter("sofos_engine_view_hits_total")->Value(), n);
+    EXPECT_EQ(registry->Counter(labeled)->Value(), n);
+    EXPECT_EQ(registry->Counter(benefit)->Value(), n * benefit_per_hit);
+    for (const char* phase :
+         {"sofos_engine_parse_micros", "sofos_engine_route_micros",
+          "sofos_engine_rewrite_micros", "sofos_engine_exec_micros"}) {
+      EXPECT_EQ(registry->Histogram(phase)->TakeSnapshot().count, n) << phase;
+    }
+  };
+  expect_counts(1, "SofosEngine::AnswerSparql");
+
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto snapshot, engine_.PublishSnapshot());
+  SOFOS_ASSERT_OK_AND_ASSIGN(auto served, snapshot->Answer(sparql, true));
+  ASSERT_TRUE(served.used_view);
+  ASSERT_EQ(served.view_mask, outcome.view_mask);
+  expect_counts(2, "EngineSnapshot::Answer");
 
   // The labeled counter round-trips through the Prometheus exposition.
   std::string text = registry->PrometheusText();
-  EXPECT_NE(text.find(labeled + " 1"), std::string::npos) << text;
+  EXPECT_NE(text.find(labeled + " 2"), std::string::npos) << text;
 }
 
 TEST_F(ObservabilityEngineTest, SnapshotTracingProducesPhaseSpans) {

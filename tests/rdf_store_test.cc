@@ -186,10 +186,9 @@ struct ShapesSeen {
   int past_end_misses = 0;   // s above the largest subject id
 };
 
-/// Checks Scan() (exact order), Count(), the concatenated ScanPartitions()
-/// and NumNodes() against `model`, probing ids from the graph, the largest
-/// subject and the one above it, arbitrary interned ids, and ids past the
-/// end of the dictionary.
+/// Checks Scan() (exact order), Count() and NumNodes() against `model`,
+/// probing ids from the graph, the largest subject and the one above it,
+/// arbitrary interned ids, and ids past the end of the dictionary.
 void ExpectMatchesOracle(const TripleStore& store, const std::set<Triple>& model,
                          Rng* rng, ShapesSeen* seen) {
   ASSERT_EQ(Image(store.triples().data(),
@@ -230,13 +229,6 @@ void ExpectMatchesOracle(const TripleStore& store, const std::set<Triple>& model
         << "s=" << s << " p=" << p << " o=" << o;
     EXPECT_EQ(store.Count(s, p, o), expected.size())
         << "s=" << s << " p=" << p << " o=" << o;
-    std::vector<std::tuple<TermId, TermId, TermId>> joined;
-    for (const auto& part :
-         store.ScanPartitions(s, p, o, 1 + rng->Uniform(5))) {
-      EXPECT_FALSE(part.empty());
-      for (const auto& t : Image(part.begin(), part.end())) joined.push_back(t);
-    }
-    EXPECT_EQ(joined, expected) << "s=" << s << " p=" << p << " o=" << o;
 
     if (s != kNullTermId && p != kNullTermId && !expected.empty()) {
       ++seen->spo_hits;
@@ -253,7 +245,7 @@ void ExpectMatchesOracle(const TripleStore& store, const std::set<Triple>& model
 }
 
 /// Property test: for random graphs, at shard counts {1, 2, 8} in both
-/// layouts, every Scan()/Count()/ScanPartitions() result equals the ordered
+/// layouts, every Scan()/Count() result equals the ordered
 /// brute-force oracle — on a fresh Finalize() and after seeded ApplyDelta()
 /// batches that add a subject above the largest subject id, delete every
 /// triple of some subject (sometimes the largest), and churn random triples.
