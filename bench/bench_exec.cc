@@ -10,13 +10,20 @@
 /// (`speedup_vs_volcano`): hash joins, hash aggregation, no per-row
 /// allocation. Both run on the caller's thread.
 ///
+/// The two executors run as interleaved pairs, alternating which goes
+/// first, so drift of the host hits both alike. Each time is the median
+/// with its quartiles, and the speedup is the median of the per-pair
+/// ratios with its quartiles.
+///
 ///   ./bench_exec [json_path]
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "sparql/query_engine.h"
@@ -25,13 +32,32 @@ namespace {
 
 using namespace sofos;
 
-constexpr int kRepetitions = 5;
+constexpr int kRepetitions = 41;  // interleaved (Volcano, batch) pairs
+
+/// Median and quartiles of a sample (nearest rank).
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  Spread out;
+  if (values.empty()) return out;
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  out.median = values[n / 2];
+  out.q1 = values[n / 4];
+  out.q3 = values[(3 * n) / 4];
+  return out;
+}
 
 struct DatasetPoint {
   std::string name;
   uint64_t pattern_rows = 0;  // bindings the root query aggregates
-  double volcano_ms = 0.0;
-  double batch_ms = 0.0;
+  Spread volcano_ms;
+  Spread batch_ms;
+  Spread speedup;  // per-pair Volcano / batch
 };
 
 /// Canonical fingerprint of a result for cross-configuration comparison.
@@ -47,26 +73,23 @@ std::string Fingerprint(const sparql::QueryResult& result) {
   return out;
 }
 
-/// Median wall time of the root query under `options`; returns false on a
+/// Wall time of one root-query run under `options`; returns false on a
 /// query error or a result mismatch against `reference`.
-bool Measure(TripleStore* store, const std::string& query,
+bool RunOnce(TripleStore* store, const std::string& query,
              const sparql::ExecOptions& options, const std::string& reference,
              double* wall_ms) {
-  std::vector<double> walls;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    sparql::QueryEngine engine(store, options);
-    auto result = engine.Execute(query);
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
-      return false;
-    }
-    if (Fingerprint(*result) != reference) {
-      std::fprintf(stderr, "results diverged from the Volcano executor!\n");
-      return false;
-    }
-    walls.push_back(result->stats.exec_micros / 1000.0);
+  sparql::QueryEngine engine(store, options);
+  auto result = engine.Execute(query);
+  if (!result.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 result.status().ToString().c_str());
+    return false;
   }
-  *wall_ms = bench::Median(walls);
+  if (Fingerprint(*result) != reference) {
+    std::fprintf(stderr, "results diverged from the Volcano executor!\n");
+    return false;
+  }
+  *wall_ms = result->stats.exec_micros / 1000.0;
   return true;
 }
 
@@ -82,6 +105,7 @@ bool MeasureDataset(const std::string& name, DatasetPoint* point) {
 
   sparql::ExecOptions volcano;
   volcano.mode = sparql::ExecMode::kVolcano;
+  const sparql::ExecOptions batch;
   std::string reference;
   {
     sparql::QueryEngine reference_engine(store, volcano);
@@ -89,13 +113,27 @@ bool MeasureDataset(const std::string& name, DatasetPoint* point) {
     if (!result.ok()) return false;
     reference = Fingerprint(*result);
   }
-  return Measure(store, query, volcano, reference, &point->volcano_ms) &&
-         Measure(store, query, sparql::ExecOptions{}, reference,
-                 &point->batch_ms);
-}
-
-double Speedup(const DatasetPoint& point) {
-  return point.batch_ms > 0 ? point.volcano_ms / point.batch_ms : 0.0;
+  std::vector<double> volcano_runs, batch_runs, ratios;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    double volcano_ms = 0.0, batch_ms = 0.0;
+    const bool volcano_first = rep % 2 == 0;
+    if (volcano_first &&
+        !RunOnce(store, query, volcano, reference, &volcano_ms)) {
+      return false;
+    }
+    if (!RunOnce(store, query, batch, reference, &batch_ms)) return false;
+    if (!volcano_first &&
+        !RunOnce(store, query, volcano, reference, &volcano_ms)) {
+      return false;
+    }
+    volcano_runs.push_back(volcano_ms);
+    batch_runs.push_back(batch_ms);
+    ratios.push_back(batch_ms > 0 ? volcano_ms / batch_ms : 0.0);
+  }
+  point->volcano_ms = SpreadOf(volcano_runs);
+  point->batch_ms = SpreadOf(batch_runs);
+  point->speedup = SpreadOf(ratios);
+  return true;
 }
 
 void WriteJson(const std::string& path, const std::vector<DatasetPoint>& points) {
@@ -108,13 +146,19 @@ void WriteJson(const std::string& path, const std::vector<DatasetPoint>& points)
   std::fprintf(f, "  \"repetitions\": %d,\n  \"datasets\": [\n", kRepetitions);
   for (size_t d = 0; d < points.size(); ++d) {
     const DatasetPoint& p = points[d];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"pattern_rows\": %llu, "
-                 "\"volcano_ms\": %.3f, \"batch_ms\": %.3f, "
-                 "\"speedup_vs_volcano\": %.3f}%s\n",
-                 p.name.c_str(), static_cast<unsigned long long>(p.pattern_rows),
-                 p.volcano_ms, p.batch_ms, Speedup(p),
-                 d + 1 < points.size() ? "," : "");
+    std::fprintf(
+        f,
+        "    {\"name\": \"%s\", \"pattern_rows\": %llu,\n"
+        "     \"volcano_ms\": %.3f, \"volcano_q1_ms\": %.3f, "
+        "\"volcano_q3_ms\": %.3f,\n"
+        "     \"batch_ms\": %.3f, \"batch_q1_ms\": %.3f, "
+        "\"batch_q3_ms\": %.3f,\n"
+        "     \"speedup_vs_volcano\": %.3f, \"speedup_q1\": %.3f, "
+        "\"speedup_q3\": %.3f}%s\n",
+        p.name.c_str(), static_cast<unsigned long long>(p.pattern_rows),
+        p.volcano_ms.median, p.volcano_ms.q1, p.volcano_ms.q3,
+        p.batch_ms.median, p.batch_ms.q1, p.batch_ms.q3, p.speedup.median,
+        p.speedup.q1, p.speedup.q3, d + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  ");
   bench::WriteMemoryJson(f);
@@ -129,15 +173,18 @@ int main(int argc, char** argv) {
   std::printf("P3 | Vectorized execution: root-view query, batch vs Volcano\n");
 
   std::vector<DatasetPoint> points;
-  TablePrinter table(
-      {"dataset", "pattern rows", "volcano ms", "batch ms", "speedup"});
+  TablePrinter table({"dataset", "pattern rows", "volcano ms (q1-q3)",
+                      "batch ms (q1-q3)", "speedup (q1-q3)"});
+  auto cell = [](const Spread& spread, int digits) {
+    return StrFormat("%.*f (%.*f-%.*f)", digits, spread.median, digits,
+                     spread.q1, digits, spread.q3);
+  };
   for (const std::string& name : datagen::DatasetNames()) {
     DatasetPoint point;
     if (!MeasureDataset(name, &point)) return 1;
     table.AddRow({point.name, TablePrinter::Cell(point.pattern_rows),
-                  TablePrinter::Cell(point.volcano_ms, 3),
-                  TablePrinter::Cell(point.batch_ms, 3),
-                  TablePrinter::Cell(Speedup(point), 2)});
+                  cell(point.volcano_ms, 3), cell(point.batch_ms, 3),
+                  cell(point.speedup, 2)});
     points.push_back(std::move(point));
   }
   table.Print();

@@ -214,8 +214,8 @@ bool MeasurePoint(const std::string& target, ThreadPool* pool,
   options.num_batches = 1;
   options.batch_fraction = kDeltaFraction;
   options.seed = 21;
-  auto stream = workload::GenerateUpdateStream(store.triples(),
-                                               store.dictionary(), options);
+  auto stream = workload::GenerateUpdateStream(
+      core::BaseGraphView(store), store.dictionary(), options);
   if (!stream.ok() || stream->empty()) return false;
   std::vector<Triple> adds, deletes;
   for (const auto& t : (*stream)[0].adds) {

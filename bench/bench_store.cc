@@ -8,6 +8,11 @@
 ///   publish       SofosEngine::PublishSnapshot() after a 0.5%
 ///                 ApplyUpdates batch — the O(changed shards) headline
 ///                 number
+///   size sweep    one 0.1% ApplyUpdates batch (3 views, auto mode, the
+///                 engine's default threads) at 100k, 300k and 1M triples
+///                 on lubm and geopop: what is left of a small batch once
+///                 the Δ algebra is O(Δ) is the store merge, which
+///                 rewrites the canonical array and grows with |G+|
 ///
 ///   ./bench_store [json_path]
 ///
@@ -31,6 +36,25 @@ using namespace sofos;
 constexpr int kRepetitions = 5;
 constexpr double kBatchFraction = 0.005;  // "small delta": 0.5% of |G|
 const size_t kShardCounts[] = {1, 2, 4, 8};
+
+constexpr double kSweepFraction = 0.001;
+constexpr int kSweepBatches = 9;  // after one unmeasured batch
+const char* const kSweepDatasets[] = {"lubm", "geopop"};
+const char* const kSweepScales[] = {"100k", "300k", "1m"};
+
+struct SizePoint {
+  std::string scale;
+  uint64_t base_triples = 0;
+  uint64_t current_triples = 0;
+  double apply_updates_ms = 0.0;  // median whole ApplyUpdates
+  double root_ms = 0.0;           // median root repair
+  double merge_ms = 0.0;          // median store merge
+};
+
+struct SizeSweep {
+  std::string name;
+  std::vector<SizePoint> points;
+};
 
 struct ShardResult {
   size_t shard_count = 0;
@@ -66,8 +90,8 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
     options.num_batches = 1;
     options.batch_fraction = kBatchFraction;
     options.seed = 21;
-    auto stream = workload::GenerateUpdateStream(store.triples(),
-                                                 store.dictionary(), options);
+    auto stream = workload::GenerateUpdateStream(
+        core::BaseGraphView(store), store.dictionary(), options);
     if (!stream.ok() || stream->empty()) return false;
     std::vector<Triple> adds, deletes;
     for (const auto& t : (*stream)[0].adds) {
@@ -140,8 +164,60 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
   return true;
 }
 
+/// One engine per scale, set up like perfbench (3 views by triple count),
+/// then kSweepBatches measured 0.1% batches with perfbench's seed rule.
+bool MeasureSizeSweep(const std::string& dataset, SizeSweep* out) {
+  out->name = dataset;
+  for (const char* scale_name : kSweepScales) {
+    auto scale = datagen::ParseScaleSpec(scale_name);
+    if (!scale.ok()) return false;
+    core::SofosEngine engine;
+    TripleStore store;
+    store.SetShardCount(engine.ResolvedShardCount());
+    auto spec = datagen::GenerateByName(dataset, *scale, 42, &store);
+    if (!spec.ok()) return false;
+    auto facet = core::Facet::FromSparql(spec->facet_sparql, spec->name,
+                                         spec->dim_labels);
+    if (!facet.ok()) return false;
+    if (!engine.LoadStore(std::move(store)).ok()) return false;
+    if (!engine.SetFacet(std::move(facet).value()).ok()) return false;
+    if (!engine.Profile().ok()) return false;
+    core::TripleCountCostModel model;
+    auto selection = engine.SelectViews(model, 3);
+    if (!selection.ok()) return false;
+    if (!engine.MaterializeSelection(*selection).ok()) return false;
+
+    SizePoint point;
+    point.scale = scale_name;
+    point.base_triples = engine.BaseTriples();
+    std::vector<double> apply_runs, root_runs, merge_runs;
+    for (int b = 0; b <= kSweepBatches; ++b) {
+      workload::UpdateStreamOptions options;
+      options.num_batches = 1;
+      options.batch_fraction = kSweepFraction;
+      options.seed = 99 + static_cast<uint64_t>(b);
+      auto stream = workload::GenerateUpdateStream(
+          engine.base_snapshot(), engine.store()->dictionary(), options);
+      if (!stream.ok() || stream->empty()) return false;
+      auto outcome = engine.ApplyUpdates((*stream)[0]);
+      if (!outcome.ok()) return false;
+      if (b == 0) continue;
+      apply_runs.push_back(outcome->total_micros / 1000.0);
+      root_runs.push_back(outcome->maintenance.root_query_micros / 1000.0);
+      merge_runs.push_back(outcome->maintenance.merge_micros / 1000.0);
+    }
+    point.current_triples = engine.CurrentTriples();
+    point.apply_updates_ms = bench::Median(apply_runs);
+    point.root_ms = bench::Median(root_runs);
+    point.merge_ms = bench::Median(merge_runs);
+    out->points.push_back(point);
+  }
+  return true;
+}
+
 void WriteJson(const std::string& path,
-               const std::vector<DatasetResult>& results) {
+               const std::vector<DatasetResult>& results,
+               const std::vector<SizeSweep>& sweeps) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -170,6 +246,28 @@ void WriteJson(const std::string& path,
           r.publish_us, j + 1 < d.shards.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"size_sweep_fraction\": %.4f,\n  \"size_sweep\": [\n",
+               kSweepFraction);
+  for (size_t i = 0; i < sweeps.size(); ++i) {
+    const SizeSweep& sweep = sweeps[i];
+    std::fprintf(f, "    {\"name\": \"%s\", \"points\": [\n",
+                 sweep.name.c_str());
+    for (size_t j = 0; j < sweep.points.size(); ++j) {
+      const SizePoint& p = sweep.points[j];
+      std::fprintf(
+          f,
+          "      {\"name\": \"%s\", \"base_triples\": %llu, "
+          "\"current_triples\": %llu,\n"
+          "       \"apply_updates_ms\": %.3f, \"root_ms\": %.3f, "
+          "\"merge_ms\": %.3f}%s\n",
+          p.scale.c_str(), static_cast<unsigned long long>(p.base_triples),
+          static_cast<unsigned long long>(p.current_triples),
+          p.apply_updates_ms, p.root_ms, p.merge_ms,
+          j + 1 < sweep.points.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]}%s\n", i + 1 < sweeps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  ");
   bench::WriteMemoryJson(f);
@@ -209,13 +307,38 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  if (argc > 1) WriteJson(argv[1], results);
+  std::printf("\nS1 | One %.1f%% ApplyUpdates batch by graph size\n",
+              kSweepFraction * 100.0);
+  std::vector<SizeSweep> sweeps;
+  TablePrinter sweep_table({"dataset", "scale", "|G|", "|G+|",
+                            "ApplyUpdates ms", "root ms", "merge ms"});
+  for (const char* name : kSweepDatasets) {
+    SizeSweep sweep;
+    if (!MeasureSizeSweep(name, &sweep)) {
+      std::fprintf(stderr, "size sweep on %s failed\n", name);
+      return 1;
+    }
+    for (const SizePoint& p : sweep.points) {
+      sweep_table.AddRow({sweep.name, p.scale,
+                          TablePrinter::Cell(p.base_triples),
+                          TablePrinter::Cell(p.current_triples),
+                          TablePrinter::Cell(p.apply_updates_ms, 2),
+                          TablePrinter::Cell(p.root_ms, 2),
+                          TablePrinter::Cell(p.merge_ms, 2)});
+    }
+    sweeps.push_back(std::move(sweep));
+  }
+  sweep_table.Print();
+
+  if (argc > 1) WriteJson(argv[1], results, sweeps);
 
   std::printf(
       "\nReading: Clone() is O(shard pointers) regardless of |G| — the COW\n"
       "column stays flat as the graph grows, so epoch publication after a\n"
       "small ApplyUpdates batch does not pay O(n).\n"
       "ApplyDelta rebuilds only the buckets the delta hashes into\n"
-      "(`rebuilt` of 2 * shard_count).\n");
+      "(`rebuilt` of 2 * shard_count). The size sweep's ApplyUpdates grows\n"
+      "with |G+| while its root repair stays small: the merge rewrites the\n"
+      "canonical array, the O(|G+|) floor a delta overlay would remove.\n");
   return 0;
 }

@@ -138,7 +138,7 @@ std::string StoreLayoutName(SofosEngine::StoreLayout layout) {
 void SofosEngine::RecordStateGauges() {
   metrics_.Gauge("sofos_engine_epoch")->Set(static_cast<double>(epoch_));
   metrics_.Gauge("sofos_engine_base_triples")
-      ->Set(static_cast<double>(base_snapshot_.size()));
+      ->Set(static_cast<double>(base_triples_));
   metrics_.Gauge("sofos_engine_current_triples")
       ->Set(store_.finalized() ? static_cast<double>(store_.NumTriples()) : 0.0);
   metrics_.Gauge("sofos_engine_materialized_views")
@@ -179,7 +179,7 @@ Status SofosEngine::LoadStore(TripleStore&& store) {
   // in results, by the store's shard-invariance contract).
   store_.SetShardCount(ResolvedShardCount(), pool());
   ApplyStoreLayout();
-  base_snapshot_ = store_.triples();
+  base_triples_ = base_snapshot().size();
   base_bytes_ = store_.MemoryBytes();
   materialized_.clear();
   profile_.reset();
@@ -347,7 +347,10 @@ Result<std::vector<MaterializedView>> SofosEngine::MaterializeViews(
 }
 
 Status SofosEngine::DropMaterializedViews() {
-  store_.ReplaceTriples(base_snapshot_);
+  {
+    const BaseGraphView base = base_snapshot();
+    store_.ReplaceTriples(std::vector<Triple>(base.begin(), base.end()));
+  }
   store_.Finalize(pool());
   materialized_.clear();
   if (facet_.has_value() && PatternSeesEncodings()) root_table_.reset();
@@ -396,14 +399,16 @@ Result<UpdateOutcome> SofosEngine::ApplyUpdates(
   root_table_.reset();
   const bool affects = maintainer_ != nullptr && maintainer_->Affects(delta);
 
-  // Stage and merge the base delta (no six-way re-sort).
+  // Normalize the base delta once against the pre-merge graph, under
+  // G' = (G \ D) ∪ A: effective adds are absent from G, effective deletes
+  // present in G and not re-added. These two sets are the outcome's
+  // counts, the maintainer's input and what merges.
   std::vector<Triple> add_ids, delete_ids;
   add_ids.reserve(delta.adds.size());
   delete_ids.reserve(delta.deletes.size());
   for (const maintenance::TermTriple& t : delta.adds) {
-    Triple id{store_.Intern(t.s), store_.Intern(t.p), store_.Intern(t.o)};
-    store_.StageAdd(id.s, id.p, id.o);
-    add_ids.push_back(id);
+    add_ids.push_back(
+        Triple{store_.Intern(t.s), store_.Intern(t.p), store_.Intern(t.o)});
   }
   const Dictionary& dict = store_.dictionary();
   for (const maintenance::TermTriple& t : delta.deletes) {
@@ -411,40 +416,76 @@ Result<UpdateOutcome> SofosEngine::ApplyUpdates(
     auto p = dict.Lookup(t.p);
     auto o = dict.Lookup(t.o);
     if (!s || !p || !o) continue;  // unknown term: the triple cannot exist
-    store_.StageDelete(*s, *p, *o);
     delete_ids.push_back(Triple{*s, *p, *o});
   }
-
-  // Normalize the delta ids once: sorted + deduped serves the base
-  // snapshot mirror AND the maintainer's effective-delta computation.
   std::sort(add_ids.begin(), add_ids.end());
   add_ids.erase(std::unique(add_ids.begin(), add_ids.end()), add_ids.end());
   std::sort(delete_ids.begin(), delete_ids.end());
   delete_ids.erase(std::unique(delete_ids.begin(), delete_ids.end()),
                    delete_ids.end());
-
-  // The delta-rule path needs the *pre-merge* graph to normalize the
-  // delta (adds already present / deletes of absent triples are no-ops),
-  // so stage it with the maintainer before the store merges.
-  if (affects) {
-    SOFOS_RETURN_IF_ERROR(maintainer_->PrepareDelta(add_ids, delete_ids));
+  std::vector<Triple> adds, deletes;
+  for (const Triple& t : add_ids) {
+    if (!store_.Contains(t.s, t.p, t.o)) adds.push_back(t);
   }
+  for (const Triple& t : delete_ids) {
+    if (store_.Contains(t.s, t.p, t.o) &&
+        !std::binary_search(add_ids.begin(), add_ids.end(), t)) {
+      deletes.push_back(t);
+    }
+  }
+  outcome.adds_applied = adds.size();
+  outcome.deletes_applied = deletes.size();
 
-  DeltaApplyResult base_merge = store_.ApplyDelta(pool());
-  outcome.adds_applied = base_merge.adds_applied;
-  outcome.deletes_applied = base_merge.deletes_applied;
-
-  // Mirror the delta into the base snapshot with the shared semantics.
-  base_snapshot_ = ApplySortedDelta(base_snapshot_, add_ids, delete_ids);
+  // Delta mode runs before anything merges: the maintainer reads the
+  // pre-merge store with the delta patched in, and its encoding edits
+  // join the base delta in one merge. Any error returns here, with the
+  // store untouched.
+  maintenance::MaintenanceReport& report = outcome.maintenance;
+  maintenance::EncodingEdits edits;
+  bool maintained = false;
+  if (affects) {
+    maintainer_->PrepareDelta(adds, deletes);
+    const uint64_t post_merge_triples =
+        store_.NumTriples() + adds.size() - deletes.size();
+    if (maintainer_->UseDeltaMode(post_merge_triples)) {
+      SOFOS_ASSIGN_OR_RETURN(
+          maintained, maintainer_->MaintainDelta(pool(), &report, &edits));
+    }
+  }
+  auto merge = [this](const std::vector<Triple>& merge_adds,
+                      const std::vector<Triple>& merge_deletes) {
+    for (const Triple& t : merge_adds) store_.StageAdd(t.s, t.p, t.o);
+    for (const Triple& t : merge_deletes) store_.StageDelete(t.s, t.p, t.o);
+    return store_.HasStagedDelta() ? store_.ApplyDelta(pool())
+                                   : DeltaApplyResult{};
+  };
+  if (maintained) {
+    adds.insert(adds.end(), edits.adds.begin(), edits.adds.end());
+    deletes.insert(deletes.end(), edits.deletes.begin(), edits.deletes.end());
+  }
+  DeltaApplyResult merged = merge(adds, deletes);
+  base_triples_ += outcome.adds_applied;
+  base_triples_ -= outcome.deletes_applied;
   // The graph is mutated from here on: bump the epoch *now*, so even a
-  // maintenance failure below leaves PublishSnapshot able to expose the
-  // post-delta store instead of no-opping on a stale epoch.
+  // full-mode maintenance failure below leaves PublishSnapshot able to
+  // expose the post-delta store instead of no-opping on a stale epoch.
   ++epoch_;
 
-  // Incrementally repair the view encodings.
+  if (affects && !maintained) {
+    // Full mode, or the delta algebra's consistency fallback: recompute
+    // the root over the merged base, then merge the encoding edits.
+    SOFOS_ASSIGN_OR_RETURN(report, maintainer_->MaintainFull(pool(), &edits));
+    merged = merge(edits.adds, edits.deletes);
+  }
   if (affects) {
-    SOFOS_ASSIGN_OR_RETURN(outcome.maintenance, maintainer_->MaintainAll(pool()));
-    for (const maintenance::ViewMaintenance& vm : outcome.maintenance.views) {
+    // Encoding counts: in delta mode the merge also applied the (already
+    // effective) base delta, whose triples never carry sofos: predicates.
+    const uint64_t base_adds = maintained ? outcome.adds_applied : 0;
+    const uint64_t base_deletes = maintained ? outcome.deletes_applied : 0;
+    report.triples_added = merged.adds_applied - base_adds;
+    report.triples_deleted = merged.deletes_applied - base_deletes;
+    report.merge_micros = merged.merge_micros;
+    for (const maintenance::ViewMaintenance& vm : report.views) {
       for (MaterializedView& mv : materialized_) {
         if (mv.mask != vm.mask) continue;
         mv.rows = mv.rows + vm.rows_added - vm.rows_deleted;
@@ -466,8 +507,7 @@ Result<UpdateOutcome> SofosEngine::ApplyUpdates(
       profile_->views[facet_->FullMask()].result_rows =
           maintainer_->root_rows();
     }
-    const maintenance::MaintenanceReport& mr = outcome.maintenance;
-    switch (mr.mode) {
+    switch (report.mode) {
       case maintenance::MaintainMode::kDelta:
         maintain_mode_delta_total_->Add();
         break;
@@ -478,19 +518,19 @@ Result<UpdateOutcome> SofosEngine::ApplyUpdates(
         maintain_mode_skip_total_->Add();
         break;
     }
-    maintain_bindings_hist_->Record(static_cast<double>(mr.delta_bindings));
+    maintain_bindings_hist_->Record(static_cast<double>(report.delta_bindings));
     // EWMA of the per-batch Δ-work rate: the delta path measures it as
     // signed bindings, the full path approximates it with changed root
     // rows. Feeds the update-aware selection penalty.
     const double observed =
-        mr.mode == maintenance::MaintainMode::kDelta
-            ? static_cast<double>(mr.delta_bindings)
-            : static_cast<double>(mr.root_rows_changed);
+        report.mode == maintenance::MaintainMode::kDelta
+            ? static_cast<double>(report.delta_bindings)
+            : static_cast<double>(report.root_rows_changed);
     avg_delta_bindings_ = avg_delta_bindings_ == 0.0
                               ? observed
                               : 0.7 * avg_delta_bindings_ + 0.3 * observed;
   } else {
-    outcome.maintenance.skipped = true;
+    report.skipped = true;
     if (maintainer_ != nullptr) maintain_mode_skip_total_->Add();
   }
 
@@ -839,9 +879,9 @@ Result<std::string> SofosEngine::ExplainSparql(const std::string& sparql) {
 }
 
 double SofosEngine::StorageAmplification() const {
-  if (base_snapshot_.empty()) return 1.0;
+  if (base_triples_ == 0) return 1.0;
   return static_cast<double>(store_.NumTriples()) /
-         static_cast<double>(base_snapshot_.size());
+         static_cast<double>(base_triples_);
 }
 
 }  // namespace core

@@ -11,6 +11,7 @@
 #include "common/metrics_registry.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "core/base_graph.h"
 #include "core/cost_model.h"
 #include "core/facet.h"
 #include "core/lattice.h"
@@ -315,7 +316,8 @@ class SofosEngine {
   Result<std::vector<MaterializedView>> MaterializeViews(
       const std::vector<uint32_t>& masks);
 
-  /// Rolls G+ back to the base snapshot G and forgets materializations.
+  /// Rolls G+ back to the base graph G (rebuilt from base_snapshot()) and
+  /// forgets materializations.
   Status DropMaterializedViews();
 
   /// ---- Maintenance subsystem (incremental path) ----
@@ -323,7 +325,16 @@ class SofosEngine {
   /// Applies one update batch to the base graph through the store's
   /// staged-delta merge (no six-way re-sort) and incrementally repairs
   /// every materialized view's roll-up encoding (see
-  /// maintenance::ViewMaintainer). The lattice profile is deliberately NOT
+  /// maintenance::ViewMaintainer). The batch is normalized once against
+  /// the current graph ((G \ D) ∪ A: adds already present and deletes of
+  /// absent or re-added triples drop out); that effective delta gives
+  /// `adds_applied`/`deletes_applied` and feeds the maintainer. In delta
+  /// mode the maintainer evaluates the delta rule before anything merges,
+  /// and the base delta and the encoding edits merge in one
+  /// TripleStore::ApplyDelta — a maintenance error then merges nothing. In
+  /// full mode (and on the algebra's consistency fallback) the base delta
+  /// merges first, the root is recomputed over it, and the encoding edits
+  /// merge second. The lattice profile is deliberately NOT
   /// recomputed — its growing staleness is tracked by the
   /// StalenessMonitor, and `reselect_recommended` tells the caller when
   /// re-running Profile()/SelectViews()/Materialize* is worth it (the
@@ -362,9 +373,12 @@ class SofosEngine {
   /// first maintained update batch.
   double avg_delta_bindings() const { return avg_delta_bindings_; }
 
-  /// The base graph G as currently tracked (sorted SPO, no view
-  /// encodings); update-stream generators sample from this.
-  const std::vector<Triple>& base_snapshot() const { return base_snapshot_; }
+  /// The base graph G: a read-only view of the store without its view
+  /// encodings (SPO order, rank access, iteration, membership), pinned to
+  /// the current state. Nothing is copied; the encoding-block index it
+  /// needs is rebuilt on each call. Update-stream generators sample from
+  /// this.
+  BaseGraphView base_snapshot() const { return BaseGraphView(store_); }
 
   const std::vector<MaterializedView>& materialized() const {
     return materialized_;
@@ -450,7 +464,9 @@ class SofosEngine {
 
   /// ---- Storage metrics ----
 
-  uint64_t BaseTriples() const { return base_snapshot_.size(); }
+  /// |G|: kept as a counter across loads and updates, so it costs
+  /// nothing to read (base_snapshot().size() is the same number).
+  uint64_t BaseTriples() const { return base_triples_; }
   uint64_t CurrentTriples() const { return store_.NumTriples(); }
   uint64_t BaseBytes() const { return base_bytes_; }
   uint64_t CurrentBytes() const { return store_.MemoryBytes(); }
@@ -484,7 +500,7 @@ class SofosEngine {
   void RecordStateGauges();
 
   TripleStore store_;
-  std::vector<Triple> base_snapshot_;
+  uint64_t base_triples_ = 0;  // |G|; see BaseTriples()
   uint64_t base_bytes_ = 0;
   std::optional<Facet> facet_;
   std::optional<Lattice> lattice_;

@@ -34,17 +34,6 @@ struct Accum {
   sparql::Value best;
 };
 
-inline TermId FieldOf(const Triple& t, int f) {
-  switch (f) {
-    case 0:
-      return t.s;
-    case 1:
-      return t.p;
-    default:
-      return t.o;
-  }
-}
-
 }  // namespace
 
 const char* MaintainModeName(MaintainMode mode) {
@@ -166,11 +155,11 @@ bool ViewMaintainer::Affects(const GraphDelta& delta) const {
   return touches(delta.adds) || touches(delta.deletes);
 }
 
-Status ViewMaintainer::PrepareDelta(const std::vector<Triple>& add_ids,
-                                    const std::vector<Triple>& delete_ids) {
+void ViewMaintainer::PrepareDelta(const std::vector<Triple>& adds,
+                                  const std::vector<Triple>& deletes) {
   pending_ = PendingDelta{};
   if (!initialized_ || !pattern_delta_ok_) {
-    return Status::OK();  // MaintainAll falls back to full recompute
+    return;  // the pass runs in full mode
   }
   // Only triples carrying a facet-pattern predicate can change bindings;
   // the rest drop out here so the cost crossover measures the relevant
@@ -181,21 +170,13 @@ Status ViewMaintainer::PrepareDelta(const std::vector<Triple>& add_ids,
     auto id = dict.Lookup(tp.p.term());
     if (id.has_value()) pattern_pred_ids.insert(*id);
   }
-  // Effective delta under G' = (G \ D) ∪ A, against the pre-delta graph:
-  // adds already present are no-ops, deletes of absent triples are no-ops,
-  // and a triple both deleted and added survives (the add wins).
-  for (const Triple& t : add_ids) {
-    if (pattern_pred_ids.count(t.p) == 0) continue;
-    if (!store_->Contains(t.s, t.p, t.o)) pending_.adds.push_back(t);
+  for (const Triple& t : adds) {
+    if (pattern_pred_ids.count(t.p) > 0) pending_.adds.push_back(t);
   }
-  for (const Triple& t : delete_ids) {
-    if (pattern_pred_ids.count(t.p) == 0) continue;
-    if (!store_->Contains(t.s, t.p, t.o)) continue;
-    if (std::binary_search(add_ids.begin(), add_ids.end(), t)) continue;
-    pending_.deletes.push_back(t);
+  for (const Triple& t : deletes) {
+    if (pattern_pred_ids.count(t.p) > 0) pending_.deletes.push_back(t);
   }
   pending_.prepared = true;
-  return Status::OK();
 }
 
 Status ViewMaintainer::IndexViewRows(ViewState* view) const {
@@ -263,10 +244,13 @@ ViewMaintainer::Key ViewMaintainer::ProjectKey(const Key& root_key,
   return key;
 }
 
-Result<RootCell> ViewMaintainer::EvalRootGroup(const Key& key) const {
+Result<RootCell> ViewMaintainer::EvalRootGroup(
+    const Key& key,
+    const std::vector<const sparql::PatternPatch*>& post_delta) const {
   // Seed the full facet BGP with the dimension slots pre-bound to the
   // group key: the targeted re-evaluation behind MIN/MAX and double
-  // groups. Emits the group's bindings in the seeded plan's match order.
+  // groups. Every pattern reads the post-delta graph through its patch,
+  // and the group's bindings arrive in the seeded plan's match order.
   const std::vector<sparql::TriplePattern>& patterns = facet_->pattern();
   std::vector<size_t> remaining(patterns.size());
   std::iota(remaining.begin(), remaining.end(), size_t{0});
@@ -280,7 +264,7 @@ Result<RootCell> ViewMaintainer::EvalRootGroup(const Key& key) const {
   SOFOS_ASSIGN_OR_RETURN(
       sparql::SeededJoinResult res,
       sparql::EvaluateSeededBgp(*store_, vars_, patterns, remaining,
-                                bound_slots, {seed}));
+                                bound_slots, {seed}, post_delta));
 
   // Fold exactly like the executor's aggregate accumulator, then decode
   // the finalized term back into the cell decomposition the same way
@@ -366,16 +350,16 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
                                               MaintenanceReport* report) const {
   const std::vector<sparql::TriplePattern>& patterns = facet_->pattern();
   const size_t n = patterns.size();
-  if (n == 0 || n >= 16) return false;  // no subset enumeration; full mode
+  if (n == 0) return false;
 
-  // Resolve every pattern's constants and slots against the post-delta
-  // dictionary, then sort the effective delta triples into per-pattern
-  // signed lists (adds +1, deletes -1).
+  // Resolve every pattern's constants and slots, then split the effective
+  // delta per pattern: patch[i] holds the delta triples that match pattern
+  // i's constants, i.e. exactly what merging the delta changes in its
+  // scans.
   struct PatternInfo {
     std::array<TermId, 3> consts{{kNullTermId, kNullTermId, kNullTermId}};
     std::array<int, 3> slots{{-1, -1, -1}};
     bool possible = true;  // a constant absent from the dict matches nothing
-    std::vector<std::pair<Triple, int8_t>> delta;
   };
   const Dictionary& dict = store_->dictionary();
   std::vector<PatternInfo> info(n);
@@ -399,47 +383,40 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
       }
     }
   }
-  // Unifies `t` against pattern `pi` into `row` (kNullTermId = unbound);
-  // fails on constant mismatch or inconsistent repeated variables.
-  auto unify = [](const PatternInfo& pi, const Triple& t, sparql::Row* row) {
-    const TermId fields[3] = {t.s, t.p, t.o};
-    for (int f = 0; f < 3; ++f) {
-      if (pi.slots[f] >= 0) {
-        TermId& cur = (*row)[static_cast<size_t>(pi.slots[f])];
-        if (cur == kNullTermId) {
-          cur = fields[f];
-        } else if (cur != fields[f]) {
-          return false;
-        }
-      } else if (pi.consts[f] != fields[f]) {
-        return false;
-      }
-    }
-    return true;
+  auto matches_consts = [](const PatternInfo& pi, const Triple& t) {
+    return pi.possible &&
+           (pi.consts[0] == kNullTermId || pi.consts[0] == t.s) &&
+           (pi.consts[1] == kNullTermId || pi.consts[1] == t.p) &&
+           (pi.consts[2] == kNullTermId || pi.consts[2] == t.o);
   };
-  for (const auto& [side, sign] :
-       {std::make_pair(&pending_.adds, int8_t{1}),
-        std::make_pair(&pending_.deletes, int8_t{-1})}) {
-    for (const Triple& t : *side) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!info[i].possible) continue;
-        sparql::Row scratch(vars_.size(), kNullTermId);
-        if (unify(info[i], t, &scratch)) info[i].delta.emplace_back(t, sign);
-      }
+  std::vector<sparql::PatternPatch> patch;
+  patch.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Triple> adds, deletes;
+    for (const Triple& t : pending_.adds) {
+      if (matches_consts(info[i], t)) adds.push_back(t);
     }
+    for (const Triple& t : pending_.deletes) {
+      if (matches_consts(info[i], t)) deletes.push_back(t);
+    }
+    patch.emplace_back(std::move(adds), std::move(deletes));
   }
+  std::vector<const sparql::PatternPatch*> post_delta(n);
+  for (size_t i = 0; i < n; ++i) post_delta[i] = &patch[i];
 
-  // Inclusion–exclusion over the post-delta store. With m'_i the
-  // post-state pattern relations and δ_i = A_i − D_i the signed deltas
-  // (so the pre-state is m'_i − δ_i):
+  // Telescoping delta rule (Gupta, Mumick & Subrahmanian, SIGMOD 1993).
+  // With R_j pattern j's relation in the store as it stands, R'_j the same
+  // relation once the delta merges and δ_j = R'_j − R_j (adds +1, deletes
+  // −1), the change of the pattern join is
   //
-  //   ΔJ = Π m'_i − Π (m'_i − δ_i)
-  //      = Σ_{∅≠S⊆[n]} (−1)^{|S|+1} (Π_{i∈S} δ_i) ⋈ (Π_{j∉S} m'_j)
+  //   ΔJ = Σ_i R'_1 ⋈ … ⋈ R'_{i−1} ⋈ δ_i ⋈ R_{i+1} ⋈ … ⋈ R_n
   //
-  // Every term is a seeded join: the patterns in S bind their variables
-  // from delta triples (tiny lists), the rest evaluate against the store.
-  // Per-binding weight = (−1)^{|S|+1} × the product of the chosen delta
-  // triples' signs; groups fold weights into (rows, Σvalue) deltas.
+  // Term i is one seeded join: δ_i's triples bind pattern i's variables,
+  // patterns before i read the store through their patches (R') and those
+  // after i read it unpatched (R). No term joins two delta lists, so no
+  // cross product of delta lists can arise, and nothing limits the number
+  // of patterns. Each binding carries its seed triple's sign; groups fold
+  // the signs into (rows, Σvalue) deltas.
   struct DeltaCell {
     int64_t drows = 0;
     int64_t disum = 0;
@@ -452,106 +429,53 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
                       facet_->agg_kind() == sparql::AggKind::kAvg;
   const size_t num_dims = facet_->num_dims();
 
-  for (uint32_t subset = 1; subset < (1u << n); ++subset) {
-    std::vector<size_t> members;
-    bool feasible = true;
-    for (size_t i = 0; i < n; ++i) {
-      if (((subset >> i) & 1u) == 0) continue;
-      if (info[i].delta.empty()) {
-        feasible = false;
-        break;
-      }
-      members.push_back(i);
-    }
-    if (!feasible) continue;
-
-    // Build the signed seed rows: the join of the members' delta lists.
-    // Each extension anchors on a position whose variable is already
-    // bound (hash on that field) when one exists; disconnected members
-    // fall back to the full cross product — both tiny, both exact.
+  for (size_t i = 0; i < n; ++i) {
+    const PatternInfo& pi = info[i];
     std::vector<sparql::Row> seeds;
     std::vector<int8_t> signs;
-    std::unordered_set<int> bound_slot_set;
-    for (size_t mi = 0; mi < members.size(); ++mi) {
-      const PatternInfo& pi = info[members[mi]];
-      const auto& dl = pi.delta;
-      if (mi == 0) {
-        seeds.reserve(dl.size());
-        for (const auto& [t, sg] : dl) {
-          sparql::Row row(vars_.size(), kNullTermId);
-          if (unify(pi, t, &row)) {
-            seeds.push_back(std::move(row));
-            signs.push_back(sg);
-          }
+    for (const auto& [side, sign] :
+         {std::make_pair(&patch[i].spo().adds, int8_t{1}),
+          std::make_pair(&patch[i].spo().deletes, int8_t{-1})}) {
+      for (const Triple& t : *side) {
+        // Bind pattern i's variables; a repeated variable must agree.
+        sparql::Row row(vars_.size(), kNullTermId);
+        const TermId fields[3] = {t.s, t.p, t.o};
+        bool consistent = true;
+        for (int f = 0; f < 3 && consistent; ++f) {
+          if (pi.slots[f] < 0) continue;
+          TermId& cur = row[static_cast<size_t>(pi.slots[f])];
+          if (cur != kNullTermId && cur != fields[f]) consistent = false;
+          cur = fields[f];
         }
-      } else {
-        int anchor = -1;
-        for (int f = 0; f < 3; ++f) {
-          if (pi.slots[f] >= 0 && bound_slot_set.count(pi.slots[f]) > 0) {
-            anchor = f;
-            break;
-          }
-        }
-        std::vector<sparql::Row> next;
-        std::vector<int8_t> nsigns;
-        if (anchor >= 0) {
-          std::unordered_multimap<TermId, size_t> index;
-          index.reserve(dl.size());
-          for (size_t d = 0; d < dl.size(); ++d) {
-            index.emplace(FieldOf(dl[d].first, anchor), d);
-          }
-          std::vector<size_t> hits;
-          for (size_t r = 0; r < seeds.size(); ++r) {
-            hits.clear();
-            auto [lo, hi] = index.equal_range(
-                seeds[r][static_cast<size_t>(pi.slots[anchor])]);
-            for (auto it = lo; it != hi; ++it) hits.push_back(it->second);
-            std::sort(hits.begin(), hits.end());  // deterministic order
-            for (size_t d : hits) {
-              sparql::Row row = seeds[r];
-              if (unify(pi, dl[d].first, &row)) {
-                next.push_back(std::move(row));
-                nsigns.push_back(
-                    static_cast<int8_t>(signs[r] * dl[d].second));
-              }
-            }
-          }
-        } else {
-          for (size_t r = 0; r < seeds.size(); ++r) {
-            for (const auto& [t, sg] : dl) {
-              sparql::Row row = seeds[r];
-              if (unify(pi, t, &row)) {
-                next.push_back(std::move(row));
-                nsigns.push_back(static_cast<int8_t>(signs[r] * sg));
-              }
-            }
-          }
-        }
-        seeds = std::move(next);
-        signs = std::move(nsigns);
-      }
-      if (seeds.empty()) break;
-      for (int f = 0; f < 3; ++f) {
-        if (pi.slots[f] >= 0) bound_slot_set.insert(pi.slots[f]);
+        if (!consistent) continue;
+        seeds.push_back(std::move(row));
+        signs.push_back(sign);
       }
     }
     if (seeds.empty()) continue;
 
     std::vector<size_t> remaining;
+    std::vector<const sparql::PatternPatch*> patches(n, nullptr);
     for (size_t j = 0; j < n; ++j) {
-      if (((subset >> j) & 1u) == 0) remaining.push_back(j);
+      if (j == i) continue;
+      remaining.push_back(j);
+      if (j < i) patches[j] = &patch[j];
     }
-    std::vector<int> bound_slots(bound_slot_set.begin(), bound_slot_set.end());
+    std::vector<int> bound_slots;
+    for (int slot : pi.slots) {
+      if (slot >= 0) bound_slots.push_back(slot);
+    }
     std::sort(bound_slots.begin(), bound_slots.end());
+    bound_slots.erase(std::unique(bound_slots.begin(), bound_slots.end()),
+                      bound_slots.end());
     SOFOS_ASSIGN_OR_RETURN(
         sparql::SeededJoinResult res,
         sparql::EvaluateSeededBgp(*store_, vars_, patterns, remaining,
-                                  bound_slots, seeds));
+                                  bound_slots, seeds, patches));
 
-    const int subset_sign = (members.size() % 2 == 1) ? 1 : -1;
     for (size_t r = 0; r < res.rows.size(); ++r) {
       const sparql::Row& row = res.rows[r];
-      const int w = subset_sign * signs[res.seed_index[r]];
+      const int w = signs[res.seed_index[r]];
       ++bindings;
       Key key(num_dims, kNullTermId);
       for (size_t d = 0; d < num_dims; ++d) {
@@ -601,7 +525,7 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
     } else if (minmax || dc.touched_double || old_cell.saw_double ||
                old_cell.dsum != 0.0) {
       // Non-additive content: re-evaluate exactly this group.
-      SOFOS_ASSIGN_OR_RETURN(RootCell fresh, EvalRootGroup(key));
+      SOFOS_ASSIGN_OR_RETURN(RootCell fresh, EvalRootGroup(key, post_delta));
       if (fresh.rows != static_cast<uint64_t>(new_rows)) return false;
       ++report->regrouped_keys;
       entry.new_cell = fresh;
@@ -903,82 +827,83 @@ void ViewMaintainer::MaintainView(ViewState* view,
   out->stats.triples_deleted = out->deletes.size();
 }
 
-Result<MaintenanceReport> ViewMaintainer::MaintainAll(ThreadPool* pool) {
-  if (!initialized_) {
-    return Status::Internal("ViewMaintainer::MaintainAll before Initialize");
-  }
-  MaintenanceReport report;
-
-  // Mode decision: delta when it is prepared and legal, forced or under
-  // the measured cost crossover; otherwise recompute-and-diff.
-  const bool can_delta = pending_.prepared && pattern_delta_ok_;
+bool ViewMaintainer::UseDeltaMode(uint64_t post_merge_triples) const {
+  if (!initialized_ || !pending_.prepared || !pattern_delta_ok_) return false;
   const uint64_t delta_size = pending_.adds.size() + pending_.deletes.size();
-  bool use_delta = false;
   switch (options_.mode) {
     case MaintainOptions::Mode::kForceFull:
-      break;
+      return false;
     case MaintainOptions::Mode::kForceDelta:
-      use_delta = can_delta;
-      break;
+      return true;
     case MaintainOptions::Mode::kAuto:
-      use_delta = can_delta &&
-                  static_cast<double>(delta_size) <=
-                      options_.crossover_fraction *
-                          static_cast<double>(store_->NumTriples());
       break;
   }
+  return static_cast<double>(delta_size) <=
+         options_.crossover_fraction * static_cast<double>(post_merge_triples);
+}
 
+Result<bool> ViewMaintainer::MaintainDelta(ThreadPool* pool,
+                                           MaintenanceReport* report,
+                                           EncodingEdits* edits) {
+  if (!initialized_) {
+    return Status::Internal("ViewMaintainer::MaintainDelta before Initialize");
+  }
+  MaintenanceReport pass;
   WallTimer root_timer;
   std::vector<RootDiff> diff;
-  if (use_delta) {
-    SOFOS_ASSIGN_OR_RETURN(bool consistent, ComputeDeltaDiff(&diff, &report));
-    if (consistent) {
-      ApplyRootDiff(diff);
-      report.mode = MaintainMode::kDelta;
-    } else {
-      // The signed algebra detected an inconsistency (it never should on
-      // a normalized delta): root_ is untouched, so rebuild it outright.
-      use_delta = false;
-      diff.clear();
-      report.delta_bindings = 0;
-      report.regrouped_keys = 0;
-    }
-  }
-  if (!use_delta) {
-    SOFOS_ASSIGN_OR_RETURN(diff, ComputeFullDiff());
-    report.mode = MaintainMode::kFull;
-  }
-  report.root_query_micros = root_timer.ElapsedMicros();
-  report.root_rows_changed = diff.size();
+  SOFOS_ASSIGN_OR_RETURN(bool consistent, ComputeDeltaDiff(&diff, &pass));
+  // The signed algebra detected an inconsistency (it never should on a
+  // normalized delta): nothing changed, so the caller recomputes in full.
+  if (!consistent) return false;
+  ApplyRootDiff(diff);
+  pass.mode = MaintainMode::kDelta;
+  pass.root_query_micros = root_timer.ElapsedMicros();
   pending_ = PendingDelta{};  // consumed
+  StageViews(diff, pool, &pass, edits);
+  *report = std::move(pass);
+  return true;
+}
 
-  if (!diff.empty() && !views_.empty()) {
-    WallTimer maintain_timer;
-    std::vector<StagedEdits> staged(views_.size());
-    ParallelForEach(pool, views_.size(), [&](size_t i) {
-      MaintainView(&views_[i], diff, &staged[i]);
-    });
-    report.maintain_micros = maintain_timer.ElapsedMicros();
+Result<MaintenanceReport> ViewMaintainer::MaintainFull(ThreadPool* pool,
+                                                       EncodingEdits* edits) {
+  if (!initialized_) {
+    return Status::Internal("ViewMaintainer::MaintainFull before Initialize");
+  }
+  MaintenanceReport report;
+  WallTimer root_timer;
+  SOFOS_ASSIGN_OR_RETURN(std::vector<RootDiff> diff, ComputeFullDiff());
+  report.mode = MaintainMode::kFull;
+  report.root_query_micros = root_timer.ElapsedMicros();
+  pending_ = PendingDelta{};  // consumed
+  StageViews(diff, pool, &report, edits);
+  return report;
+}
 
-    for (StagedEdits& edits : staged) {
-      for (const Triple& t : edits.adds) store_->StageAdd(t.s, t.p, t.o);
-      for (const Triple& t : edits.deletes) store_->StageDelete(t.s, t.p, t.o);
-      report.views.push_back(edits.stats);
-    }
-    if (store_->HasStagedDelta()) {
-      DeltaApplyResult merge = store_->ApplyDelta(pool);
-      report.triples_added = merge.adds_applied;
-      report.triples_deleted = merge.deletes_applied;
-      report.merge_micros = merge.merge_micros;
-    }
-  } else {
+void ViewMaintainer::StageViews(const std::vector<RootDiff>& diff,
+                                ThreadPool* pool, MaintenanceReport* report,
+                                EncodingEdits* edits) {
+  report->root_rows_changed = diff.size();
+  if (diff.empty() || views_.empty()) {
     for (const ViewState& view : views_) {
       ViewMaintenance stats;
       stats.mask = view.mask;
-      report.views.push_back(stats);
+      report->views.push_back(stats);
     }
+    return;
   }
-  return report;
+  WallTimer maintain_timer;
+  std::vector<StagedEdits> staged(views_.size());
+  ParallelForEach(pool, views_.size(), [&](size_t i) {
+    MaintainView(&views_[i], diff, &staged[i]);
+  });
+  report->maintain_micros = maintain_timer.ElapsedMicros();
+  for (StagedEdits& view_edits : staged) {
+    edits->adds.insert(edits->adds.end(), view_edits.adds.begin(),
+                       view_edits.adds.end());
+    edits->deletes.insert(edits->deletes.end(), view_edits.deletes.begin(),
+                          view_edits.deletes.end());
+    report->views.push_back(view_edits.stats);
+  }
 }
 
 }  // namespace maintenance

@@ -13,6 +13,7 @@
 #include "core/root_table.h"
 #include "rdf/triple_store.h"
 #include "sparql/binding.h"
+#include "sparql/delta_join.h"
 
 namespace sofos {
 
@@ -66,8 +67,10 @@ struct MaintenanceReport {
   uint64_t triples_deleted = 0;
   double root_query_micros = 0.0;  // root repair: Δ join or full evaluation
   double maintain_micros = 0.0;    // per-view delta staging (all views)
-  double merge_micros = 0.0;       // final ApplyDelta into the store
-  /// Which root-repair algorithm ran (kSkip until MaintainAll sets it).
+  /// The one ApplyDelta that merged the encoding edits: in delta mode it
+  /// also merged the base delta; in full mode the base merged before it.
+  double merge_micros = 0.0;
+  /// Which root-repair algorithm ran (kSkip until a pass sets it).
   MaintainMode mode = MaintainMode::kSkip;
   /// Signed Δ-join bindings folded into the root table (delta mode only).
   uint64_t delta_bindings = 0;
@@ -79,6 +82,13 @@ struct MaintenanceReport {
   bool skipped = false;
 
   std::string Summary() const;
+};
+
+/// Triple edits to the view encodings staged by one maintenance pass; the
+/// caller merges them into the store (SofosEngine::ApplyUpdates).
+struct EncodingEdits {
+  std::vector<Triple> adds;
+  std::vector<Triple> deletes;
 };
 
 /// Incrementally repairs the blank-node encodings of materialized views
@@ -95,14 +105,15 @@ struct MaintenanceReport {
 /// again. Per coarser view it adds additive roll-up accumulators and a
 /// projected-key → root-key bucket index. One maintenance pass then costs:
 ///
-///   1. repair the cached root table — in **delta mode** by evaluating the
-///      Δ of the facet-pattern join directly from the staged adds/deletes
-///      (counting-based IVM: signed bindings from seeded joins of the
-///      delta triples against the post-delta store, inclusion–exclusion
-///      over the touched patterns; see ComputeDeltaDiff and the README's
-///      Δ algebra section), or in **full mode** (the automatic fallback
-///      for large deltas and variable-predicate patterns) by recomputing
-///      the root with one query and diffing against the cache;
+///   1. repair the cached root table — in **delta mode**, before the base
+///      delta merges, by evaluating the Δ of the facet-pattern join from
+///      the effective adds/deletes (counting-based IVM: the telescoping
+///      delta rule, one seeded join per pattern against the pre-merge
+///      store with the delta patched into the scans of the patterns before
+///      it; see ComputeDeltaDiff and the README's Δ algebra section), or
+///      in **full mode**, after the base delta merged (the automatic
+///      fallback for large deltas and variable-predicate patterns), by
+///      recomputing the root with one query and diffing against the cache;
 ///   2. both modes emit the same root-table diff (changed keys with old
 ///      and new cells);
 ///   3. per materialized view (fanned out over the thread pool): fold the
@@ -112,8 +123,9 @@ struct MaintenanceReport {
 ///      O(|Δ root keys|) view rows; MIN/MAX and double-valued groups are
 ///      re-derived exactly from the bucket index's root cells;
 ///   4. stage the per-row triple edits (adjust sofos:value / sofos:rows,
-///      encode fresh rows, tombstone vanished rows) and merge them with
-///      one TripleStore::ApplyDelta.
+///      encode fresh rows, tombstone vanished rows) and hand them to the
+///      caller, which merges them — in delta mode in the same
+///      TripleStore::ApplyDelta as the base delta.
 ///
 /// Exactness: maintained values equal what full rematerialization would
 /// store, byte-for-byte for integer aggregates (COUNT, SUM over
@@ -151,21 +163,35 @@ class ViewMaintainer {
   /// the cached root table stays valid.
   bool Affects(const GraphDelta& delta) const;
 
-  /// Captures the *effective* base delta for the next MaintainAll — must
-  /// be called BEFORE the base delta merges into the store (membership
-  /// tests run against the pre-delta graph). `add_ids` / `delete_ids` are
-  /// the interned delta triples, sorted and deduplicated. Normalization
-  /// (G' = (G \ D) ∪ A): adds already present and deletes of absent or
-  /// re-added triples drop out; triples off the facet-pattern predicates
-  /// drop out too, so the cost crossover measures the relevant delta.
-  /// Without this call MaintainAll falls back to full recompute.
-  Status PrepareDelta(const std::vector<Triple>& add_ids,
-                      const std::vector<Triple>& delete_ids);
+  /// Captures the effective base delta for the next pass, BEFORE it
+  /// merges. The caller normalizes it once against the pre-merge graph
+  /// (G' = (G \ D) ∪ A): `adds` are absent from the store, `deletes`
+  /// present and not re-added. Triples off the facet-pattern predicates
+  /// drop out, so the cost crossover measures the relevant delta. Without
+  /// this call the pass runs in full mode.
+  void PrepareDelta(const std::vector<Triple>& adds,
+                    const std::vector<Triple>& deletes);
 
-  /// Repairs all view encodings against the store's current (post-delta)
-  /// base data; call AFTER the base delta merged. Leaves the store
-  /// finalized and the internal caches advanced to the new state.
-  Result<MaintenanceReport> MaintainAll(ThreadPool* pool = nullptr);
+  /// Mode decision for the prepared delta: delta mode when it is legal and
+  /// either forced or under the cost crossover, measured against
+  /// `post_merge_triples` (|G+| once the base delta merges).
+  bool UseDeltaMode(uint64_t post_merge_triples) const;
+
+  /// Delta mode, BEFORE the base delta merges: repairs the root table
+  /// from the prepared delta (the store plus per-pattern patches stands in
+  /// for the post-delta graph), rolls the diff up into every view and
+  /// appends the encoding edits to `edits` for the caller to merge
+  /// together with the base delta. Returns false, with nothing changed,
+  /// when the algebra detects an inconsistency; the caller then merges the
+  /// base delta and runs MaintainFull. An error also leaves the maintainer
+  /// unchanged.
+  Result<bool> MaintainDelta(ThreadPool* pool, MaintenanceReport* report,
+                             EncodingEdits* edits);
+
+  /// Full mode, AFTER the base delta merged: recomputes the root, diffs it
+  /// against the cache, and appends the encoding edits to `edits`.
+  Result<MaintenanceReport> MaintainFull(ThreadPool* pool,
+                                         EncodingEdits* edits);
 
   /// Current root-view table size — the fresh row count of the root view,
   /// used to refresh routing statistics without re-profiling.
@@ -232,7 +258,7 @@ class ViewMaintainer {
     ViewMaintenance stats;
   };
 
-  /// The effective delta PrepareDelta captured (consumed by MaintainAll).
+  /// The effective delta PrepareDelta captured (consumed by a pass).
   struct PendingDelta {
     std::vector<Triple> adds;
     std::vector<Triple> deletes;
@@ -246,20 +272,28 @@ class ViewMaintainer {
   Key ProjectKey(const Key& root_key, const ViewState& view) const;
 
   /// Delta-rule root repair: turns the pending effective delta into a
-  /// root-table diff via signed Δ-join bindings (read-only on root_).
+  /// root-table diff via signed Δ-join bindings, evaluated against the
+  /// pre-merge store (read-only on root_ and the store).
   /// Returns false when the algebra detects an inconsistency (negative
   /// group count) — the caller falls back to full recompute.
   Result<bool> ComputeDeltaDiff(std::vector<RootDiff>* diff,
                                 MaintenanceReport* report) const;
   /// Exact evaluation of one root group: the facet BGP with the dimension
-  /// slots pre-bound to `key` (the MIN/MAX and double-group fallback).
-  Result<RootCell> EvalRootGroup(const Key& key) const;
+  /// slots pre-bound to `key` (the MIN/MAX and double-group fallback),
+  /// over the store with `post_delta` (one patch per pattern) merged in.
+  Result<RootCell> EvalRootGroup(
+      const Key& key,
+      const std::vector<const sparql::PatternPatch*>& post_delta) const;
   /// Full-recompute fallback: evaluates the root and lockstep-diffs it
   /// against the cache; replaces root_ with the fresh table.
   Result<std::vector<RootDiff>> ComputeFullDiff();
   /// Applies a key-sorted diff to root_ (RootTable::Apply).
   void ApplyRootDiff(const std::vector<RootDiff>& diff);
 
+  /// Rolls the diff up into every view (fanned out over `pool`), appends
+  /// their triple edits to `edits` and fills the report's view figures.
+  void StageViews(const std::vector<RootDiff>& diff, ThreadPool* pool,
+                  MaintenanceReport* report, EncodingEdits* edits);
   /// Rolls the root diff up into one view and stages the triple edits.
   /// Mutates only `view` and `out`; reads root_ in its post-repair state.
   void MaintainView(ViewState* view, const std::vector<RootDiff>& diff,

@@ -41,9 +41,10 @@ struct TripleIdPattern {
 
 /// Applies a sorted, deduplicated delta to a sorted, deduplicated triple
 /// set: returns (base \ deletes) ∪ adds, sorted and deduplicated. A triple
-/// present on both sides survives — the one definition of delta semantics,
-/// shared by TripleStore::ApplyDelta (per-index, with tombstones), the
-/// engine's base-snapshot mirror, and the update-stream generator.
+/// present on both sides survives — the delta semantics TripleStore::
+/// ApplyDelta implements per index (with tombstones). The update-stream
+/// generator uses it to advance its working copy between batches; nothing
+/// else copies the graph.
 inline std::vector<Triple> ApplySortedDelta(const std::vector<Triple>& base,
                                             const std::vector<Triple>& adds,
                                             const std::vector<Triple>& deletes) {

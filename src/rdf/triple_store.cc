@@ -524,15 +524,18 @@ DeltaApplyResult TripleStore::ApplyDelta(ThreadPool* pool) {
 
   // Task list: one canonical merge (plus its directory) and one merge per
   // touched shard, all independent; each shard task sorts its own small
-  // delta slice into its run orders, then merges linearly.
+  // delta slice into its run orders, then merges linearly. The canonical
+  // merge is the longest task, so it goes first (the caller runs index 0)
+  // instead of queueing behind the shards.
   std::shared_ptr<const Canonical> fresh_canonical;
   std::vector<std::shared_ptr<const Shard>> replacements(tasks.size());
-  ParallelForEach(pool, tasks.size() + 1, [&](size_t i) {
-    if (i == tasks.size()) {
+  ParallelForEach(pool, tasks.size() + 1, [&](size_t task_index) {
+    if (task_index == 0) {
       fresh_canonical = MakeCanonical(MergeDelta(
           canonical_->triples, adds, deletes, PermLess{kPerms[kSPO]}));
       return;
     }
+    const size_t i = task_index - 1;
     const ShardTask& task = tasks[i];
     const FamilySpec& spec = kFamilySpecs[task.family];
     const Shard& old = *families_[task.family][task.bucket];

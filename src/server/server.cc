@@ -753,6 +753,8 @@ void SofosServer::HandleUpdate(const std::string& arg, std::string* out) {
     options.batch_fraction = fraction;
     options.seed =
         99 + update_batches_applied_.load(std::memory_order_relaxed);
+    // Every batch is drawn from a read-only view of G over the store (no
+    // copy of the graph) before the first one applies.
     auto stream = workload::GenerateUpdateStream(
         engine_->base_snapshot(), engine_->store()->dictionary(), options);
     // Union of view masks the maintenance passes actually changed, so the

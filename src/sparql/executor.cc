@@ -1,6 +1,7 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <unordered_map>
@@ -782,12 +783,12 @@ namespace {
 
 using internal::JoinHashTable;
 
-std::unique_ptr<JoinHashTable> BuildJoinHashTable(const TripleStore* store,
-                                                  const PatternStep& step,
-                                                  ExecStats* stats) {
+/// Builds the hash table of `step` over `range`, the scan of the step's
+/// constants.
+std::unique_ptr<JoinHashTable> BuildJoinHashTable(
+    const TripleStore::ScanRange& range, const PatternStep& step,
+    ExecStats* stats) {
   auto table = std::make_unique<JoinHashTable>();
-  TripleStore::ScanRange range =
-      store->Scan(step.consts[0], step.consts[1], step.consts[2]);
   stats->rows_scanned += range.size();
 
   auto key_of = [&step](const Triple& t) {
@@ -1477,7 +1478,10 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
         WallTimer build_timer;
         OperatorStats* slot =
             analyze ? &stats->operators[layout.step_op[i]] : nullptr;
-        tables[i] = BuildJoinHashTable(store_, plan_->steps[i], stats);
+        const PatternStep& step = plan_->steps[i];
+        tables[i] = BuildJoinHashTable(
+            store_->Scan(step.consts[0], step.consts[1], step.consts[2]), step,
+            stats);
         if (slot != nullptr) {
           slot->hash_build_rows += tables[i]->triples.size();
           slot->build_micros += build_timer.ElapsedMicros();
@@ -1665,11 +1669,120 @@ VariableTable BgpVariables(const std::vector<TriplePattern>& patterns) {
   return vars;
 }
 
+PatternPatch::PatternPatch(std::vector<Triple> adds,
+                           std::vector<Triple> deletes) {
+  // The five orders Scan() serves: SPO, SOP, PSO, POS and OSP.
+  const std::array<int, 3> orders[5] = {
+      TripleStore::ScanFieldOrder(true, false, false),
+      TripleStore::ScanFieldOrder(true, false, true),
+      TripleStore::ScanFieldOrder(false, true, false),
+      TripleStore::ScanFieldOrder(false, true, true),
+      TripleStore::ScanFieldOrder(false, false, true)};
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    Run& run = runs_[i];
+    run.order = orders[i];
+    run.adds = i + 1 < runs_.size() ? adds : std::move(adds);
+    run.deletes = i + 1 < runs_.size() ? deletes : std::move(deletes);
+    const TripleFieldLess less{run.order};
+    std::sort(run.adds.begin(), run.adds.end(), less);
+    std::sort(run.deletes.begin(), run.deletes.end(), less);
+  }
+}
+
+const PatternPatch::Run& PatternPatch::RunFor(
+    const std::array<int, 3>& order) const {
+  for (const Run& run : runs_) {
+    if (run.order == order) return run;
+  }
+  return runs_[0];  // the fully unbound scan is SPO
+}
+
+namespace {
+
+/// The stretch of a patch run that matches the bound fields of a scan
+/// (kNullTermId = unbound). The bound fields lead the run's order
+/// (TripleStore::ScanFieldOrder), so the matches are contiguous.
+struct PatchSlices {
+  const Triple* add_begin;
+  const Triple* add_end;
+  const Triple* del_begin;
+  const Triple* del_end;
+};
+
+PatchSlices SlicePatch(const PatternPatch::Run& run, TermId s, TermId p,
+                       TermId o) {
+  const TripleFieldLess less{run.order};
+  const TermId max = std::numeric_limits<TermId>::max();
+  const Triple lo{s, p, o};
+  const Triple hi{s == kNullTermId ? max : s, p == kNullTermId ? max : p,
+                  o == kNullTermId ? max : o};
+  auto bounded = [&](const std::vector<Triple>& v) {
+    const Triple* first =
+        std::lower_bound(v.data(), v.data() + v.size(), lo, less);
+    return std::make_pair(
+        first, std::upper_bound(first, v.data() + v.size(), hi, less));
+  };
+  const auto [add_begin, add_end] = bounded(run.adds);
+  const auto [del_begin, del_end] = bounded(run.deletes);
+  return PatchSlices{add_begin, add_end, del_begin, del_end};
+}
+
+const PatternPatch::Run& PatchRunFor(const PatternPatch& patch, TermId s,
+                                     TermId p, TermId o) {
+  return patch.RunFor(TripleStore::ScanFieldOrder(
+      s != kNullTermId, p != kNullTermId, o != kNullTermId));
+}
+
+/// What store.Count(s, p, o) returns once `patch` merges.
+uint64_t PatchedCount(const TripleStore& store, const PatternPatch& patch,
+                      TermId s, TermId p, TermId o) {
+  const PatchSlices slices = SlicePatch(PatchRunFor(patch, s, p, o), s, p, o);
+  return store.Count(s, p, o) + (slices.add_end - slices.add_begin) -
+         (slices.del_end - slices.del_begin);
+}
+
+/// What store.Scan(s, p, o) returns once `patch` merges, in the same index
+/// order: the store range with the patch's deletes skipped and its adds
+/// merged in at their place, in one linear pass like MergeDelta.
+TripleStore::ScanRange PatchedScan(const TripleStore& store,
+                                   const PatternPatch& patch, TermId s,
+                                   TermId p, TermId o) {
+  TripleStore::ScanRange range = store.Scan(s, p, o);
+  const PatternPatch::Run& run = PatchRunFor(patch, s, p, o);
+  const PatchSlices slices = SlicePatch(run, s, p, o);
+  if (slices.add_begin == slices.add_end &&
+      slices.del_begin == slices.del_end) {
+    return range;
+  }
+  const TripleFieldLess less{run.order};
+  auto out = std::make_shared<std::vector<Triple>>();
+  out->reserve(range.size() + (slices.add_end - slices.add_begin));
+  const Triple* add = slices.add_begin;
+  const Triple* del = slices.del_begin;
+  for (const Triple& t : range) {
+    while (add != slices.add_end && less(*add, t)) out->push_back(*add++);
+    while (del != slices.del_end && less(*del, t)) ++del;
+    if (del != slices.del_end && *del == t) {
+      ++del;
+      continue;
+    }
+    out->push_back(t);
+  }
+  out->insert(out->end(), add, slices.add_end);
+  if (out->empty()) return TripleStore::ScanRange();
+  const Triple* begin = out->data();
+  const Triple* end = begin + out->size();
+  return TripleStore::ScanRange(begin, end, std::move(out));
+}
+
+}  // namespace
+
 Result<SeededJoinResult> EvaluateSeededBgp(
     const TripleStore& store, const VariableTable& vars,
     const std::vector<TriplePattern>& patterns,
     const std::vector<size_t>& remaining, const std::vector<int>& bound_slots,
-    const std::vector<Row>& seeds) {
+    const std::vector<Row>& seeds,
+    const std::vector<const PatternPatch*>& patches) {
   SeededJoinResult out;
   if (seeds.empty()) return out;
   if (remaining.empty()) {
@@ -1687,6 +1800,7 @@ Result<SeededJoinResult> EvaluateSeededBgp(
     std::array<TermId, 3> consts{{kNullTermId, kNullTermId, kNullTermId}};
     std::array<const std::string*, 3> vars{{nullptr, nullptr, nullptr}};
     uint64_t est = 0;
+    const PatternPatch* patch = nullptr;  // null: the store as it stands
   };
   const Dictionary& dict = store.dictionary();
   std::vector<Candidate> candidates;
@@ -1708,7 +1822,11 @@ Result<SeededJoinResult> EvaluateSeededBgp(
         c.consts[i] = *id;
       }
     }
-    c.est = store.Count(c.consts[0], c.consts[1], c.consts[2]);
+    if (idx < patches.size()) c.patch = patches[idx];
+    c.est = c.patch != nullptr ? PatchedCount(store, *c.patch, c.consts[0],
+                                              c.consts[1], c.consts[2])
+                               : store.Count(c.consts[0], c.consts[1],
+                                             c.consts[2]);
     candidates.push_back(std::move(c));
   }
 
@@ -1722,6 +1840,7 @@ Result<SeededJoinResult> EvaluateSeededBgp(
   }
   std::vector<PatternStep> steps;
   steps.reserve(candidates.size());
+  std::vector<const PatternPatch*> step_patches;
   std::vector<bool> used(candidates.size(), false);
   for (size_t step_idx = 0; step_idx < candidates.size(); ++step_idx) {
     int best = -1;
@@ -1781,6 +1900,7 @@ Result<SeededJoinResult> EvaluateSeededBgp(
     step.match_order =
         TripleStore::ScanFieldOrder(bound_pos[0], bound_pos[1], bound_pos[2]);
     steps.push_back(std::move(step));
+    step_patches.push_back(chosen.patch);
   }
 
   // ---- Materialized stage-by-stage execution. ----
@@ -1795,7 +1915,13 @@ Result<SeededJoinResult> EvaluateSeededBgp(
   for (size_t i = 0; i < sidx.size(); ++i) sidx[i] = static_cast<uint32_t>(i);
 
   ExecStats build_stats;
-  for (const PatternStep& step : steps) {
+  for (size_t k = 0; k < steps.size(); ++k) {
+    const PatternStep& step = steps[k];
+    const PatternPatch* patch = step_patches[k];
+    auto scan = [&](TermId s, TermId p, TermId o) {
+      return patch != nullptr ? PatchedScan(store, *patch, s, p, o)
+                              : store.Scan(s, p, o);
+    };
     if (cur.empty()) break;
     // Same hash-build-vs-index-probe decision as the batch planner, with
     // the *actual* probe-side row count instead of an estimate.
@@ -1804,7 +1930,9 @@ Result<SeededJoinResult> EvaluateSeededBgp(
         step.est_cardinality <= kHashBuildMaxRows &&
         cur.size() >= kHashProbeMinRows &&
         cur.size() >= kHashProbePerBuildRow * step.est_cardinality) {
-      table = BuildJoinHashTable(&store, step, &build_stats);
+      table = BuildJoinHashTable(
+          scan(step.consts[0], step.consts[1], step.consts[2]), step,
+          &build_stats);
     }
     std::vector<Row> next;
     std::vector<uint32_t> nidx;
@@ -1828,7 +1956,7 @@ Result<SeededJoinResult> EvaluateSeededBgp(
         begin = table->triples.data() + it->second.offset;
         end = begin + it->second.length;
       } else {
-        range = store.Scan(ids[0], ids[1], ids[2]);
+        range = scan(ids[0], ids[1], ids[2]);
         begin = range.begin();
         end = range.end();
       }

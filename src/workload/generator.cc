@@ -1,7 +1,6 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -119,8 +118,69 @@ Result<std::vector<WorkloadQuery>> WorkloadGenerator::Generate(
   return queries;
 }
 
+namespace {
+
+/// A sorted triple vector with the base view's graph interface: the working
+/// graph from the second batch on.
+struct SortedTriples {
+  const std::vector<Triple>* triples;
+  size_t size() const { return triples->size(); }
+  const Triple& operator[](size_t rank) const { return (*triples)[rank]; }
+  bool Contains(const Triple& t) const {
+    return std::binary_search(triples->begin(), triples->end(), t);
+  }
+};
+
+/// One sampled batch: the triples in the order they were drawn, plus the
+/// adds kept sorted for the duplicate check.
+struct SampledBatch {
+  std::vector<Triple> deletes;  // draw order
+  std::vector<Triple> adds;     // draw order
+  std::vector<Triple> sorted_adds;
+};
+
+/// Samples one batch against `current` (size(), rank access in SPO order,
+/// Contains()). Every random draw happens in a fixed order, so a seed
+/// yields the same batch whichever representation backs `current`.
+template <typename Graph, typename ObjectPool>
+SampledBatch SampleBatch(const Graph& current, size_t ops,
+                         double delete_fraction, ObjectPool&& objects_of,
+                         Rng* rng) {
+  SampledBatch batch;
+  size_t num_deletes =
+      static_cast<size_t>(static_cast<double>(ops) * delete_fraction);
+  num_deletes = std::min(num_deletes, current.size() > 1 ? current.size() - 1
+                                                         : size_t{0});
+  const size_t num_adds = ops - std::min(ops, num_deletes);
+  for (size_t i : rng->SampleIndices(current.size(), num_deletes)) {
+    batch.deletes.push_back(current[i]);
+  }
+  for (size_t i = 0; i < num_adds; ++i) {
+    // A handful of recombination attempts per insert; graphs where every
+    // (s, p, o') already exists simply yield a smaller batch.
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const Triple donor = current[rng->Uniform(current.size())];
+      const TripleStore::ScanRange& pool = objects_of(donor.p);
+      Triple candidate{donor.s, donor.p,
+                       pool.begin()[rng->Uniform(pool.size())].o};
+      std::vector<Triple>& sorted = batch.sorted_adds;
+      if (current.Contains(candidate) ||
+          std::binary_search(sorted.begin(), sorted.end(), candidate)) {
+        continue;
+      }
+      sorted.insert(std::lower_bound(sorted.begin(), sorted.end(), candidate),
+                    candidate);
+      batch.adds.push_back(candidate);
+      break;
+    }
+  }
+  return batch;
+}
+
+}  // namespace
+
 Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
-    const std::vector<Triple>& base, const Dictionary& dict,
+    const core::BaseGraphView& base, const Dictionary& dict,
     const UpdateStreamOptions& options) {
   using core::maintenance::GraphDelta;
   using core::maintenance::TermTriple;
@@ -135,64 +195,47 @@ Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
 
   Rng rng(options.seed);
 
-  // Object pools per predicate, sampled from the initial base: inserts
-  // recombine an existing (s, p) with another object of the same predicate.
-  std::unordered_map<TermId, std::vector<TermId>> objects_by_pred;
-  for (const Triple& t : base) objects_by_pred[t.p].push_back(t.o);
-
-  // `current` evolves as batches are generated so that every delete hits a
-  // live triple and every insert is genuinely new at apply time.
-  std::vector<Triple> current = base;  // stays sorted
+  // Object pools per predicate, from the initial base: inserts recombine
+  // an existing (s, p) with another object of the same predicate. A
+  // predicate's objects in base SPO order are the o column of its PSO run.
+  std::unordered_map<TermId, TripleStore::ScanRange> pools;
+  auto objects_of = [&](TermId p) -> const TripleStore::ScanRange& {
+    auto it = pools.find(p);
+    if (it == pools.end()) it = pools.emplace(p, base.WithPredicate(p)).first;
+    return it->second;
+  };
 
   auto decode = [&](const Triple& t) {
     return TermTriple{dict.term(t.s), dict.term(t.p), dict.term(t.o)};
   };
 
+  size_t ops = static_cast<size_t>(static_cast<double>(base.size()) *
+                                   options.batch_fraction);
+  ops = std::max(ops,
+                 static_cast<size_t>(std::max(options.min_batch_ops, 1)));
+
+  // The graph each batch is sampled against: the base view itself for the
+  // first batch, then a sorted copy that absorbs every batch so far, so
+  // every delete hits a live triple and every insert is new at apply time.
+  std::vector<Triple> current;
   std::vector<GraphDelta> stream;
   stream.reserve(static_cast<size_t>(options.num_batches));
   for (int b = 0; b < options.num_batches; ++b) {
-    size_t ops = static_cast<size_t>(
-        static_cast<double>(base.size()) * options.batch_fraction);
-    ops = std::max(ops, static_cast<size_t>(std::max(options.min_batch_ops, 1)));
-    size_t num_deletes = static_cast<size_t>(
-        static_cast<double>(ops) * options.delete_fraction);
-    num_deletes = std::min(num_deletes, current.size() > 1 ? current.size() - 1
-                                                           : size_t{0});
-    size_t num_adds = ops - std::min(ops, num_deletes);
-
+    SampledBatch batch =
+        b == 0 ? SampleBatch(base, ops, options.delete_fraction, objects_of,
+                             &rng)
+               : SampleBatch(SortedTriples{&current}, ops,
+                             options.delete_fraction, objects_of, &rng);
     GraphDelta delta;
-    std::vector<Triple> batch_deletes;
-    for (size_t i : rng.SampleIndices(current.size(), num_deletes)) {
-      batch_deletes.push_back(current[i]);
-      delta.deletes.push_back(decode(current[i]));
-    }
-    std::sort(batch_deletes.begin(), batch_deletes.end());
-
-    std::vector<Triple> batch_adds;
-    for (size_t i = 0; i < num_adds; ++i) {
-      // A handful of recombination attempts per insert; graphs where every
-      // (s, p, o') already exists simply yield a smaller batch.
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        const Triple& donor = current[rng.Uniform(current.size())];
-        const std::vector<TermId>& pool = objects_by_pred[donor.p];
-        Triple candidate{donor.s, donor.p, pool[rng.Uniform(pool.size())]};
-        if (std::binary_search(current.begin(), current.end(), candidate) ||
-            std::binary_search(batch_adds.begin(), batch_adds.end(),
-                               candidate)) {
-          continue;
-        }
-        batch_adds.insert(std::lower_bound(batch_adds.begin(),
-                                           batch_adds.end(), candidate),
-                          candidate);
-        delta.adds.push_back(decode(candidate));
-        break;
-      }
-    }
-
-    // Advance the working copy with the shared delta semantics.
-    current = ApplySortedDelta(current, batch_adds, batch_deletes);
-
+    for (const Triple& t : batch.deletes) delta.deletes.push_back(decode(t));
+    for (const Triple& t : batch.adds) delta.adds.push_back(decode(t));
     stream.push_back(std::move(delta));
+    if (b + 1 == options.num_batches) break;  // no later batch reads it
+
+    // Advance the working graph with the shared delta semantics.
+    std::sort(batch.deletes.begin(), batch.deletes.end());
+    if (b == 0) current.assign(base.begin(), base.end());
+    current = ApplySortedDelta(current, batch.sorted_adds, batch.deletes);
   }
   return stream;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/base_graph.h"
 #include "core/facet.h"
 #include "core/maintenance/delta.h"
 #include "core/workload_types.h"
@@ -65,15 +66,21 @@ struct UpdateStreamOptions {
 };
 
 /// Generates a deterministic stream of update batches against the base
-/// graph `base` (sorted SPO, as returned by SofosEngine::base_snapshot()).
-/// Deletes sample live base triples; inserts recombine the (s, p) of one
-/// existing triple with the object of another triple of the same
-/// predicate, so inserts stay schema-consistent and can both shift
-/// aggregate values and mint fresh group keys in facet views. Batches are
-/// sequentially consistent: each one is generated against the graph state
-/// left by applying all previous ones.
+/// graph `base` (SofosEngine::base_snapshot(), or BaseGraphView(store) for
+/// a store without views). Deletes sample live base triples by rank;
+/// inserts recombine the (s, p) of one existing triple with the object of
+/// another triple of the same predicate, so inserts stay schema-consistent
+/// and can both shift aggregate values and mint fresh group keys in facet
+/// views. Batches are sequentially consistent: each one is generated
+/// against the graph state left by applying all previous ones.
+///
+/// The first batch reads the view in place — rank access, membership, and
+/// per-predicate object pools that are the o column of each predicate's
+/// PSO run — so a one-batch stream copies nothing. Only a stream of two or
+/// more batches materializes the evolving graph, after its first batch.
+/// The batches for a seed are the same whatever backs the graph.
 Result<std::vector<core::maintenance::GraphDelta>> GenerateUpdateStream(
-    const std::vector<Triple>& base, const Dictionary& dict,
+    const core::BaseGraphView& base, const Dictionary& dict,
     const UpdateStreamOptions& options);
 
 }  // namespace workload

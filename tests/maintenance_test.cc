@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "core/maintenance/delta.h"
 #include "gtest/gtest.h"
@@ -763,6 +765,167 @@ TEST(DeltaMaintenanceTest, DeltaPathThreadCountInvariance) {
   std::vector<std::string> serial = run(1);
   std::vector<std::string> parallel = run(4);
   EXPECT_EQ(serial, parallel);
+}
+
+/// One random facet over a dataset's canonical pattern: a connected subset
+/// of its triple patterns, a random aggregate and 1-4 of the dataset's
+/// dimensions that the subset binds. Empty when the draw fails.
+std::string RandomFacetSparql(const datagen::DatasetSpec& spec, Rng* rng,
+                              std::vector<std::string>* dims) {
+  // The canonical facet's WHERE lines, with their variables.
+  struct Line {
+    std::string text;
+    std::vector<std::string> vars;
+  };
+  std::vector<Line> lines;
+  const std::string& sparql = spec.facet_sparql;
+  const size_t open = sparql.find('{');
+  const size_t close = sparql.find('}');
+  size_t pos = open + 1;
+  while (pos < close) {
+    size_t dot = sparql.find(" .", pos);
+    if (dot == std::string::npos || dot > close) break;
+    Line line;
+    line.text = sparql.substr(pos, dot - pos);
+    for (size_t q = line.text.find('?'); q != std::string::npos;
+         q = line.text.find('?', q + 1)) {
+      size_t e = line.text.find(' ', q);
+      line.vars.push_back(line.text.substr(q + 1, e == std::string::npos
+                                                      ? std::string::npos
+                                                      : e - q - 1));
+    }
+    lines.push_back(std::move(line));
+    pos = dot + 2;
+  }
+  const std::string prefix = sparql.substr(0, sparql.find("SELECT"));
+
+  // A connected subset of 3..n lines.
+  const size_t k = 3 + rng->Uniform(lines.size() - 2);
+  std::vector<size_t> picked = rng->SampleIndices(lines.size(), k);
+  std::set<std::string> reach(lines[picked[0]].vars.begin(),
+                              lines[picked[0]].vars.end());
+  std::set<size_t> joined = {picked[0]};
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (size_t i : picked) {
+      if (joined.count(i) > 0) continue;
+      for (const std::string& v : lines[i].vars) {
+        if (reach.count(v) == 0) continue;
+        joined.insert(i);
+        reach.insert(lines[i].vars.begin(), lines[i].vars.end());
+        grew = true;
+        break;
+      }
+    }
+  }
+  if (joined.size() != picked.size()) return "";
+
+  // Dimensions: dataset dimensions the subset binds; the aggregate runs
+  // over one of the other variables.
+  std::vector<std::string> dim_pool, agg_pool;
+  for (const std::string& v : reach) {
+    bool is_dim = std::find(spec.dim_vars.begin(), spec.dim_vars.end(), v) !=
+                  spec.dim_vars.end();
+    (is_dim ? dim_pool : agg_pool).push_back(v);
+  }
+  if (dim_pool.empty() || agg_pool.empty()) return "";
+  dims->clear();
+  for (size_t i : rng->SampleIndices(dim_pool.size(),
+                                     1 + rng->Uniform(dim_pool.size()))) {
+    dims->push_back(dim_pool[i]);
+  }
+  std::sort(dims->begin(), dims->end());
+  const char* kAggs[] = {"COUNT", "SUM", "MIN", "MAX"};
+  const std::string agg = kAggs[rng->Uniform(4)];
+  std::string head, group;
+  for (const std::string& d : *dims) {
+    head += " ?" + d;
+    group += " ?" + d;
+  }
+  std::string where;
+  for (size_t i : picked) where += " " + lines[i].text + " .";
+  return prefix + "SELECT" + head + " (" + agg + "(?" + rng->Pick(agg_pool) +
+         ") AS ?agg) WHERE {" + where + " } GROUP BY" + group;
+}
+
+/// Randomized delta-vs-full property: over random facets (COUNT, SUM,
+/// MIN, MAX over 3-6 patterns) on all three generators, and add-only,
+/// delete-only and mixed batches of 0.1% to 5%, the graph maintained in
+/// delta (or automatic) mode is byte-identical to the one recomputed under
+/// kForceFull after every batch. lubm's own facet at 2.5% is the batch
+/// whose {studentType, courseLevel, subOrganizationOf} delta lists once
+/// formed a 1.5M-row cross product.
+TEST(DeltaMaintenanceTest, RandomFacetsDeltaMatchesFull) {
+  Rng rng(4242);
+  uint64_t delta_batches = 0, full_batches = 0, regrouped = 0;
+  const double kFractions[] = {0.001, 0.005, 0.01, 0.025, 0.05};
+  const double kDeleteFractions[] = {0.0, 1.0, 0.4};
+  int trial = 0;
+  for (const std::string dataset : {"geopop", "lubm", "swdf"}) {
+    TripleStore probe;
+    auto spec = datagen::GenerateByName(dataset, datagen::Scale::kTiny, 42,
+                                        &probe);
+    ASSERT_TRUE(spec.ok());
+    for (int f = 0; f < 7; ++f, ++trial) {
+      std::vector<std::string> dims;
+      std::string facet_sparql;
+      if (dataset == "lubm" && f == 0) {
+        facet_sparql = spec->facet_sparql;
+        dims = spec->dim_vars;
+      }
+      while (facet_sparql.empty()) {
+        facet_sparql = RandomFacetSparql(*spec, &rng, &dims);
+      }
+      SCOPED_TRACE(dataset + " facet: " + facet_sparql);
+      const bool lubm_canonical = dataset == "lubm" && f == 0;
+      const MaintainOptions::Mode mode =
+          trial % 2 == 0 || lubm_canonical ? MaintainOptions::Mode::kForceDelta
+                                           : MaintainOptions::Mode::kAuto;
+      core::SofosEngine engine, full;
+      for (core::SofosEngine* e : {&engine, &full}) {
+        testing::SetUpEngine(e, dataset);
+        auto facet = core::Facet::FromSparql(facet_sparql, "rand", dims);
+        ASSERT_TRUE(facet.ok()) << facet.status().ToString();
+        SOFOS_ASSERT_OK(e->SetFacet(std::move(facet).value()));
+        testing::MustProfile(e);
+        core::TripleCountCostModel model;
+        SOFOS_ASSERT_OK_AND_ASSIGN(auto selection, e->SelectViews(model, 3));
+        SOFOS_ASSERT_OK(e->MaterializeSelection(selection).status());
+        MaintainOptions options;
+        options.mode = e == &engine ? mode : MaintainOptions::Mode::kForceFull;
+        e->SetMaintainOptions(options);
+      }
+      for (int b = 0; b < 3; ++b) {
+        workload::UpdateStreamOptions options;
+        options.num_batches = 1;
+        options.batch_fraction =
+            lubm_canonical ? 0.025 : kFractions[rng.Uniform(5)];
+        options.delete_fraction = kDeleteFractions[rng.Uniform(3)];
+        options.seed = 1000 + static_cast<uint64_t>(trial * 10 + b);
+        SCOPED_TRACE("batch " + std::to_string(b) + " fraction " +
+                     std::to_string(options.batch_fraction) + " deletes " +
+                     std::to_string(options.delete_fraction));
+        SOFOS_ASSERT_OK_AND_ASSIGN(
+            auto stream,
+            workload::GenerateUpdateStream(engine.base_snapshot(),
+                                           engine.store()->dictionary(),
+                                           options));
+        SOFOS_ASSERT_OK_AND_ASSIGN(auto out, engine.ApplyUpdates(stream[0]));
+        SOFOS_ASSERT_OK_AND_ASSIGN(auto ref, full.ApplyUpdates(stream[0]));
+        EXPECT_EQ(out.adds_applied, ref.adds_applied);
+        EXPECT_EQ(out.deletes_applied, ref.deletes_applied);
+        if (out.maintenance.mode == MaintainMode::kDelta) ++delta_batches;
+        if (out.maintenance.mode == MaintainMode::kFull) ++full_batches;
+        regrouped += out.maintenance.regrouped_keys;
+        ASSERT_EQ(DecodedTriples(*engine.store()),
+                  DecodedTriples(*full.store()));
+        EXPECT_EQ(engine.BaseTriples(), engine.base_snapshot().size());
+      }
+    }
+  }
+  EXPECT_GT(delta_batches, 0u);
+  EXPECT_GT(full_batches, 0u);
+  EXPECT_GT(regrouped, 0u);
 }
 
 TEST(StalenessTest, DriftTriggersReselection) {

@@ -210,8 +210,8 @@ TEST(CompactLayoutTest, DeltaMaintenanceMatchesSortedLayout) {
   options.num_batches = 3;
   options.batch_fraction = 0.002;
   options.seed = 21;
-  auto stream = workload::GenerateUpdateStream(sorted.triples(),
-                                               sorted.dictionary(), options);
+  auto stream = workload::GenerateUpdateStream(
+      core::BaseGraphView(sorted), sorted.dictionary(), options);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
   for (const auto& batch : *stream) {
     for (const auto& t : batch.adds) {
@@ -401,8 +401,8 @@ TEST(CompactLayoutTest, ConcurrentSnapshotReadersDuringDeltas) {
   options.num_batches = 4;
   options.batch_fraction = 0.001;
   options.seed = 7;
-  auto stream = workload::GenerateUpdateStream(store.triples(),
-                                               store.dictionary(), options);
+  auto stream = workload::GenerateUpdateStream(
+      core::BaseGraphView(store), store.dictionary(), options);
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
 
   // Interning touches the shared dictionary; do it before readers start so

@@ -1,14 +1,28 @@
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
+#include "sparql/delta_join.h"
 #include "sparql/query_engine.h"
 #include "tests/test_util.h"
 
 namespace sofos {
 namespace {
 
+using sparql::BgpVariables;
+using sparql::EvaluateSeededBgp;
+using sparql::PatternPatch;
+using sparql::PatternTerm;
 using sparql::QueryEngine;
 using sparql::QueryResult;
+using sparql::Row;
+using sparql::SeededJoinResult;
+using sparql::TriplePattern;
+using sparql::VariableTable;
 using testing::BuildFigure1Graph;
 using testing::MustExecute;
 
@@ -266,6 +280,140 @@ TEST_F(Figure1Test, ResultToTableRenders) {
   std::string table = r.ToTable();
   EXPECT_NE(table.find("?c"), std::string::npos);
   EXPECT_NE(table.find("France"), std::string::npos);
+}
+
+/// Patched-scan oracle for EvaluateSeededBgp: evaluating a seeded sub-BGP
+/// with every remaining pattern patched by an effective delta must equal,
+/// row for row and in order (seed_index included), the unpatched call on a
+/// copy of the store that merged the same delta through ApplyDelta. Random
+/// small stores, deltas and sub-BGPs; enough seeds in some trials that the
+/// hash-build path runs too.
+TEST(SeededBgpPatchTest, PatchedScansMatchMergedStore) {
+  Rng rng(20231);
+  const int kNodes = 12;
+  const int kPreds = 4;
+  auto node = [](int i) { return Term::Iri("http://t/n" + std::to_string(i)); };
+  auto pred = [](int i) { return Term::Iri("http://t/p" + std::to_string(i)); };
+  uint64_t adds_hit = 0, deletes_hit = 0, trials_with_rows = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Two stores interning the same terms in the same order, so ids agree;
+    // node kNodes is interned last and only ever appears in adds, so its
+    // subject block lies past the base store's directory.
+    TripleStore base, merged;
+    std::vector<TermId> nodes, preds;
+    for (TripleStore* store : {&base, &merged}) {
+      nodes.clear();
+      preds.clear();
+      for (int i = 0; i < kPreds; ++i) preds.push_back(store->Intern(pred(i)));
+      for (int i = 0; i <= kNodes; ++i) nodes.push_back(store->Intern(node(i)));
+    }
+    auto random_triple = [&](int node_count) {
+      return Triple{nodes[rng.Uniform(node_count)], rng.Pick(preds),
+                    nodes[rng.Uniform(node_count)]};
+    };
+    std::set<Triple> graph;
+    const size_t target = 20 + rng.Uniform(120);
+    while (graph.size() < target) graph.insert(random_triple(kNodes));
+    for (const Triple& t : graph) {
+      base.Add(t.s, t.p, t.o);
+      merged.Add(t.s, t.p, t.o);
+    }
+    base.Finalize();
+    merged.Finalize();
+
+    // An effective delta: adds absent from the graph, deletes present.
+    std::set<Triple> add_set;
+    const size_t num_adds = rng.Uniform(25);
+    while (add_set.size() < num_adds) {
+      Triple t = random_triple(kNodes + 1);
+      if (graph.count(t) == 0) add_set.insert(t);
+    }
+    std::vector<Triple> adds(add_set.begin(), add_set.end());
+    std::vector<Triple> deletes;
+    std::vector<Triple> present(graph.begin(), graph.end());
+    for (size_t i : rng.SampleIndices(present.size(), rng.Uniform(25))) {
+      deletes.push_back(present[i]);
+    }
+    rng.Shuffle(&adds);  // patch order must not matter
+    rng.Shuffle(&deletes);
+    for (const Triple& t : adds) merged.StageAdd(t.s, t.p, t.o);
+    for (const Triple& t : deletes) merged.StageDelete(t.s, t.p, t.o);
+    merged.ApplyDelta();
+    const PatternPatch delta(adds, deletes);
+
+    // A random BGP of 2-4 patterns over four variables and constants.
+    const char* var_names[] = {"a", "b", "c", "d"};
+    std::vector<TriplePattern> patterns(2 + rng.Uniform(3));
+    for (TriplePattern& tp : patterns) {
+      auto position = [&](bool predicate) {
+        if (rng.Chance(0.65)) {
+          return PatternTerm::Var(var_names[rng.Uniform(predicate ? 1 : 4) +
+                                            (predicate ? 3 : 0)]);
+        }
+        return PatternTerm::Const(predicate ? pred(rng.Uniform(kPreds))
+                                            : node(rng.Uniform(kNodes + 1)));
+      };
+      tp.s = position(false);
+      tp.p = position(true);
+      tp.o = position(false);
+    }
+    const VariableTable vars = BgpVariables(patterns);
+    // Pattern 0 plays the seeded (already matched) pattern.
+    std::vector<size_t> remaining;
+    for (size_t j = 1; j < patterns.size(); ++j) remaining.push_back(j);
+    std::vector<int> bound_slots;
+    for (const PatternTerm* term : {&patterns[0].s, &patterns[0].p,
+                                    &patterns[0].o}) {
+      if (term->is_var()) bound_slots.push_back(*vars.Get(term->var()));
+    }
+    std::sort(bound_slots.begin(), bound_slots.end());
+    bound_slots.erase(std::unique(bound_slots.begin(), bound_slots.end()),
+                      bound_slots.end());
+    std::vector<Row> seeds(rng.Chance(0.5) ? 1 + rng.Uniform(8)
+                                           : 64 + rng.Uniform(200));
+    for (Row& seed : seeds) {
+      seed.assign(vars.size(), kNullTermId);
+      for (int slot : bound_slots) {
+        seed[static_cast<size_t>(slot)] =
+            vars.names()[static_cast<size_t>(slot)] == "d"
+                ? rng.Pick(preds)
+                : nodes[rng.Uniform(kNodes + 1)];
+      }
+    }
+
+    std::vector<const PatternPatch*> patches(patterns.size(), &delta);
+    SOFOS_ASSERT_OK_AND_ASSIGN(
+        SeededJoinResult patched,
+        EvaluateSeededBgp(base, vars, patterns, remaining, bound_slots, seeds,
+                          patches));
+    SOFOS_ASSERT_OK_AND_ASSIGN(
+        SeededJoinResult oracle,
+        EvaluateSeededBgp(merged, vars, patterns, remaining, bound_slots,
+                          seeds));
+    ASSERT_EQ(patched.rows, oracle.rows);
+    ASSERT_EQ(patched.seed_index, oracle.seed_index);
+
+    // Coverage: the delta must change answers in both directions.
+    SOFOS_ASSERT_OK_AND_ASSIGN(
+        SeededJoinResult before,
+        EvaluateSeededBgp(base, vars, patterns, remaining, bound_slots, seeds));
+    std::map<Row, int> diff;
+    for (const Row& row : patched.rows) ++diff[row];
+    for (const Row& row : before.rows) --diff[row];
+    bool gained = false, lost = false;
+    for (const auto& [row, count] : diff) {
+      (void)row;
+      gained |= count > 0;
+      lost |= count < 0;
+    }
+    adds_hit += gained ? 1 : 0;
+    deletes_hit += lost ? 1 : 0;
+    trials_with_rows += patched.rows.empty() ? 0 : 1;
+  }
+  EXPECT_GT(adds_hit, 10u);
+  EXPECT_GT(deletes_hit, 10u);
+  EXPECT_GT(trials_with_rows, 50u);
 }
 
 }  // namespace
