@@ -14,6 +14,9 @@
 ///                 the Δ algebra is O(Δ) is the store merge, which
 ///                 rewrites the canonical array and grows with |G+|
 ///
+/// The shard sweep reports the median of kRepetitions runs (store level)
+/// or batches (publish) with its quartiles.
+///
 ///   ./bench_store [json_path]
 ///
 /// With `json_path` the results are written as BENCH_store.json (the
@@ -33,7 +36,9 @@ namespace {
 
 using namespace sofos;
 
-constexpr int kRepetitions = 5;
+// Shard sweep samples: store-level runs, and 0.5% update batches before
+// each measured publish (21 batches grow the demo graphs by about 2% net).
+constexpr int kRepetitions = 21;
 constexpr double kBatchFraction = 0.005;  // "small delta": 0.5% of |G|
 const size_t kShardCounts[] = {1, 2, 4, 8};
 
@@ -58,11 +63,11 @@ struct SizeSweep {
 
 struct ShardResult {
   size_t shard_count = 0;
-  double finalize_ms = 0.0;
-  double apply_delta_ms = 0.0;
+  bench::Spread finalize_ms;
+  bench::Spread apply_delta_ms;
   uint64_t shards_rebuilt = 0;
-  double cow_clone_us = 0.0;
-  double publish_us = 0.0;
+  bench::Spread cow_clone_us;
+  bench::Spread publish_us;
 };
 
 struct DatasetResult {
@@ -129,9 +134,9 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
       for (const Triple& t : adds) store.StageDelete(t.s, t.p, t.o);
       store.ApplyDelta(pool);
     }
-    r.finalize_ms = bench::Median(finalize_runs);
-    r.apply_delta_ms = bench::Median(merge_runs);
-    r.cow_clone_us = bench::Median(cow_runs);
+    r.finalize_ms = bench::SpreadOf(finalize_runs);
+    r.apply_delta_ms = bench::SpreadOf(merge_runs);
+    r.cow_clone_us = bench::SpreadOf(cow_runs);
 
     // ---- Engine level: PublishSnapshot after a 0.5% update batch ----
     core::SofosEngine engine;
@@ -157,7 +162,7 @@ bool MeasureDataset(const std::string& dataset, ThreadPool* pool,
       if (!engine.PublishSnapshot().ok()) return false;
       publish_runs.push_back(publish_timer.ElapsedMicros());
     }
-    r.publish_us = bench::Median(publish_runs);
+    r.publish_us = bench::SpreadOf(publish_runs);
 
     out->shards.push_back(r);
   }
@@ -238,12 +243,21 @@ void WriteJson(const std::string& path,
       const ShardResult& r = d.shards[j];
       std::fprintf(
           f,
-          "      {\"shard_count\": %zu, \"finalize_ms\": %.3f, "
-          "\"apply_delta_ms\": %.3f, \"shards_rebuilt\": %llu,\n"
-          "       \"cow_clone_us\": %.1f, \"publish_us\": %.1f}%s\n",
-          r.shard_count, r.finalize_ms, r.apply_delta_ms,
-          static_cast<unsigned long long>(r.shards_rebuilt), r.cow_clone_us,
-          r.publish_us, j + 1 < d.shards.size() ? "," : "");
+          "      {\"shard_count\": %zu, \"shards_rebuilt\": %llu,\n"
+          "       \"finalize_ms\": %.3f, \"finalize_q1_ms\": %.3f, "
+          "\"finalize_q3_ms\": %.3f,\n"
+          "       \"apply_delta_ms\": %.3f, \"apply_delta_q1_ms\": %.3f, "
+          "\"apply_delta_q3_ms\": %.3f,\n"
+          "       \"cow_clone_us\": %.1f, \"cow_clone_q1_us\": %.1f, "
+          "\"cow_clone_q3_us\": %.1f,\n"
+          "       \"publish_us\": %.1f, \"publish_q1_us\": %.1f, "
+          "\"publish_q3_us\": %.1f}%s\n",
+          r.shard_count, static_cast<unsigned long long>(r.shards_rebuilt),
+          r.finalize_ms.median, r.finalize_ms.q1, r.finalize_ms.q3,
+          r.apply_delta_ms.median, r.apply_delta_ms.q1, r.apply_delta_ms.q3,
+          r.cow_clone_us.median, r.cow_clone_us.q1, r.cow_clone_us.q3,
+          r.publish_us.median, r.publish_us.q1, r.publish_us.q3,
+          j + 1 < d.shards.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", i + 1 < results.size() ? "," : "");
   }
@@ -286,8 +300,9 @@ int main(int argc, char** argv) {
 
   ThreadPool pool(4);
   std::vector<DatasetResult> results;
-  TablePrinter table({"dataset", "shards", "finalize ms", "delta ms",
-                      "rebuilt", "cow us", "publish us"});
+  TablePrinter table({"dataset", "shards", "finalize ms (q1-q3)",
+                      "delta ms (q1-q3)", "rebuilt", "cow us (q1-q3)",
+                      "publish us (q1-q3)"});
   for (const std::string& name : datagen::DatasetNames()) {
     DatasetResult result;
     result.name = name;
@@ -297,11 +312,11 @@ int main(int argc, char** argv) {
     }
     for (const ShardResult& r : result.shards) {
       table.AddRow({result.name, TablePrinter::Cell(uint64_t{r.shard_count}),
-                    TablePrinter::Cell(r.finalize_ms, 2),
-                    TablePrinter::Cell(r.apply_delta_ms, 2),
+                    bench::SpreadCell(r.finalize_ms, 2),
+                    bench::SpreadCell(r.apply_delta_ms, 2),
                     TablePrinter::Cell(r.shards_rebuilt),
-                    TablePrinter::Cell(r.cow_clone_us, 1),
-                    TablePrinter::Cell(r.publish_us, 1)});
+                    bench::SpreadCell(r.cow_clone_us, 1),
+                    bench::SpreadCell(r.publish_us, 1)});
     }
     results.push_back(result);
   }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "datagen/registry.h"
 
@@ -94,6 +95,30 @@ inline double Median(std::vector<double> values) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// Median and quartiles of a sample (nearest rank).
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+inline Spread SpreadOf(std::vector<double> values) {
+  Spread out;
+  if (values.empty()) return out;
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  out.median = values[n / 2];
+  out.q1 = values[n / 4];
+  out.q3 = values[(3 * n) / 4];
+  return out;
+}
+
+/// "median (q1-q3)" with `digits` decimals, for bench tables.
+inline std::string SpreadCell(const Spread& spread, int digits) {
+  return StrFormat("%.*f (%.*f-%.*f)", digits, spread.median, digits,
+                   spread.q1, digits, spread.q3);
 }
 
 /// Process memory as the kernel accounts it (/proc/self/status): VmHWM is

@@ -10,8 +10,8 @@
 #                            task per query)
 #   BENCH_maintenance.json — staged-delta merge vs full re-finalize and
 #                            ApplyUpdates in auto vs forced-full mode
-#   BENCH_exec.json        — root-view query: vectorized batch engine vs
-#                            the row-at-a-time Volcano executor
+#   BENCH_exec.json        — root-view query on the vectorized batch
+#                            engine: median and quartiles of 41 runs
 #   BENCH_server.json      — online serving (epoll event loops): closed-
 #                            loop cold/warm/mixed phases, telemetry-overhead
 #                            A/B (median of interleaved rounds), open-loop

@@ -777,8 +777,13 @@ Result<QueryOutcome> EngineSnapshot::Answer(const std::string& sparql,
   options.trace_parent = exec_span.id();
   sparql::QueryEngine engine(&store_, options);
   WallTimer timer;
+  // A routed query runs its rewritten text. Any other query runs the AST
+  // parsed above; planning only assigns its aggregate slots, which the
+  // recorder's AnalyzeQuery below does not read.
   SOFOS_ASSIGN_OR_RETURN(sparql::QueryResult result,
-                         engine.Execute(outcome.executed_sparql));
+                         outcome.used_view
+                             ? engine.Execute(outcome.executed_sparql)
+                             : engine.Execute(&parsed));
   outcome.micros = timer.ElapsedMicros();
   exec_span.Close();
   if (exec_hist_ != nullptr) exec_hist_->Record(outcome.micros);

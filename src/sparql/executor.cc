@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+#include <memory>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -96,8 +96,8 @@ inline void CopyRowInto(const RowBatch& src, uint32_t r, RowBatch* dst, size_t j
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate accumulation, shared verbatim by the row and batch engines so
-// the two can never diverge (the batch engine's byte-identity contract).
+// Aggregate accumulation: every aggregate-argument path of BatchAggregateOp
+// ends in AggAccumulateValue, so the paths cannot diverge.
 // ---------------------------------------------------------------------------
 
 struct AggAccum {
@@ -194,349 +194,11 @@ Result<TermId> AggFinalize(const Expr& spec, const AggAccum& acc,
 }
 
 // ---------------------------------------------------------------------------
-// Legacy row-at-a-time (Volcano) operators — ExecMode::kVolcano. Kept as
-// the reference semantics the batch engine is asserted against and as the
-// bench baseline.
-// ---------------------------------------------------------------------------
-
-/// Scan of the first pattern step.
-class ScanOp : public Operator {
- public:
-  ScanOp(const TripleStore* store, const PatternStep* step, size_t width,
-         ExecStats* stats)
-      : step_(step), width_(width), stats_(stats) {
-    range_ = store->Scan(step->consts[0], step->consts[1], step->consts[2]);
-    next_ = range_.begin();
-  }
-
-  Result<bool> Next(Row* row) override {
-    while (next_ != range_.end()) {
-      const Triple& t = *next_++;
-      ++stats_->rows_scanned;
-      row->assign(width_, kNullTermId);
-      if (BindStep(*step_, t, row)) return true;
-    }
-    return false;
-  }
-
- private:
-  const PatternStep* step_;
-  size_t width_;
-  ExecStats* stats_;
-  TripleStore::ScanRange range_;
-  const Triple* next_ = nullptr;
-};
-
-/// Index nested-loop join: for every input row, substitutes the bound
-/// variables into the pattern and scans the matching index range.
-class IndexJoinOp : public Operator {
- public:
-  IndexJoinOp(std::unique_ptr<Operator> child, const TripleStore* store,
-              const PatternStep* step, ExecStats* stats)
-      : child_(std::move(child)), store_(store), step_(step), stats_(stats) {}
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      while (cursor_ != range_.end()) {
-        const Triple& t = *cursor_++;
-        ++stats_->rows_scanned;
-        *row = current_;
-        if (BindStep(*step_, t, row)) return true;
-      }
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&current_));
-      if (!has) return false;
-      ++stats_->intermediate_rows;
-      TermId ids[3];
-      for (int i = 0; i < 3; ++i) {
-        if (step_->slots[i] >= 0) {
-          ids[i] = current_[static_cast<size_t>(step_->slots[i])];  // may be null
-        } else {
-          ids[i] = step_->consts[i];
-        }
-      }
-      range_ = store_->Scan(ids[0], ids[1], ids[2]);
-      cursor_ = range_.begin();
-    }
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  const TripleStore* store_;
-  const PatternStep* step_;
-  ExecStats* stats_;
-  Row current_;
-  TripleStore::ScanRange range_;
-  const Triple* cursor_ = nullptr;
-};
-
-/// FILTER evaluation; SPARQL semantics: an evaluation error removes the row.
-class FilterOp : public Operator {
- public:
-  FilterOp(std::unique_ptr<Operator> child, std::vector<const Expr*> filters,
-           const Dictionary* dict, const VariableTable* vars, ExecStats* stats,
-           int agg_base = -1)
-      : child_(std::move(child)),
-        filters_(std::move(filters)),
-        eval_(dict, vars, agg_base),
-        stats_(stats) {}
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-      if (!has) return false;
-      bool pass = true;
-      for (const Expr* f : filters_) {
-        auto verdict = eval_.EvalBool(*f, *row);
-        if (!verdict.ok() || !verdict.value()) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) return true;
-      ++stats_->filtered_rows;
-    }
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<const Expr*> filters_;
-  ExprEvaluator eval_;
-  ExecStats* stats_;
-};
-
-/// Hash aggregation. Materializes all groups on the first Next() call and
-/// then streams [group vars..., agg results...] rows.
-class AggregateOp : public Operator {
- public:
-  AggregateOp(std::unique_ptr<Operator> child, const Plan* plan,
-              const Dictionary* dict, Dictionary* mutable_dict, ExecStats* stats)
-      : child_(std::move(child)),
-        plan_(plan),
-        eval_(dict, &plan->pattern_vars),
-        dict_(mutable_dict),
-        stats_(stats) {}
-
-  Result<bool> Next(Row* row) override {
-    if (!materialized_) {
-      SOFOS_RETURN_IF_ERROR(Materialize());
-      materialized_ = true;
-    }
-    if (cursor_ >= results_.size()) return false;
-    *row = results_[cursor_++];
-    return true;
-  }
-
- private:
-  Status Materialize() {
-    const size_t num_groups_vars = plan_->group_slots.size();
-    const size_t num_aggs = plan_->agg_specs.size();
-    // Group key -> accumulators. std::map keeps the output deterministic.
-    std::map<Row, std::vector<AggAccum>> groups;
-
-    Row in;
-    while (true) {
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-      if (!has) break;
-      ++stats_->intermediate_rows;
-      Row key(num_groups_vars);
-      for (size_t i = 0; i < num_groups_vars; ++i) {
-        key[i] = in[static_cast<size_t>(plan_->group_slots[i])];
-      }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        SOFOS_RETURN_IF_ERROR(
-            AggAccumulate(*plan_->agg_specs[a], in, eval_, dict_, &it->second[a]));
-      }
-    }
-
-    // SPARQL: an aggregate query with no GROUP BY over an empty input still
-    // produces one group (COUNT = 0, SUM = 0, others unbound).
-    if (groups.empty() && num_groups_vars == 0) {
-      groups.try_emplace(Row{}).first->second.resize(num_aggs);
-    }
-
-    for (auto& [key, accums] : groups) {
-      Row out(num_groups_vars + num_aggs, kNullTermId);
-      std::copy(key.begin(), key.end(), out.begin());
-      for (size_t a = 0; a < num_aggs; ++a) {
-        SOFOS_ASSIGN_OR_RETURN(TermId id,
-                               AggFinalize(*plan_->agg_specs[a], accums[a], dict_));
-        out[num_groups_vars + a] = id;
-      }
-      results_.push_back(std::move(out));
-    }
-    return Status::OK();
-  }
-
-  std::unique_ptr<Operator> child_;
-  const Plan* plan_;
-  ExprEvaluator eval_;
-  Dictionary* dict_;
-  ExecStats* stats_;
-  bool materialized_ = false;
-  std::vector<Row> results_;
-  size_t cursor_ = 0;
-};
-
-/// Projection into the output layout; expression results are interned.
-/// Expression evaluation errors yield unbound outputs (SPARQL semantics).
-class ProjectOp : public Operator {
- public:
-  ProjectOp(std::unique_ptr<Operator> child, const Plan* plan,
-            const Dictionary* dict, Dictionary* mutable_dict,
-            const VariableTable* input_vars, int agg_base)
-      : child_(std::move(child)),
-        plan_(plan),
-        eval_(dict, input_vars, agg_base),
-        dict_(mutable_dict) {}
-
-  Result<bool> Next(Row* row) override {
-    Row in;
-    SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-    if (!has) return false;
-    row->assign(plan_->outputs.size(), kNullTermId);
-    for (size_t i = 0; i < plan_->outputs.size(); ++i) {
-      const Plan::OutputItem& item = plan_->outputs[i];
-      if (item.direct_slot >= 0) {
-        (*row)[i] = in[static_cast<size_t>(item.direct_slot)];
-        continue;
-      }
-      if (item.expr == nullptr) continue;
-      auto value = eval_.Eval(*item.expr, in);
-      if (!value.ok() || value.value().is_unbound()) continue;
-      auto term = value.value().ToTerm();
-      if (!term.ok()) continue;
-      (*row)[i] = dict_->Intern(term.value());
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  const Plan* plan_;
-  ExprEvaluator eval_;
-  Dictionary* dict_;
-};
-
-class DistinctOp : public Operator {
- public:
-  explicit DistinctOp(std::unique_ptr<Operator> child) : child_(std::move(child)) {}
-
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-      if (!has) return false;
-      if (seen_.insert(*row).second) return true;
-    }
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::unordered_set<Row, RowHash> seen_;
-};
-
-/// ORDER BY: materializes and sorts by evaluated keys using the total
-/// order (evaluation errors sort as unbound, i.e. first).
-class OrderByOp : public Operator {
- public:
-  OrderByOp(std::unique_ptr<Operator> child, const Plan* plan,
-            const Dictionary* dict, int agg_base)
-      : child_(std::move(child)),
-        plan_(plan),
-        eval_(dict, &plan->output_vars, agg_base) {}
-
-  Result<bool> Next(Row* row) override {
-    if (!materialized_) {
-      SOFOS_RETURN_IF_ERROR(Materialize());
-      materialized_ = true;
-    }
-    if (cursor_ >= rows_.size()) return false;
-    *row = std::move(rows_[cursor_++].row);
-    return true;
-  }
-
- private:
-  struct Keyed {
-    Row row;
-    std::vector<Value> keys;
-  };
-
-  Status Materialize() {
-    Row in;
-    while (true) {
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-      if (!has) break;
-      Keyed keyed;
-      keyed.row = in;
-      for (const auto& [expr, asc] : plan_->order_keys) {
-        (void)asc;
-        auto v = eval_.Eval(*expr, in);
-        keyed.keys.push_back(v.ok() ? v.value() : Value::Unbound());
-      }
-      rows_.push_back(std::move(keyed));
-    }
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [this](const Keyed& a, const Keyed& b) {
-                       for (size_t i = 0; i < plan_->order_keys.size(); ++i) {
-                         int c = a.keys[i].TotalCompare(b.keys[i]);
-                         if (c != 0) {
-                           return plan_->order_keys[i].second ? c < 0 : c > 0;
-                         }
-                       }
-                       return false;
-                     });
-    return Status::OK();
-  }
-
-  std::unique_ptr<Operator> child_;
-  const Plan* plan_;
-  ExprEvaluator eval_;
-  bool materialized_ = false;
-  std::vector<Keyed> rows_;
-  size_t cursor_ = 0;
-};
-
-class SliceOp : public Operator {
- public:
-  SliceOp(std::unique_ptr<Operator> child, int64_t offset, int64_t limit)
-      : child_(std::move(child)), offset_(offset), limit_(limit) {}
-
-  Result<bool> Next(Row* row) override {
-    while (skipped_ < offset_) {
-      SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-      if (!has) return false;
-      ++skipped_;
-    }
-    if (limit_ >= 0 && emitted_ >= limit_) return false;
-    SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-    if (!has) return false;
-    ++emitted_;
-    return true;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  int64_t offset_;
-  int64_t limit_;
-  int64_t skipped_ = 0;
-  int64_t emitted_ = 0;
-};
-
-/// Produces no rows; used for plans that are provably empty. Aggregate
-/// handling still applies above it, so COUNT over an impossible pattern
-/// correctly returns 0.
-class EmptyOp : public Operator {
- public:
-  Result<bool> Next(Row*) override { return false; }
-};
-
-// ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE instrumentation (ExecOptions::analyze): a plan-derived
-// slot layout shared by both engines, plus timing wrappers that record
-// per-operator actuals into ExecStats::operators. The layout depends only
-// on the Plan, so the slot sequence — and with it the ANALYZE output shape
-// — is identical across ExecMode and shard count.
+// slot layout plus a timing wrapper that records per-operator actuals into
+// ExecStats::operators. The layout depends only on the Plan, so the slot
+// sequence — and with it the ANALYZE output shape — is identical across
+// batch sizes and shard counts.
 // ---------------------------------------------------------------------------
 
 struct SlotLayout {
@@ -613,27 +275,6 @@ std::vector<OperatorStats> BuildOperatorSlots(const Plan& plan,
 /// Times every Next() call of the wrapped operator and counts its output.
 /// `micros` is inclusive (contains the whole subtree below); the renderer
 /// subtracts child time to show self time.
-class TimedOp : public Operator {
- public:
-  TimedOp(std::unique_ptr<Operator> inner, OperatorStats* slot)
-      : inner_(std::move(inner)), slot_(slot) {}
-
-  Result<bool> Next(Row* row) override {
-    WallTimer timer;
-    auto result = inner_->Next(row);
-    slot_->micros += timer.ElapsedMicros();
-    if (result.ok() && result.value()) {
-      ++slot_->batches;
-      ++slot_->rows_out;
-    }
-    return result;
-  }
-
- private:
-  std::unique_ptr<Operator> inner_;
-  OperatorStats* slot_;
-};
-
 class TimedBatchOp : public BatchOperator {
  public:
   TimedBatchOp(std::unique_ptr<BatchOperator> inner, OperatorStats* slot)
@@ -685,7 +326,7 @@ void RowBatch::GatherRow(uint32_t r, Row* out) const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Batch (vectorized) operators — ExecMode::kBatch.
+// Batch (vectorized) operators.
 // ---------------------------------------------------------------------------
 
 class BatchEmptyOp : public BatchOperator {
@@ -840,7 +481,7 @@ std::unique_ptr<JoinHashTable> BuildJoinHashTable(
 /// shared-build hash join; without one it is a vectorized index nested-loop
 /// join. Both emit, per probe row (in stream order), the matching triples
 /// in PatternStep::match_order — so the output stream is identical either
-/// way, and identical to the legacy row engine.
+/// way.
 class BatchJoinOp : public BatchOperator {
  public:
   BatchJoinOp(std::unique_ptr<BatchOperator> child, const TripleStore* store,
@@ -1013,10 +654,10 @@ class BatchFilterOp : public BatchOperator {
   Row scratch_;
 };
 
-/// Hash aggregation over batches. Accumulation runs in stream order with
-/// the shared AggAccumulateValue (identical values, including float
-/// addition order, to the row engine); output groups are sorted by key,
-/// matching the row engine's std::map materialization byte for byte.
+/// Hash aggregation over batches. Accumulation runs in stream order, and
+/// every argument path ends in AggAccumulateValue; output groups are sorted
+/// by ascending group-key TermIds, the order view encodings and
+/// core::ViewRows rely on.
 /// A bare-variable argument is read from its column: non-DISTINCT
 /// COUNT(?v) counts bound ids, every other aggregate decodes the id
 /// through the operator's TermValueCache. Other arguments are evaluated
@@ -1065,8 +706,8 @@ class BatchAggregateOp : public BatchOperator {
     const size_t num_group_vars = plan_->group_slots.size();
     const size_t num_aggs = plan_->agg_specs.size();
     // Open-addressed-in-spirit grouping: a hash index over insertion-ordered
-    // group storage, much cheaper than the row engine's std::map of rows;
-    // the deterministic sorted output order is restored at the end.
+    // group storage, much cheaper than a std::map of rows; the sorted
+    // output order is restored at the end.
     std::unordered_map<Row, size_t, RowHash> index;
     std::vector<std::pair<Row, std::vector<AggAccum>>> groups;
 
@@ -1117,7 +758,6 @@ class BatchAggregateOp : public BatchOperator {
       groups.emplace_back(Row{}, std::vector<AggAccum>(num_aggs));
     }
 
-    // Ascending group-key order — exactly the row engine's std::map order.
     std::vector<size_t> order(groups.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(), [&groups](size_t a, size_t b) {
@@ -1237,7 +877,7 @@ class BatchDistinctOp : public BatchOperator {
 };
 
 /// ORDER BY over batches: materializes rows plus evaluated keys, stable-sorts
-/// with the same comparator as the row engine, streams batches back out.
+/// them by Value::TotalCompare, streams batches back out.
 class BatchOrderByOp : public BatchOperator {
  public:
   BatchOrderByOp(std::unique_ptr<BatchOperator> child, const Plan* plan,
@@ -1354,97 +994,6 @@ class BatchSliceOp : public BatchOperator {
 Executor::Executor(const Plan* plan, const TripleStore* store, Dictionary* dict,
                    ExecOptions options)
     : plan_(plan), store_(store), dict_(dict), options_(options) {}
-
-std::unique_ptr<Operator> Executor::BuildVolcanoPipeline(ExecStats* stats) {
-  std::unique_ptr<Operator> op;
-  const size_t width = plan_->pattern_vars.size();
-
-  const bool analyze = options_.analyze;
-  SlotLayout layout;
-  if (analyze) {
-    layout = ComputeSlotLayout(*plan_);
-    if (stats->operators.size() != layout.total) {
-      stats->operators = BuildOperatorSlots(*plan_, layout);
-    }
-  }
-  // Wraps `inner` with the timing instrumentation when ANALYZE is on.
-  auto timed = [&](std::unique_ptr<Operator> inner,
-                   int slot) -> std::unique_ptr<Operator> {
-    if (!analyze || slot < 0) return inner;
-    return std::make_unique<TimedOp>(std::move(inner),
-                                     &stats->operators[slot]);
-  };
-
-  if (plan_->empty_guaranteed || plan_->steps.empty()) {
-    op = timed(std::make_unique<EmptyOp>(), analyze ? 0 : -1);
-  } else {
-    for (size_t i = 0; i < plan_->steps.size(); ++i) {
-      const PatternStep& step = plan_->steps[i];
-      const int slot = analyze ? layout.step_op[i] : -1;
-      if (i == 0) {
-        op = std::make_unique<ScanOp>(store_, &step, width, stats);
-      } else {
-        op = std::make_unique<IndexJoinOp>(std::move(op), store_, &step, stats);
-      }
-      op = timed(std::move(op), slot);
-      if (!step.filters.empty()) {
-        op = timed(std::make_unique<FilterOp>(std::move(op), step.filters,
-                                              dict_, &plan_->pattern_vars,
-                                              stats),
-                   analyze ? layout.step_filter[i] : -1);
-      }
-    }
-  }
-
-  int agg_base = -1;
-  const VariableTable* project_input = &plan_->pattern_vars;
-  if (plan_->is_aggregate) {
-    op = timed(std::make_unique<AggregateOp>(std::move(op), plan_, dict_, dict_,
-                                             stats),
-               layout.aggregate);
-    agg_base = static_cast<int>(plan_->group_slots.size());
-    project_input = &plan_->group_vars;
-    if (!plan_->having.empty()) {
-      // HAVING is evaluated over the aggregate output layout: group vars
-      // first, then one slot per aggregate (reached via agg_base).
-      op = timed(std::make_unique<FilterOp>(std::move(op), plan_->having,
-                                            dict_, &plan_->group_vars, stats,
-                                            agg_base),
-                 layout.having);
-    }
-  }
-
-  op = timed(std::make_unique<ProjectOp>(std::move(op), plan_, dict_, dict_,
-                                         project_input, agg_base),
-             layout.project);
-  if (plan_->distinct) {
-    op = timed(std::make_unique<DistinctOp>(std::move(op)), layout.distinct);
-  }
-  if (!plan_->order_keys.empty()) {
-    op = timed(std::make_unique<OrderByOp>(std::move(op), plan_, dict_,
-                                           agg_base),
-               layout.order_by);
-  }
-  if (plan_->limit >= 0 || plan_->offset > 0) {
-    op = timed(std::make_unique<SliceOp>(std::move(op), plan_->offset,
-                                         plan_->limit),
-               layout.slice);
-  }
-  return op;
-}
-
-Status Executor::RunVolcano(RowBuffer* out, ExecStats* stats) {
-  ScopedSpan run_span(options_.trace, "exec.volcano", options_.trace_parent);
-  std::unique_ptr<Operator> root = BuildVolcanoPipeline(stats);
-  Row row;
-  while (true) {
-    SOFOS_ASSIGN_OR_RETURN(bool has, root->Next(&row));
-    if (!has) break;
-    out->cells.insert(out->cells.end(), row.begin(), row.end());
-    ++out->rows;
-  }
-  return Status::OK();
-}
 
 Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
   const size_t width = plan_->pattern_vars.size();
@@ -1572,8 +1121,7 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
 Status Executor::Run(RowBuffer* out, ExecStats* stats) {
   WallTimer timer;
   out->width = plan_->outputs.size();
-  Status status = options_.mode == ExecMode::kVolcano ? RunVolcano(out, stats)
-                                                      : RunBatch(out, stats);
+  Status status = RunBatch(out, stats);
   stats->exec_micros += timer.ElapsedMicros();
   if (!status.ok()) return status;
   stats->output_rows += out->rows;
@@ -1582,9 +1130,6 @@ Status Executor::Run(RowBuffer* out, ExecStats* stats) {
 
 std::string Executor::DescribePhysical(const Plan& plan, const TripleStore& store,
                                        const ExecOptions& options) {
-  if (options.mode == ExecMode::kVolcano) {
-    return "PHYSICAL volcano (row-at-a-time, serial)\n";
-  }
   if (plan.empty_guaranteed || plan.steps.empty()) {
     return "PHYSICAL batch (empty plan)\n";
   }

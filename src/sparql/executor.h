@@ -2,7 +2,6 @@
 #define SOFOS_SPARQL_EXECUTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,8 +21,8 @@ namespace sparql {
 /// per plan step a scan/join slot plus an optional FILTER slot, then the
 /// tail (AGGREGATE / HAVING / PROJECT / DISTINCT / ORDER BY / SLICE) as
 /// applicable. The slot layout is derived from the Plan alone, so it is
-/// identical across ExecMode and shard count. `micros` is inclusive wall
-/// time, so self time (inclusive minus child inclusive) sums to
+/// identical across batch sizes and shard counts. `micros` is inclusive
+/// wall time, so self time (inclusive minus child inclusive) sums to
 /// ~exec_micros.
 struct OperatorStats {
   std::string label;            // "SCAN <pattern>", "FILTER <expr>", ...
@@ -53,17 +52,11 @@ struct ExecStats {
   std::vector<OperatorStats> operators;
 };
 
-/// Which engine executes the plan. kBatch is the default vectorized engine
-/// (operators exchange columnar RowBatches); kVolcano is the legacy
-/// row-at-a-time pull pipeline, kept as the reference semantics the batch
-/// engine is tested against and as the bench baseline.
-enum class ExecMode { kBatch, kVolcano };
-
-/// Per-query execution knobs. Defaults give the batch engine, whose
-/// results (rows, order, interned literals) are byte-identical to kVolcano.
+/// Per-query execution knobs. No setting changes results (rows, order,
+/// interned literals); see the Executor determinism contract.
 struct ExecOptions {
-  ExecMode mode = ExecMode::kBatch;
-  /// Rows per RowBatch between operators.
+  /// Rows per RowBatch between operators. Production callers keep the
+  /// default; tests vary it to reach batch boundaries.
   size_t batch_size = 1024;
   /// Collect per-operator actuals into ExecStats::operators (EXPLAIN
   /// ANALYZE). Off by default: the instrumented wrappers time every
@@ -81,8 +74,8 @@ struct ExecOptions {
 /// vector per variable slot plus an optional selection vector. Operators
 /// fill batches bottom-up; FILTER/DISTINCT/slice drop rows by shrinking
 /// `sel` instead of moving data. Row order (physical index order, filtered
-/// through `sel` in ascending order) is the row-at-a-time stream order —
-/// batch boundaries never affect results.
+/// through `sel` in ascending order) is the stream order — batch boundaries
+/// never affect results.
 class RowBatch {
  public:
   RowBatch() = default;
@@ -141,16 +134,9 @@ struct RowBuffer {
   const TermId* row(size_t r) const { return cells.data() + r * width; }
 };
 
-/// Pull-based (Volcano) operator interface. Next() produces rows until it
-/// returns false. Errors abort the query. Legacy engine (ExecMode::kVolcano).
-class Operator {
- public:
-  virtual ~Operator() = default;
-  virtual Result<bool> Next(Row* row) = 0;
-};
-
 /// Vectorized operator interface: Next() fills `out` with the next batch
 /// (possibly with a selection vector) and returns false at end of stream.
+/// Errors abort the query.
 class BatchOperator {
  public:
   virtual ~BatchOperator() = default;
@@ -165,10 +151,10 @@ class BatchOperator {
 /// invalidates the store's indexes.
 ///
 /// Determinism contract: for a fixed plan, the output row stream — and the
-/// order in which fresh literals are interned — is identical across
-/// ExecMode and batch_size. The hash join keeps it by emitting per-probe
-/// matches in the index order the nested-loop join would use
-/// (PatternStep::match_order).
+/// order in which fresh literals are interned — is identical at every
+/// batch_size. Hash and index joins emit each probe row's matches in the
+/// same index order (PatternStep::match_order), so flipping a step's
+/// JoinAlgo never changes the stream either.
 ///
 /// Thread safety: one Executor serves one query, but any number of
 /// Executors may Run() concurrently over the same finalized store — they
@@ -196,8 +182,6 @@ class Executor {
   static std::string RenderAnalyze(const Plan& plan, const ExecStats& stats);
 
  private:
-  std::unique_ptr<Operator> BuildVolcanoPipeline(ExecStats* stats);
-  Status RunVolcano(RowBuffer* out, ExecStats* stats);
   Status RunBatch(RowBuffer* out, ExecStats* stats);
 
   const Plan* plan_;

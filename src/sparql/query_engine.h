@@ -41,9 +41,8 @@ struct QueryResult {
 /// so independent QueryEngine instances over the same store may Execute()
 /// concurrently (dictionary interning is internally synchronized).
 ///
-/// `options` selects the execution engine (vectorized batch by default),
-/// the batch size and the instrumentation; results are identical for every
-/// setting (see the Executor determinism contract).
+/// `options` sets the batch size and the instrumentation; results are
+/// identical for every setting (see the Executor determinism contract).
 class QueryEngine {
  public:
   explicit QueryEngine(TripleStore* store) : store_(store) {}
@@ -61,8 +60,9 @@ class QueryEngine {
   /// column order, without decoding them into Terms.
   Result<RowBuffer> ExecuteIds(std::string_view sparql);
 
-  /// Returns the plan rendering plus the physical (batch/exchange) schedule
-  /// this engine's options would execute it with, for diagnostics.
+  /// Returns the plan rendering plus the physical batch schedule (batch
+  /// size, leaf-scan rows, hash joins) this engine's options would execute
+  /// it with, for diagnostics.
   Result<std::string> Explain(std::string_view sparql);
 
   /// EXPLAIN ANALYZE: executes the query with per-operator instrumentation

@@ -1,258 +1,355 @@
-/// Property tests pitting the optimizing engine (index scans, join
-/// reordering, filter pushdown, hash aggregation) against a deliberately
-/// naive reference evaluator on randomized graphs and queries. Any
-/// divergence is a planner/executor bug.
+/// Property tests pitting the optimizing engine (join reordering, hash
+/// joins, filter pushdown, TermId filter kernels, hash aggregation) against
+/// the reference evaluator of tests/reference_evaluator.h on randomized
+/// graphs and queries. Any divergence is a planner or executor bug.
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
-#include "sparql/expression.h"
 #include "sparql/parser.h"
+#include "sparql/planner.h"
 #include "sparql/query_engine.h"
-#include "tests/test_util.h"
+#include "tests/reference_evaluator.h"
 
 namespace sofos {
 namespace sparql {
 namespace {
 
-/// Brute-force evaluator: enumerates the cross product of all triples per
-/// pattern, checks bindings, applies filters last, then groups in memory.
-/// O(n^patterns) — only usable on tiny graphs, which is the point.
-class ReferenceEvaluator {
- public:
-  explicit ReferenceEvaluator(TripleStore* store) : store_(store) {}
-
-  Result<std::multiset<std::string>> Evaluate(const std::string& text) {
-    SOFOS_ASSIGN_OR_RETURN(Query query, Parser::Parse(text));
-    if (query.IsAggregateQuery()) {
-      return Status::Unimplemented("reference evaluator: BGP+filters only");
-    }
-    // Collect variables.
-    VariableTable vars;
-    for (const auto& tp : query.where) {
-      for (const PatternTerm* pt : {&tp.s, &tp.p, &tp.o}) {
-        if (pt->is_var()) vars.GetOrAdd(pt->var());
-      }
-    }
-
-    std::vector<Row> solutions;
-    Row row(vars.size(), kNullTermId);
-    Enumerate(query, 0, &row, &vars, &solutions);
-
-    // Apply projection.
-    std::multiset<std::string> out;
-    for (const Row& solution : solutions) {
-      std::string key;
-      if (query.select_all) {
-        for (size_t i = 0; i < vars.size(); ++i) {
-          key += RenderTerm(solution[i]) + "|";
-        }
-      } else {
-        for (const auto& item : query.select) {
-          auto slot = vars.Get(item.expr->var);
-          key += RenderTerm(slot.has_value() ? solution[*slot] : kNullTermId) + "|";
-        }
-      }
-      out.insert(std::move(key));
-    }
-    if (query.distinct) {
-      std::multiset<std::string> dedup;
-      for (auto it = out.begin(); it != out.end(); it = out.upper_bound(*it)) {
-        dedup.insert(*it);
-      }
-      return dedup;
-    }
-    return out;
-  }
-
- private:
-  std::string RenderTerm(TermId id) const {
-    if (id == kNullTermId) return "UNBOUND";
-    return store_->dictionary().term(id).ToNTriples();
-  }
-
-  void Enumerate(const Query& query, size_t index, Row* row, VariableTable* vars,
-                 std::vector<Row>* out) {
-    if (index == query.where.size()) {
-      // All patterns bound: apply every filter (errors drop the row).
-      ExprEvaluator eval(&store_->dictionary(), vars);
-      for (const auto& filter : query.filters) {
-        auto verdict = eval.EvalBool(*filter, *row);
-        if (!verdict.ok() || !*verdict) return;
-      }
-      out->push_back(*row);
-      return;
-    }
-    const TriplePattern& tp = query.where[index];
-    for (const Triple& t : store_->Scan(kNullTermId, kNullTermId, kNullTermId)) {
-      Row saved = *row;
-      if (TryBind(tp, t, row, vars)) {
-        Enumerate(query, index + 1, row, vars, out);
-      }
-      *row = saved;
-    }
-  }
-
-  bool TryBind(const TriplePattern& tp, const Triple& t, Row* row,
-               VariableTable* vars) {
-    const PatternTerm* positions[3] = {&tp.s, &tp.p, &tp.o};
-    TermId fields[3] = {t.s, t.p, t.o};
-    for (int i = 0; i < 3; ++i) {
-      if (positions[i]->is_var()) {
-        int slot = *vars->Get(positions[i]->var());
-        TermId current = (*row)[static_cast<size_t>(slot)];
-        if (current == kNullTermId) {
-          (*row)[static_cast<size_t>(slot)] = fields[i];
-        } else if (current != fields[i]) {
-          return false;
-        }
-      } else {
-        auto id = store_->dictionary().Lookup(positions[i]->term());
-        if (!id.has_value() || *id != fields[i]) return false;
-      }
-    }
-    return true;
-  }
-
-  TripleStore* store_;
+/// Size of a random graph. Small graphs keep a tiny vocabulary so that
+/// joins hit and cross products stay cheap; large ones have enough
+/// triples per predicate for the planner to choose hash probes.
+struct GraphShape {
+  int triples;
+  int nodes;
+  bool large;
 };
 
-/// Renders engine results in the reference's key format.
-std::multiset<std::string> EngineRows(TripleStore* store, const std::string& query) {
-  QueryEngine engine(store);
-  auto result = engine.Execute(query);
-  EXPECT_TRUE(result.ok()) << result.status().ToString() << "\n" << query;
-  std::multiset<std::string> out;
-  if (!result.ok()) return out;
-  for (size_t r = 0; r < result->rows.size(); ++r) {
-    std::string key;
-    for (size_t c = 0; c < result->rows[r].size(); ++c) {
-      key += (result->bound[r][c] ? result->rows[r][c].ToNTriples() : "UNBOUND");
-      key += "|";
-    }
-    out.insert(std::move(key));
-  }
-  return out;
-}
+constexpr GraphShape kSmall{60, 8, false};
+constexpr GraphShape kLarge{1500, 150, true};
 
-/// Builds a random graph with a small vocabulary so joins actually hit.
-TripleStore RandomGraph(Rng* rng, int triples) {
+/// Predicates are skewed (p/0 is eight times as frequent as p/3), so
+/// patterns differ in size and a large pattern can precede a smaller one in
+/// a join order. Objects mix IRIs, integers and doubles; the doubles are
+/// dyadic, so every sum of them is exact in any order.
+TripleStore RandomGraph(Rng* rng, const GraphShape& shape) {
+  static const int kPredicateWeights[] = {8, 4, 2, 1};
+  static const char* const kDoubles[] = {"0.5", "1.25", "2.75"};
   TripleStore store;
-  for (int i = 0; i < triples; ++i) {
-    Term s = Term::Iri("http://n/" + std::to_string(rng->Uniform(8)));
-    Term p = Term::Iri("http://p/" + std::to_string(rng->Uniform(4)));
-    Term o = rng->Chance(0.7)
-                 ? Term::Iri("http://n/" + std::to_string(rng->Uniform(8)))
-                 : Term::Integer(rng->UniformInt(0, 5));
-    store.Add(s, p, o);
+  for (int i = 0; i < shape.triples; ++i) {
+    Term s = Term::Iri("http://n/" + std::to_string(rng->Uniform(shape.nodes)));
+    int draw = static_cast<int>(rng->Uniform(15));
+    int p = 0;
+    while (draw >= kPredicateWeights[p]) draw -= kPredicateWeights[p++];
+    Term o;
+    const double kind = rng->UniformDouble();
+    if (kind < 0.6) {
+      o = Term::Iri("http://n/" + std::to_string(rng->Uniform(shape.nodes)));
+    } else if (kind < 0.9) {
+      o = Term::Integer(rng->UniformInt(0, 5));
+    } else {
+      o = Term::Double(std::stod(kDoubles[rng->Uniform(3)]));
+    }
+    store.Add(s, Term::Iri("http://p/" + std::to_string(p)), o);
   }
   store.Finalize();
   return store;
 }
 
-/// Builds a random BGP query over the same vocabulary: 1-3 patterns over
-/// variables ?a ?b ?c and random constants, optional filter.
-std::string RandomQuery(Rng* rng) {
-  const char* vars[] = {"?a", "?b", "?c"};
+/// A random query over the graph's vocabulary: 1-3 triple patterns over
+/// ?a ?b ?c and constants, an optional FILTER, then either a plain
+/// projection (variables, `*`, an unknown variable, a computed expression;
+/// optionally DISTINCT) or an aggregation (GROUP BY, COUNT(*) and
+/// COUNT/SUM/AVG/MIN/MAX with or without DISTINCT, a computed expression
+/// over aggregates, HAVING with one or two constraints), then optional
+/// ORDER BY and OFFSET/LIMIT.
+///
+/// On large graphs every predicate is a constant and every pattern after
+/// the first shares a variable with an earlier one, so no query is a large
+/// cross product.
+std::string RandomQuery(Rng* rng, const GraphShape& shape) {
+  static const std::vector<std::string> kVars = {"?a", "?b", "?c"};
+  auto node = [&] {
+    return "<http://n/" + std::to_string(rng->Uniform(shape.nodes)) + ">";
+  };
+  std::vector<std::string> used;  // pattern variables, first use first
+
   std::string where;
-  int patterns = 1 + static_cast<int>(rng->Uniform(3));
+  const int patterns = 1 + static_cast<int>(rng->Uniform(3));
   for (int i = 0; i < patterns; ++i) {
-    std::string s = rng->Chance(0.7)
-                        ? vars[rng->Uniform(3)]
-                        : "<http://n/" + std::to_string(rng->Uniform(8)) + ">";
-    std::string p = rng->Chance(0.5)
-                        ? vars[rng->Uniform(3)]
+    std::string s = rng->Chance(0.7) ? rng->Pick(kVars) : node();
+    std::string p = !shape.large && rng->Chance(0.5)
+                        ? rng->Pick(kVars)
                         : "<http://p/" + std::to_string(rng->Uniform(4)) + ">";
-    std::string o = rng->Chance(0.6)
-                        ? vars[rng->Uniform(3)]
-                        : (rng->Chance(0.5)
-                               ? "<http://n/" + std::to_string(rng->Uniform(8)) + ">"
-                               : std::to_string(rng->UniformInt(0, 5)));
+    std::string o;
+    if (rng->Chance(0.6)) {
+      o = rng->Pick(kVars);
+    } else {
+      o = rng->Chance(0.5) ? node() : std::to_string(rng->UniformInt(0, 5));
+    }
+    if (shape.large && !used.empty()) {
+      // Join on a variable an earlier pattern binds.
+      const std::string joined = rng->Pick(used);
+      if (rng->Chance(0.5)) {
+        s = joined;
+      } else {
+        o = joined;
+      }
+    }
+    for (const std::string* term : {&s, &p, &o}) {
+      if ((*term)[0] == '?' &&
+          std::find(used.begin(), used.end(), *term) == used.end()) {
+        used.push_back(*term);
+      }
+    }
     where += "  " + s + " " + p + " " + o + " .\n";
   }
+  auto var = [&] { return used.empty() ? std::string("?a") : rng->Pick(used); };
+
   if (rng->Chance(0.4)) {
-    const char* var = vars[rng->Uniform(3)];
-    switch (rng->Uniform(3)) {
+    switch (rng->Uniform(4)) {
       case 0:
-        where += std::string("  FILTER(") + var + " = <http://n/" +
-                 std::to_string(rng->Uniform(8)) + ">)\n";
+        where += "  FILTER(" + var() + " = " + node() + ")\n";
         break;
       case 1:
-        where += std::string("  FILTER(") + var + " > " +
+        where += "  FILTER(" + var() + " > " +
                  std::to_string(rng->UniformInt(0, 5)) + ")\n";
         break;
+      case 2:
+        where += "  FILTER(" + var() + " != " + node() + " && " + var() +
+                 " <= " + std::to_string(rng->UniformInt(1, 5)) + ")\n";
+        break;
       default:
-        where += std::string("  FILTER(BOUND(") + var + "))\n";
+        where += "  FILTER(BOUND(" + var() + "))\n";
     }
   }
-  std::string select = rng->Chance(0.3) ? "SELECT DISTINCT ?a ?b" : "SELECT ?a ?b";
-  return select + " WHERE {\n" + where + "}";
-}
 
-class ReferenceAgreementTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ReferenceAgreementTest, EngineMatchesBruteForce) {
-  Rng rng(GetParam());
-  TripleStore store = RandomGraph(&rng, 60);
-  ReferenceEvaluator reference(&store);
-
-  int compared = 0;
-  for (int trial = 0; trial < 25; ++trial) {
-    std::string query = RandomQuery(&rng);
-    auto expected = reference.Evaluate(query);
-    if (!expected.ok()) continue;  // query shape outside reference support
-    auto actual = EngineRows(&store, query);
-    EXPECT_EQ(actual, *expected) << "query:\n" << query;
-    ++compared;
+  std::vector<std::string> items;    // select clause entries
+  std::vector<std::string> columns;  // their output names
+  std::string tail;
+  if (rng->Chance(0.55)) {
+    static const char* const kAggs[] = {"COUNT", "SUM", "AVG", "MIN", "MAX"};
+    std::vector<std::string> group = used;
+    rng->Shuffle(&group);
+    group.resize(std::min<size_t>(group.size(), rng->Uniform(3)));
+    for (const std::string& g : group) {
+      items.push_back(g);
+      columns.push_back(g);
+    }
+    auto aggregate = [&] {
+      if (rng->Chance(0.15)) return std::string("COUNT(*)");
+      return std::string(kAggs[rng->Uniform(5)]) + "(" +
+             (rng->Chance(0.3) ? "DISTINCT " : "") + var() + ")";
+    };
+    const int aggs = 1 + static_cast<int>(rng->Uniform(3));
+    for (int i = 0; i < aggs; ++i) {
+      const std::string name = "?agg" + std::to_string(i);
+      items.push_back("(" + aggregate() + " AS " + name + ")");
+      columns.push_back(name);
+    }
+    if (rng->Chance(0.25)) {
+      items.push_back("(" + aggregate() + " * 2 + " + aggregate() +
+                      " AS ?expr)");
+      columns.push_back("?expr");
+    }
+    if (!group.empty()) {
+      tail += " GROUP BY";
+      for (const std::string& g : group) tail += " " + g;
+    }
+    if (rng->Chance(0.4)) {
+      static const char* const kOps[] = {">", ">=", "<", "!="};
+      tail += " HAVING";
+      const int constraints = 1 + static_cast<int>(rng->Uniform(2));
+      for (int i = 0; i < constraints; ++i) {
+        tail += " (" + aggregate() + " " + kOps[rng->Uniform(4)] + " " +
+                std::to_string(rng->UniformInt(0, 4)) + ")";
+      }
+    }
+  } else if (rng->Chance(0.15) && !used.empty()) {
+    items.push_back("*");
+    columns = used;
+  } else {
+    for (const std::string& v : kVars) {
+      if (rng->Chance(0.6)) {
+        items.push_back(v);
+        columns.push_back(v);
+      }
+    }
+    if (rng->Chance(0.15)) {
+      items.push_back("?ghost");
+      columns.push_back("?ghost");
+    }
+    if (items.empty() || rng->Chance(0.25)) {
+      items.push_back("(" + var() + " + 1 AS ?expr)");
+      columns.push_back("?expr");
+    }
   }
-  EXPECT_GT(compared, 15) << "too few comparable queries generated";
+
+  const bool slice = rng->Chance(0.35);
+  if (rng->Chance(0.4)) {
+    // Under a slice the keys order every column: rows tied on all of them
+    // are equal, so the cut cannot tell engine and reference apart.
+    std::vector<std::string> keys = columns;
+    rng->Shuffle(&keys);
+    if (!slice) keys.resize(1 + rng->Uniform(keys.size()));
+    tail += " ORDER BY";
+    for (const std::string& key : keys) {
+      tail += rng->Chance(0.5) ? " " + key : " DESC(" + key + ")";
+    }
+  }
+  if (slice) {
+    if (rng->Chance(0.7)) tail += " LIMIT " + std::to_string(rng->Uniform(6));
+    if (rng->Chance(0.6)) {
+      tail += " OFFSET " + std::to_string(1 + rng->Uniform(3));
+    }
+  }
+
+  std::string select = rng->Chance(0.25) ? "SELECT DISTINCT" : "SELECT";
+  for (const std::string& item : items) select += " " + item;
+  return select + " WHERE {\n" + where + "}" + tail;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceAgreementTest,
-                         ::testing::Values(101, 202, 303, 404, 505, 606));
+/// How often each query shape ran, so the test can assert that the shapes
+/// it claims to cover occurred.
+struct ShapeCounts {
+  int group_by = 0;
+  int having = 0;
+  std::array<int, 5> agg_kinds{};  // indexed by AggKind
+  int distinct_agg = 0;
+  int order_by = 0;
+  int limit = 0;
+  int offset = 0;
+  int hash_probe = 0;
+};
 
-/// Aggregation agreement: the engine's GROUP BY results must match an
-/// in-memory aggregation over the engine's own non-aggregated solutions
-/// (which the BGP tests above validate against brute force).
-class AggregateAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+void CountAggregates(const Expr* expr, ShapeCounts* counts) {
+  if (expr == nullptr) return;
+  if (expr->kind == Expr::Kind::kAggregate) {
+    ++counts->agg_kinds[static_cast<size_t>(expr->agg)];
+    if (expr->agg_distinct) ++counts->distinct_agg;
+    return;
+  }
+  CountAggregates(expr->lhs.get(), counts);
+  CountAggregates(expr->rhs.get(), counts);
+  CountAggregates(expr->operand.get(), counts);
+  for (const auto& arg : expr->args) CountAggregates(arg.get(), counts);
+}
 
-TEST_P(AggregateAgreementTest, GroupByMatchesManualAggregation) {
-  Rng rng(GetParam());
-  TripleStore store = RandomGraph(&rng, 80);
+void CountShape(const std::string& text, const TripleStore& store,
+                ShapeCounts* counts) {
+  auto query = Parser::Parse(text);
+  ASSERT_TRUE(query.ok()) << text;
+  if (!query->group_by.empty()) ++counts->group_by;
+  if (!query->having.empty()) ++counts->having;
+  if (!query->order_by.empty()) ++counts->order_by;
+  if (query->limit >= 0) ++counts->limit;
+  if (query->offset > 0) ++counts->offset;
+  for (const SelectItem& item : query->select) {
+    CountAggregates(item.expr.get(), counts);
+  }
+  for (const ExprPtr& having : query->having) {
+    CountAggregates(having.get(), counts);
+  }
+  auto plan = Planner::Build(&*query, store);
+  ASSERT_TRUE(plan.ok()) << text;
+  for (const PatternStep& step : plan->steps) {
+    if (step.algo == JoinAlgo::kHashProbe) {
+      ++counts->hash_probe;
+      break;
+    }
+  }
+}
 
-  const std::string flat =
-      "SELECT ?a ?v WHERE { ?a <http://p/0> ?b . ?a <http://p/1> ?v }";
+TEST(ReferenceAgreementTest, RandomQueriesMatchReference) {
+  struct Seed {
+    uint64_t seed;
+    GraphShape shape;
+    int trials;
+  };
+  const Seed seeds[] = {{101, kSmall, 40}, {202, kSmall, 40},
+                        {303, kSmall, 40}, {404, kSmall, 40},
+                        {505, kSmall, 40}, {606, kSmall, 40},
+                        {707, kLarge, 80}, {808, kLarge, 80},
+                        {909, kLarge, 80}};
+  ShapeCounts counts;
+  for (const Seed& seed : seeds) {
+    Rng rng(seed.seed);
+    TripleStore store = RandomGraph(&rng, seed.shape);
+    for (int trial = 0; trial < seed.trials; ++trial) {
+      const std::string query = RandomQuery(&rng, seed.shape);
+      const std::string context =
+          "seed " + std::to_string(seed.seed) + " trial " +
+          std::to_string(trial) + ":\n" + query;
+      QueryEngine engine(&store);
+      auto actual = engine.Execute(query);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString() << "\n"
+                               << context;
+      testing::ExpectMatchesReference(*actual, query, &store, context);
+      CountShape(query, store, &counts);
+    }
+  }
+  EXPECT_GT(counts.group_by, 0);
+  EXPECT_GT(counts.having, 0);
+  for (size_t kind = 0; kind < counts.agg_kinds.size(); ++kind) {
+    EXPECT_GT(counts.agg_kinds[kind], 0)
+        << AggKindName(static_cast<AggKind>(kind));
+  }
+  EXPECT_GT(counts.distinct_agg, 0);
+  EXPECT_GT(counts.order_by, 0);
+  EXPECT_GT(counts.limit, 0);
+  EXPECT_GT(counts.offset, 0);
+  EXPECT_GT(counts.hash_probe, 0);
+  std::printf(
+      "shapes: group_by=%d having=%d count=%d sum=%d avg=%d min=%d max=%d "
+      "distinct_agg=%d order_by=%d limit=%d offset=%d hash_probe=%d\n",
+      counts.group_by, counts.having, counts.agg_kinds[0], counts.agg_kinds[1],
+      counts.agg_kinds[2], counts.agg_kinds[3], counts.agg_kinds[4],
+      counts.distinct_agg, counts.order_by, counts.limit, counts.offset,
+      counts.hash_probe);
+}
+
+TEST(ReferenceAgreementTest, DoubleSumsInAnotherOrderMatchWithinTolerance) {
+  // The engine starts from the smallest pattern, ?g <has> ?i, and meets
+  // the items as i1, i2, i3. The reference follows the textual order from
+  // ?x <link> ?i and meets them as i3, i1, i2. (0.1 + 0.2) + 0.6 and
+  // (0.6 + 0.1) + 0.2 differ in the last bit.
+  auto iri = [](const std::string& name) {
+    return Term::Iri("http://t/" + name);
+  };
+  TripleStore store;
+  const char* const items[] = {"i1", "i2", "i3"};
+  const double values[] = {0.1, 0.2, 0.6};
+  for (int i = 0; i < 3; ++i) {
+    store.Add(iri("g"), iri("has"), iri(items[i]));
+    store.Add(iri(items[i]), iri("val"), Term::Double(values[i]));
+  }
+  store.Add(iri("x1"), iri("link"), iri("i3"));
+  store.Add(iri("x2"), iri("link"), iri("i1"));
+  store.Add(iri("x3"), iri("link"), iri("i2"));
+  store.Add(iri("x4"), iri("link"), iri("j1"));  // keeps <link> the largest
+  store.Finalize();
+
+  const std::string query =
+      "SELECT ?g (SUM(?v) AS ?s) (AVG(?v) AS ?a) WHERE { "
+      "?x <http://t/link> ?i . ?g <http://t/has> ?i . ?i <http://t/val> ?v } "
+      "GROUP BY ?g";
   QueryEngine engine(&store);
-  auto rows = engine.Execute(flat);
-  ASSERT_TRUE(rows.ok());
-
-  std::map<std::string, std::pair<int64_t, int64_t>> expected;  // sum, count
-  for (size_t r = 0; r < rows->rows.size(); ++r) {
-    if (!rows->bound[r][0] || !rows->bound[r][1]) continue;
-    const Term& key = rows->rows[r][0];
-    const Term& val = rows->rows[r][1];
-    auto& acc = expected[key.ToNTriples()];
-    if (val.is_numeric()) acc.first += val.AsInt64().ValueOr(0);
-    ++acc.second;
-  }
-
-  const std::string grouped =
-      "SELECT ?a (SUM(?v) AS ?s) (COUNT(?v) AS ?n) WHERE { "
-      "?a <http://p/0> ?b . ?a <http://p/1> ?v } GROUP BY ?a";
-  auto agg = engine.Execute(grouped);
-  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
-  ASSERT_EQ(agg->NumRows(), expected.size());
-  for (size_t r = 0; r < agg->rows.size(); ++r) {
-    const auto& acc = expected.at(agg->rows[r][0].ToNTriples());
-    EXPECT_EQ(agg->rows[r][1].AsInt64().ValueOr(-1), acc.first);
-    EXPECT_EQ(agg->rows[r][2].AsInt64().ValueOr(-1), acc.second);
-  }
+  auto actual = engine.Execute(query);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  testing::ReferenceEvaluator reference(&store);
+  auto expected = reference.Evaluate(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(actual->NumRows(), 1u);
+  ASSERT_EQ(expected->NumRows(), 1u);
+  // The sums must really differ, or this test no longer reaches the
+  // helper's tolerance.
+  EXPECT_NE(actual->rows[0][1], expected->rows[0][1]);
+  testing::ExpectMatchesReference(*actual, query, &store, "double sums");
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AggregateAgreementTest,
-                         ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace sparql
