@@ -13,8 +13,8 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "rdf/vocab.h"
+#include "sparql/aggregate.h"
 #include "sparql/delta_join.h"
-#include "sparql/value.h"
 
 namespace sofos {
 namespace core {
@@ -22,16 +22,13 @@ namespace maintenance {
 
 namespace {
 
-/// Roll-up accumulator over root cells; mirrors the executor's aggregate
-/// accumulator (isum/dsum split, saw_double promotion, total-order MIN/MAX)
-/// so that maintained literals match what the view query would produce.
+/// Roll-up accumulator over root cells, in the executor's aggregate state:
+/// `sum` adds the cells' rows (as its count) and their isum/dsum split,
+/// `best` folds MIN/MAX picks through sparql::AggFolder, so maintained
+/// literals are what the view query would produce.
 struct Accum {
-  int64_t isum = 0;
-  double dsum = 0.0;
-  bool saw_double = false;
-  uint64_t rows = 0;
-  bool has_best = false;
-  sparql::Value best;
+  sparql::AggState sum;
+  sparql::AggState best;
 };
 
 }  // namespace
@@ -266,83 +263,42 @@ Result<RootCell> ViewMaintainer::EvalRootGroup(
       sparql::EvaluateSeededBgp(*store_, vars_, patterns, remaining,
                                 bound_slots, {seed}, post_delta));
 
-  // Fold exactly like the executor's aggregate accumulator, then decode
-  // the finalized term back into the cell decomposition the same way
-  // RootTable::Evaluate decodes query results — one canonical
-  // decomposition regardless of which path produced the cell.
+  // Fold with the executor's aggregate accumulator (AVG is stored as SUM,
+  // see Materializer), then split the finalized literal into the cell
+  // decomposition the way RootTable::Evaluate does, so a cell is the same
+  // whichever path produced it.
   const Dictionary& dict = store_->dictionary();
-  Accum acc;
-  for (const sparql::Row& row : res.rows) {
-    ++acc.rows;
-    sparql::Value v = sparql::Value::FromTerm(
-        dict.term(row[static_cast<size_t>(agg_slot_)]));
-    switch (facet_->agg_kind()) {
-      case sparql::AggKind::kCount:
-        break;
-      case sparql::AggKind::kSum:
-      case sparql::AggKind::kAvg:
-        if (!v.is_numeric()) break;
-        if (v.type() == sparql::Value::Type::kDouble) {
-          acc.saw_double = true;
-          acc.dsum += v.double_value();
-        } else {
-          acc.isum += v.int_value();
-        }
-        break;
-      case sparql::AggKind::kMin:
-        if (!acc.has_best || v.TotalCompare(acc.best) < 0) {
-          acc.best = std::move(v);
-          acc.has_best = true;
-        }
-        break;
-      case sparql::AggKind::kMax:
-        if (!acc.has_best || v.TotalCompare(acc.best) > 0) {
-          acc.best = std::move(v);
-          acc.has_best = true;
-        }
-        break;
-    }
+  const sparql::AggKind kind = facet_->agg_kind() == sparql::AggKind::kAvg
+                                   ? sparql::AggKind::kSum
+                                   : facet_->agg_kind();
+  std::vector<TermId> ids(res.rows.size());
+  for (size_t r = 0; r < res.rows.size(); ++r) {
+    ids[r] = res.rows[r][static_cast<size_t>(agg_slot_)];
+  }
+  const std::vector<TermNumber> numbers = dict.Numbers(ids);
+  sparql::AggFolder folder(store_->mutable_dictionary());
+  sparql::AggState state;
+  for (size_t r = 0; r < ids.size(); ++r) {
+    folder.Accumulate(kind, sparql::AggArg{ids[r], numbers[r], nullptr},
+                      &state);
   }
 
   RootCell cell;
-  cell.rows = acc.rows;
+  cell.rows = ids.size();
   if (cell.rows == 0) return cell;  // dead group
-  Term value_term;
-  bool has_value = true;
-  switch (facet_->agg_kind()) {
-    case sparql::AggKind::kCount:
-      value_term = Term::Integer(static_cast<int64_t>(acc.rows));
-      break;
-    case sparql::AggKind::kSum:
-    case sparql::AggKind::kAvg:  // encoded as SUM (see Materializer)
-      value_term = acc.saw_double
-                       ? Term::Double(acc.dsum + static_cast<double>(acc.isum))
-                       : Term::Integer(acc.isum);
-      break;
-    case sparql::AggKind::kMin:
-    case sparql::AggKind::kMax: {
-      has_value = false;
-      if (acc.has_best) {
-        auto term = acc.best.ToTerm();
-        if (term.ok()) {
-          value_term = *term;
-          has_value = true;
-        }
-      }
-      break;
-    }
-  }
-  if (has_value) {
-    cell.value_id = store_->Intern(value_term);
-    if (value_term.datatype() == Term::Datatype::kDouble) {
-      cell.dsum = value_term.AsDouble().ValueOr(0.0);
+  // A MIN/MAX value without a term stays unbound.
+  cell.value_id = folder.Finalize(kind, state).ValueOr(kNullTermId);
+  if (cell.value_id != kNullTermId) {
+    const TermNumber value = dict.Numbers({cell.value_id})[0];
+    if (value.kind == TermNumber::Kind::kDouble) {
+      cell.dsum = value.real;
       cell.saw_double = true;
-    } else if (value_term.datatype() == Term::Datatype::kInteger) {
-      cell.isum = value_term.AsInt64().ValueOr(0);
+    } else if (value.kind == TermNumber::Kind::kInteger) {
+      cell.isum = value.integer;
     }
   }
-  cell.rows_id =
-      store_->Intern(Term::Integer(static_cast<int64_t>(cell.rows)));
+  cell.rows_id = store_->mutable_dictionary()->InternInteger(
+      static_cast<int64_t>(cell.rows));
   return cell;
 }
 
@@ -473,6 +429,14 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
         sparql::EvaluateSeededBgp(*store_, vars_, patterns, remaining,
                                   bound_slots, seeds, patches));
 
+    std::vector<TermNumber> numbers;
+    if (is_sum) {
+      std::vector<TermId> ids(res.rows.size());
+      for (size_t r = 0; r < res.rows.size(); ++r) {
+        ids[r] = res.rows[r][static_cast<size_t>(agg_slot_)];
+      }
+      numbers = dict.Numbers(ids);
+    }
     for (size_t r = 0; r < res.rows.size(); ++r) {
       const sparql::Row& row = res.rows[r];
       const int w = signs[res.seed_index[r]];
@@ -486,14 +450,10 @@ Result<bool> ViewMaintainer::ComputeDeltaDiff(std::vector<RootDiff>* diff,
       if (is_count) {
         cell.disum += w;
       } else if (is_sum) {
-        sparql::Value v = sparql::Value::FromTerm(
-            dict.term(row[static_cast<size_t>(agg_slot_)]));
-        if (v.is_numeric()) {
-          if (v.type() == sparql::Value::Type::kDouble) {
-            cell.touched_double = true;
-          } else {
-            cell.disum += w * v.int_value();
-          }
+        if (numbers[r].kind == TermNumber::Kind::kDouble) {
+          cell.touched_double = true;
+        } else if (numbers[r].kind == TermNumber::Kind::kInteger) {
+          cell.disum += w * numbers[r].integer;
         }
       }
       // MIN/MAX: the value is never folded additively; every touched
@@ -656,22 +616,20 @@ void ViewMaintainer::MaintainView(ViewState* view,
   }
 
   auto fold = [](Accum* acc, const RootCell& cell) {
-    acc->rows += cell.rows;
-    acc->isum += cell.isum;
-    acc->dsum += cell.dsum;
-    acc->saw_double |= cell.saw_double;
+    acc->sum.count += cell.rows;
+    acc->sum.isum += cell.isum;
+    acc->sum.dsum += cell.dsum;
+    acc->sum.saw_double |= cell.saw_double;
   };
+  sparql::AggFolder folder(store_->mutable_dictionary());
   auto fold_best = [&](Accum* acc, const RootCell& cell) {
     if (cell.value_id == kNullTermId) return;
-    sparql::Value v =
-        sparql::Value::FromTerm(store_->dictionary().term(cell.value_id));
-    const bool is_min = facet_->agg_kind() == sparql::AggKind::kMin;
-    if (!acc->has_best ||
-        (is_min ? v.TotalCompare(acc->best) < 0
-                : v.TotalCompare(acc->best) > 0)) {
-      acc->best = std::move(v);
-      acc->has_best = true;
-    }
+    folder.Accumulate(
+        facet_->agg_kind(),
+        sparql::AggArg{cell.value_id,
+                       store_->dictionary().Numbers({cell.value_id})[0],
+                       nullptr},
+        &acc->best);
   };
 
   auto stage_row_delete = [&](const Key& key, const RowInfo& info) {
@@ -724,14 +682,14 @@ void ViewMaintainer::MaintainView(ViewState* view,
           }
           // Resync the additive state to the exact fold (clears any
           // floating-point drift the +=/-= path accumulated).
-          cell->isum = acc.isum;
-          cell->dsum = acc.dsum;
-          cell->rows = static_cast<int64_t>(acc.rows);
+          cell->isum = acc.sum.isum;
+          cell->dsum = acc.sum.dsum;
+          cell->rows = static_cast<int64_t>(acc.sum.count);
           cell->double_roots = double_roots;
-          live = acc.rows > 0;
+          live = acc.sum.count > 0;
         } else {
-          acc.isum = cell->isum;
-          acc.rows = static_cast<uint64_t>(cell->rows);
+          acc.sum.isum = cell->isum;
+          acc.sum.count = static_cast<uint64_t>(cell->rows);
         }
       }
       if (!live && cell != nullptr) {
@@ -750,28 +708,16 @@ void ViewMaintainer::MaintainView(ViewState* view,
       continue;
     }
 
-    // Finalize the rolled-up cell exactly as the executor would.
-    TermId value_id = kNullTermId;
-    switch (facet_->agg_kind()) {
-      case sparql::AggKind::kCount:
-      case sparql::AggKind::kSum:
-      case sparql::AggKind::kAvg:  // encoded as SUM (see Materializer)
-        value_id = store_->Intern(acc.saw_double
-                                      ? Term::Double(acc.dsum +
-                                                     static_cast<double>(acc.isum))
-                                      : Term::Integer(acc.isum));
-        break;
-      case sparql::AggKind::kMin:
-      case sparql::AggKind::kMax: {
-        if (acc.has_best) {
-          auto term = acc.best.ToTerm();
-          if (term.ok()) value_id = store_->Intern(*term);
-        }
-        break;
-      }
-    }
-    TermId rows_id =
-        store_->Intern(Term::Integer(static_cast<int64_t>(acc.rows)));
+    // Finalize the rolled-up cell exactly as the executor would: COUNT,
+    // SUM and AVG are encoded as SUM (see Materializer); a MIN/MAX value
+    // without a term stays unbound.
+    const TermId value_id =
+        minmax ? folder.Finalize(facet_->agg_kind(), acc.best)
+                     .ValueOr(kNullTermId)
+               : folder.Finalize(sparql::AggKind::kSum, acc.sum)
+                     .ValueOr(kNullTermId);
+    const TermId rows_id = store_->mutable_dictionary()->InternInteger(
+        static_cast<int64_t>(acc.sum.count));
 
     if (rit == view->rows.end()) {
       // Fresh group key: encode a new blank-node row. The "mvm_" prefix

@@ -40,10 +40,21 @@ void SortByColumns(const RootTable& root, const std::vector<size_t>& dims,
   }
 }
 
+/// The numbers of column `col` of every row of `raw`, from the
+/// dictionary's numeric column.
+std::vector<TermNumber> ColumnNumbers(const Dictionary& dict,
+                                      const sparql::RowBuffer& raw,
+                                      size_t col) {
+  std::vector<TermId> ids(raw.rows);
+  for (size_t r = 0; r < raw.rows; ++r) ids[r] = raw.row(r)[col];
+  return dict.Numbers(ids);
+}
+
 /// Integer value of a ?rows literal (COUNT is always an xsd:integer).
-uint64_t RowsOf(const Dictionary& dict, TermId id) {
-  if (id == kNullTermId) return 0;
-  return static_cast<uint64_t>(dict.term(id).AsInt64().ValueOr(0));
+uint64_t RowsOf(const TermNumber& number) {
+  return number.kind == TermNumber::Kind::kInteger
+             ? static_cast<uint64_t>(number.integer)
+             : 0;
 }
 
 }  // namespace
@@ -58,6 +69,8 @@ Result<RootTable> RootTable::Evaluate(TripleStore* store, const Facet& facet) {
   // ?agg, then ?rows.
   const size_t num_dims = facet.num_dims();
   const Dictionary& dict = store->dictionary();
+  const std::vector<TermNumber> values = ColumnNumbers(dict, raw, num_dims);
+  const std::vector<TermNumber> rows = ColumnNumbers(dict, raw, num_dims + 1);
   RootTable table(num_dims);
   table.keys_.reserve(raw.rows * num_dims);
   table.cells_.reserve(raw.rows);
@@ -69,16 +82,13 @@ Result<RootTable> RootTable::Evaluate(TripleStore* store, const Facet& facet) {
     RootCell cell;
     cell.value_id = row[num_dims];
     cell.rows_id = row[num_dims + 1];
-    if (cell.value_id != kNullTermId) {
-      const Term& value = dict.term(cell.value_id);
-      if (value.datatype() == Term::Datatype::kDouble) {
-        cell.dsum = value.AsDouble().ValueOr(0.0);
-        cell.saw_double = true;
-      } else if (value.datatype() == Term::Datatype::kInteger) {
-        cell.isum = value.AsInt64().ValueOr(0);
-      }
+    if (values[r].kind == TermNumber::Kind::kDouble) {
+      cell.dsum = values[r].real;
+      cell.saw_double = true;
+    } else if (values[r].kind == TermNumber::Kind::kInteger) {
+      cell.isum = values[r].integer;
     }
-    cell.rows = RowsOf(dict, cell.rows_id);
+    cell.rows = RowsOf(rows[r]);
     table.Append(row, cell);
   }
   return table;
@@ -149,15 +159,26 @@ LatticeRollup::LatticeRollup(const RootTable* root, const Facet* facet,
       }
       break;
     case sparql::AggKind::kMin:
-    case sparql::AggKind::kMax:
+    case sparql::AggKind::kMax: {
+      // Numbers come from the dictionary's numeric column; only other
+      // values are decoded.
+      std::vector<TermId> ids(root->size());
+      for (size_t r = 0; r < root->size(); ++r) ids[r] = root->cell(r).value_id;
+      const std::vector<TermNumber> numbers = dict.Numbers(ids);
       values_.reserve(root->size());
       for (size_t r = 0; r < root->size(); ++r) {
-        const TermId id = root->cell(r).value_id;
-        values_.push_back(id == kNullTermId
-                              ? sparql::Value()
-                              : sparql::Value::FromTerm(dict.term(id)));
+        if (numbers[r].kind == TermNumber::Kind::kInteger) {
+          values_.push_back(sparql::Value::Int(numbers[r].integer));
+        } else if (numbers[r].kind == TermNumber::Kind::kDouble) {
+          values_.push_back(sparql::Value::MakeDouble(numbers[r].real));
+        } else {
+          values_.push_back(ids[r] == kNullTermId
+                                ? sparql::Value()
+                                : sparql::Value::FromTerm(dict.term(ids[r])));
+        }
       }
       break;
+    }
   }
 }
 
@@ -238,12 +259,13 @@ Result<ViewRows> LatticeRollup::ComputeView(uint32_t mask,
   ViewRows out;
   out.mask = mask;
   out.width = static_cast<size_t>(__builtin_popcount(mask));
-  const Dictionary& dict = store->dictionary();
+  const std::vector<TermNumber> rows =
+      ColumnNumbers(store->dictionary(), raw, out.width + 1);
   for (size_t r = 0; r < raw.rows; ++r) {
     const TermId* row = raw.row(r);
     out.keys.insert(out.keys.end(), row, row + out.width);
     out.values.push_back(row[out.width]);
-    out.rows.push_back(RowsOf(dict, row[out.width + 1]));
+    out.rows.push_back(RowsOf(rows[r]));
   }
   return out;
 }

@@ -1,8 +1,11 @@
 #include "rdf/dictionary.h"
 
 #include <cassert>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -20,6 +23,23 @@ size_t ProbeCapacityFor(size_t entries) {
   return cap;
 }
 
+/// Value-table key bits of a double: its bit pattern, with every NaN
+/// mapped to one pattern (every NaN is the one literal "NaN").
+uint64_t DoubleBits(double value) {
+  if (std::isnan(value)) value = std::numeric_limits<double>::quiet_NaN();
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+uint64_t NumberHash(TermNumber::Kind kind, uint64_t bits) {
+  uint64_t h = bits ^ (static_cast<uint64_t>(kind) << 62);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace
 
 Dictionary::Dictionary(Dictionary&& other) noexcept {
@@ -35,6 +55,10 @@ Dictionary::Dictionary(Dictionary&& other) noexcept {
   prefixes_ = std::move(other.prefixes_);
   probe_ = std::move(other.probe_);
   decoded_ = std::move(other.decoded_);
+  number_kinds_ = std::move(other.number_kinds_);
+  number_bits_ = std::move(other.number_bits_);
+  number_index_ = std::move(other.number_index_);
+  number_index_size_ = std::exchange(other.number_index_size_, 0);
   other.front_coded_ = false;
 }
 
@@ -50,6 +74,10 @@ Dictionary& Dictionary::operator=(Dictionary&& other) noexcept {
     prefixes_ = std::move(other.prefixes_);
     probe_ = std::move(other.probe_);
     decoded_ = std::move(other.decoded_);
+    number_kinds_ = std::move(other.number_kinds_);
+    number_bits_ = std::move(other.number_bits_);
+    number_index_ = std::move(other.number_index_);
+    number_index_size_ = std::exchange(other.number_index_size_, 0);
     other.front_coded_ = false;
   }
   return *this;
@@ -191,18 +219,119 @@ TermId Dictionary::Intern(const Term& term) {
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   // Re-check: another thread may have interned `term` between the locks.
+  TermId id;
   if (front_coded_) {
     const uint64_t hash = term.Hash();
-    TermId id = FindPackedLocked(term, hash);
+    id = FindPackedLocked(term, hash);
     if (id != kNullTermId) return id;
-    return AppendPackedLocked(term, hash);
+    id = AppendPackedLocked(term, hash);
+  } else {
+    auto it = index_.find(term);
+    if (it != index_.end()) return it->second;
+    terms_.push_back(term);
+    id = static_cast<TermId>(terms_.size());  // ids start at 1
+    index_.emplace(term, id);
   }
-  auto it = index_.find(term);
-  if (it != index_.end()) return it->second;
-  terms_.push_back(term);
-  TermId id = static_cast<TermId>(terms_.size());  // ids start at 1
-  index_.emplace(term, id);
+  AppendNumberLocked(term, id);
   return id;
+}
+
+void Dictionary::AppendNumberLocked(const Term& term, TermId id) {
+  const TermNumber number = DecodeNumber(term);
+  number_kinds_.push_back(number.kind);
+  switch (number.kind) {
+    case TermNumber::Kind::kNone:
+      number_bits_.push_back(0);
+      return;
+    case TermNumber::Kind::kInteger:
+      number_bits_.push_back(static_cast<uint64_t>(number.integer));
+      if (term.raw_extra().empty() &&
+          term.lexical() == std::to_string(number.integer)) {
+        NumberInsertLocked(id);
+      }
+      return;
+    case TermNumber::Kind::kDouble:
+      number_bits_.push_back(DoubleBits(number.real));
+      if (term.raw_extra().empty() &&
+          term.lexical() == FormatDoubleLexical(number.real)) {
+        NumberInsertLocked(id);
+      }
+      return;
+  }
+}
+
+void Dictionary::NumberInsertLocked(TermId id) {
+  if ((number_index_size_ + 1) * 2 > number_index_.size()) {
+    std::vector<TermId> old;
+    old.swap(number_index_);
+    number_index_.assign(old.empty() ? 1024 : old.size() * 2, kNullTermId);
+    number_index_size_ = 0;
+    for (TermId kept : old) {
+      if (kept != kNullTermId) NumberInsertLocked(kept);
+    }
+  }
+  const size_t mask = number_index_.size() - 1;
+  size_t idx = static_cast<size_t>(
+                   NumberHash(number_kinds_[id - 1], number_bits_[id - 1])) &
+               mask;
+  while (number_index_[idx] != kNullTermId) idx = (idx + 1) & mask;
+  number_index_[idx] = id;
+  ++number_index_size_;
+}
+
+TermId Dictionary::FindNumberLocked(TermNumber::Kind kind,
+                                    uint64_t bits) const {
+  if (number_index_.empty()) return kNullTermId;
+  const size_t mask = number_index_.size() - 1;
+  for (size_t idx = static_cast<size_t>(NumberHash(kind, bits)) & mask;;
+       idx = (idx + 1) & mask) {
+    const TermId id = number_index_[idx];
+    if (id == kNullTermId) return kNullTermId;
+    if (number_kinds_[id - 1] == kind && number_bits_[id - 1] == bits) {
+      return id;
+    }
+  }
+}
+
+TermId Dictionary::FindNumber(TermNumber::Kind kind, uint64_t bits) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return FindNumberLocked(kind, bits);
+}
+
+TermId Dictionary::InternInteger(int64_t value) {
+  const TermId id =
+      FindNumber(TermNumber::Kind::kInteger, static_cast<uint64_t>(value));
+  return id != kNullTermId ? id : Intern(Term::Integer(value));
+}
+
+TermId Dictionary::InternDouble(double value) {
+  const TermId id = FindNumber(TermNumber::Kind::kDouble, DoubleBits(value));
+  return id != kNullTermId ? id : Intern(Term::Double(value));
+}
+
+void Dictionary::Numbers(const TermId* ids, size_t n, TermNumber* out) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const size_t size = number_kinds_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const TermId id = ids[i];
+    TermNumber& number = out[i];
+    number = TermNumber();
+    if (id == kNullTermId || id > size) continue;
+    number.kind = number_kinds_[id - 1];
+    const uint64_t bits = number_bits_[id - 1];
+    if (number.kind == TermNumber::Kind::kDouble) {
+      std::memcpy(&number.real, &bits, sizeof(bits));
+    } else if (number.kind == TermNumber::Kind::kInteger) {
+      number.integer = static_cast<int64_t>(bits);
+    }
+  }
+}
+
+std::vector<TermNumber> Dictionary::Numbers(
+    const std::vector<TermId>& ids) const {
+  std::vector<TermNumber> out(ids.size());
+  Numbers(ids.data(), ids.size(), out.data());
+  return out;
 }
 
 std::optional<TermId> Dictionary::Lookup(const Term& term) const {
@@ -285,7 +414,9 @@ void Dictionary::SetFrontCoding(bool enabled) {
 
 uint64_t Dictionary::MemoryBytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  uint64_t bytes = 0;
+  uint64_t bytes = number_kinds_.capacity() * sizeof(TermNumber::Kind) +
+                   number_bits_.capacity() * sizeof(uint64_t) +
+                   number_index_.capacity() * sizeof(TermId);
   if (front_coded_) {
     bytes += arena_.capacity();
     bytes += packed_.capacity() * sizeof(Packed);

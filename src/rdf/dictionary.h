@@ -46,21 +46,33 @@ inline constexpr TermId kNullTermId = 0;
 /// bytes (Term::FromRaw), and ids assigned before a mode switch are
 /// preserved by the switch.
 ///
+/// In both modes, and unchanged by a mode switch, every id also has a
+/// numeric column entry: DecodeNumber(term) as a 1-byte kind plus an
+/// 8-byte int64/double payload (9 B per term), written when the id is
+/// appended. Numbers() reads it for a whole batch of ids under one shared
+/// lock, so aggregation and roll-ups never decode a literal's lexical form.
+/// A value table (an open-addressing array of TermIds, about 8 B per
+/// numeric id) indexes the ids whose term is the canonical
+/// Term::Integer(v) / Term::Double(d) by (kind, value bits), so
+/// InternInteger()/InternDouble() find an aggregate's result literal
+/// without building or hashing a Term.
+///
 /// Thread safety: all member functions may be called concurrently. This is
 /// the one mutable path shared by parallel query execution — aggregation
 /// and expression projection intern freshly computed literals while other
-/// executors decode results — so interning takes an exclusive lock and
-/// lookups take a shared lock. In plain mode terms live in a deque, which
-/// never relocates elements on append; in front-coded mode term() returns
-/// references into the lazy decode cache (unique_ptr targets, stable once
-/// created) — either way the reference returned by term() stays valid
-/// until the mode is switched (ids are never removed). SetFrontCoding()
-/// itself requires exclusive use of the dictionary — it re-encodes the
-/// storage and invalidates every reference previously returned by term()
-/// — so callers switch modes only at load/layout-change time, never while
-/// queries are in flight. Note that which thread interns a new literal
-/// first is schedule-dependent, i.e. id assignment order is not
-/// deterministic under concurrency; ids are private handles and all
+/// executors decode results — so interning (which appends to the numeric
+/// column and value table too) takes an exclusive lock and lookups,
+/// Numbers() included, take a shared lock. In plain mode terms live in a
+/// deque, which never relocates elements on append; in front-coded mode
+/// term() returns references into the lazy decode cache (unique_ptr
+/// targets, stable once created) — either way the reference returned by
+/// term() stays valid until the mode is switched (ids are never removed).
+/// SetFrontCoding() itself requires exclusive use of the dictionary — it
+/// re-encodes the storage and invalidates every reference previously
+/// returned by term() — so callers switch modes only at load/layout-change
+/// time, never while queries are in flight. Note that which thread interns
+/// a new literal first is schedule-dependent, i.e. id assignment order is
+/// not deterministic under concurrency; ids are private handles and all
 /// externally visible results are decoded terms, so this does not affect
 /// reproducibility.
 class Dictionary {
@@ -79,8 +91,21 @@ class Dictionary {
   /// Returns the id of `term`, interning it first if needed.
   TermId Intern(const Term& term);
 
+  /// Exactly Intern(Term::Integer(value)) and Intern(Term::Double(value)):
+  /// a hit in the value table returns without building the term; a miss
+  /// falls back to Intern, which adds a new id to the table. Doubles are
+  /// keyed by bit pattern (every NaN by one), so -0 and 0 stay apart.
+  TermId InternInteger(int64_t value);
+  TermId InternDouble(double value);
+
   /// Returns the id of `term` if already interned.
   std::optional<TermId> Lookup(const Term& term) const;
+
+  /// Writes DecodeNumber(term(ids[i])) to out[i] for i < n, from the
+  /// numeric column; kNullTermId and ids past size() read as kNone. Takes
+  /// the shared lock once per call.
+  void Numbers(const TermId* ids, size_t n, TermNumber* out) const;
+  std::vector<TermNumber> Numbers(const std::vector<TermId>& ids) const;
 
   /// The term for a valid id (1 <= id <= size()). The reference remains
   /// valid until the storage mode is switched (see class comment); with a
@@ -129,8 +154,25 @@ class Dictionary {
   void ProbeInsertLocked(TermId id, uint64_t hash);
   void GrowProbeLocked();
   Term MaterializeLocked(const Packed& entry) const;
+  /// Appends the numeric column entry of the new id `id` (== size()) and,
+  /// when `term` is the canonical literal of its number, indexes it in the
+  /// value table. Exclusive.
+  void AppendNumberLocked(const Term& term, TermId id);
+  /// Value-table lookup: the canonical id of (kind, bits), or kNullTermId.
+  TermId FindNumberLocked(TermNumber::Kind kind, uint64_t bits) const;
+  void NumberInsertLocked(TermId id);
+  /// The value-table hit of (kind, bits) under a shared lock.
+  TermId FindNumber(TermNumber::Kind kind, uint64_t bits) const;
 
   mutable std::shared_mutex mu_;
+
+  // ---- Both modes: numeric column (index id - 1) and value table ----
+  std::vector<TermNumber::Kind> number_kinds_;
+  std::vector<uint64_t> number_bits_;  // int64 or double bit pattern
+  /// Open-addressing array of canonical numeric ids (kNullTermId = empty),
+  /// power-of-two sized, at most half full.
+  std::vector<TermId> number_index_;
+  size_t number_index_size_ = 0;
 
   // ---- Plain mode ----
   std::deque<Term> terms_;

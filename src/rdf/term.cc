@@ -193,6 +193,25 @@ bool Term::operator<(const Term& other) const {
   return extra_ < other.extra_;
 }
 
+TermNumber DecodeNumber(const Term& term) {
+  TermNumber out;
+  if (!term.is_literal()) return out;
+  if (term.datatype() == Term::Datatype::kInteger) {
+    auto i = term.AsInt64();
+    if (i.ok()) {
+      out.kind = TermNumber::Kind::kInteger;
+      out.integer = i.value();
+    }
+  } else if (term.datatype() == Term::Datatype::kDouble) {
+    auto d = term.AsDouble();
+    if (d.ok()) {
+      out.kind = TermNumber::Kind::kDouble;
+      out.real = d.value();
+    }
+  }
+  return out;
+}
+
 uint64_t Term::Hash() const {
   uint64_t h = Fnv1a64(lexical_);
   h = HashCombine(h, static_cast<uint64_t>(kind_));

@@ -112,6 +112,20 @@ struct TermHash {
   size_t operator()(const Term& t) const { return static_cast<size_t>(t.Hash()); }
 };
 
+/// The number a term stands for in SPARQL evaluation: none, an int64 or a
+/// double. `integer` is valid for kInteger, `real` for kDouble.
+struct TermNumber {
+  enum class Kind : uint8_t { kNone = 0, kInteger = 1, kDouble = 2 };
+  Kind kind = Kind::kNone;
+  int64_t integer = 0;
+  double real = 0.0;
+};
+
+/// Decodes `term` as sparql::Value::FromTerm does: an xsd:integer literal
+/// through AsInt64, an xsd:double literal through AsDouble; anything else,
+/// including a malformed numeric literal ("12abc"^^xsd:integer), is kNone.
+TermNumber DecodeNumber(const Term& term);
+
 /// Canonical lexical form for doubles: shortest round-trip representation.
 std::string FormatDoubleLexical(double value);
 

@@ -12,6 +12,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "sparql/aggregate.h"
 #include "sparql/delta_join.h"
 #include "sparql/expression.h"
 #include "sparql/value.h"
@@ -96,104 +97,6 @@ inline void CopyRowInto(const RowBatch& src, uint32_t r, RowBatch* dst, size_t j
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate accumulation: every aggregate-argument path of BatchAggregateOp
-// ends in AggAccumulateValue, so the paths cannot diverge.
-// ---------------------------------------------------------------------------
-
-struct AggAccum {
-  uint64_t count = 0;
-  int64_t isum = 0;
-  double dsum = 0.0;
-  bool saw_double = false;
-  bool has_best = false;
-  Value best;
-  std::unordered_set<TermId> distinct_ids;
-};
-
-/// Accumulates one bound, error-free argument value `v` of a non-COUNT(*)
-/// aggregate. The batch engine calls this directly for bare-variable
-/// arguments it decodes itself; AggAccumulate calls it for everything else.
-Status AggAccumulateValue(const Expr& spec, const Value& v, Dictionary* dict,
-                          AggAccum* acc) {
-  if (spec.agg_distinct) {
-    SOFOS_ASSIGN_OR_RETURN(Term term, v.ToTerm());
-    TermId id = dict->Intern(term);
-    if (!acc->distinct_ids.insert(id).second) return Status::OK();
-  }
-
-  ++acc->count;
-  switch (spec.agg) {
-    case AggKind::kCount:
-      break;
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      if (!v.is_numeric()) break;  // non-numeric values are skipped
-      if (v.type() == Value::Type::kDouble) {
-        acc->saw_double = true;
-        acc->dsum += v.double_value();
-      } else {
-        acc->isum += v.int_value();
-      }
-      break;
-    case AggKind::kMin:
-      if (!acc->has_best || v.TotalCompare(acc->best) < 0) {
-        acc->best = v;
-        acc->has_best = true;
-      }
-      break;
-    case AggKind::kMax:
-      if (!acc->has_best || v.TotalCompare(acc->best) > 0) {
-        acc->best = v;
-        acc->has_best = true;
-      }
-      break;
-  }
-  return Status::OK();
-}
-
-Status AggAccumulate(const Expr& spec, const Row& in, const ExprEvaluator& eval,
-                     Dictionary* dict, AggAccum* acc) {
-  if (spec.count_star) {
-    ++acc->count;
-    return Status::OK();
-  }
-  auto value = eval.Eval(*spec.agg_arg, in);
-  // SPARQL semantics: rows whose aggregate expression errors (including
-  // unbound) are skipped by the aggregate, not the whole group.
-  if (!value.ok() || value.value().is_unbound()) return Status::OK();
-  return AggAccumulateValue(spec, value.value(), dict, acc);
-}
-
-Result<TermId> AggFinalize(const Expr& spec, const AggAccum& acc,
-                           Dictionary* dict) {
-  Value result;
-  switch (spec.agg) {
-    case AggKind::kCount:
-      result = Value::Int(static_cast<int64_t>(acc.count));
-      break;
-    case AggKind::kSum:
-      if (acc.saw_double) {
-        result = Value::MakeDouble(acc.dsum + static_cast<double>(acc.isum));
-      } else {
-        result = Value::Int(acc.isum);  // SUM of empty input is 0
-      }
-      break;
-    case AggKind::kAvg:
-      if (acc.count == 0) return kNullTermId;
-      result = Value::MakeDouble((acc.dsum + static_cast<double>(acc.isum)) /
-                                 static_cast<double>(acc.count));
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      if (!acc.has_best) return kNullTermId;
-      result = acc.best;
-      break;
-  }
-  SOFOS_ASSIGN_OR_RETURN(Term term, result.ToTerm());
-  return dict->Intern(term);
-}
-
-// ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE instrumentation (ExecOptions::analyze): a plan-derived
 // slot layout plus a timing wrapper that records per-operator actuals into
 // ExecStats::operators. The layout depends only on the Plan, so the slot
@@ -229,10 +132,13 @@ SlotLayout ComputeSlotLayout(const Plan& plan) {
   if (plan.is_aggregate) {
     layout.aggregate = next++;
     if (!plan.having.empty()) layout.having = next++;
+    if (!plan.order_keys.empty()) layout.order_by = next++;
   }
   layout.project = next++;
   if (plan.distinct) layout.distinct = next++;
-  if (!plan.order_keys.empty()) layout.order_by = next++;
+  if (!plan.is_aggregate && !plan.order_keys.empty()) {
+    layout.order_by = next++;
+  }
   if (plan.limit >= 0 || plan.offset > 0) layout.slice = next++;
   layout.total = static_cast<size_t>(next);
   return layout;
@@ -654,33 +560,110 @@ class BatchFilterOp : public BatchOperator {
   Row scratch_;
 };
 
-/// Hash aggregation over batches. Accumulation runs in stream order, and
-/// every argument path ends in AggAccumulateValue; output groups are sorted
-/// by ascending group-key TermIds, the order view encodings and
-/// core::ViewRows rely on.
-/// A bare-variable argument is read from its column: non-DISTINCT
-/// COUNT(?v) counts bound ids, every other aggregate decodes the id
-/// through the operator's TermValueCache. Other arguments are evaluated
-/// by ExprEvaluator on a gathered row.
+/// Group keys packed `width` ids per group in one array, behind an
+/// open-addressing index of group numbers (slot value = group + 1, 0 =
+/// empty) that doubles at half load. Groups are numbered in insertion
+/// order.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t width)
+      : width_(width), slots_(kAggregateInitialSlots, 0) {}
+
+  size_t size() const { return size_; }
+  const TermId* key(uint32_t group) const {
+    return keys_.data() + static_cast<size_t>(group) * width_;
+  }
+
+  /// The group of `key` (width ids); adds it when new, setting `*added`.
+  uint32_t FindOrAdd(const TermId* key, bool* added) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t idx = Hash(key) & mask;; idx = (idx + 1) & mask) {
+      const uint32_t slot = slots_[idx];
+      if (slot == 0) break;
+      if (std::equal(key, key + width_, this->key(slot - 1))) {
+        *added = false;
+        return slot - 1;
+      }
+    }
+    const uint32_t group = static_cast<uint32_t>(size_++);
+    keys_.insert(keys_.end(), key, key + width_);
+    if (size_ * 2 > slots_.size()) {
+      slots_.assign(slots_.size() * 2, 0);
+      for (uint32_t g = 0; g < size_; ++g) Place(g);
+    } else {
+      Place(group);
+    }
+    *added = true;
+    return group;
+  }
+
+ private:
+  size_t Hash(const TermId* key) const {
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (size_t i = 0; i < width_; ++i) {
+      h = (h ^ key[i]) * 0xff51afd7ed558ccdull;
+    }
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+
+  void Place(uint32_t group) {
+    const size_t mask = slots_.size() - 1;
+    size_t idx = Hash(key(group)) & mask;
+    while (slots_[idx] != 0) idx = (idx + 1) & mask;
+    slots_[idx] = group + 1;
+  }
+
+  size_t width_;
+  size_t size_ = 0;
+  std::vector<TermId> keys_;
+  std::vector<uint32_t> slots_;
+};
+
+/// Hash aggregation over batches into a flat group table: group keys are
+/// packed TermIds (GroupTable) and every group's accumulators sit in one
+/// POD array, num_aggs per group. Accumulation runs in stream order, row by
+/// row, and every argument path ends in one AggFolder::Accumulate; output
+/// groups are sorted by ascending group-key TermIds, the order view
+/// encodings and core::ViewRows rely on, and finalized into one flat
+/// buffer.
+///
+/// A bare-variable argument is read from its column: non-DISTINCT COUNT(?v)
+/// counts bound ids, and every other aggregate reads the batch's numbers
+/// with one Dictionary::Numbers call per column, decoding through the
+/// dictionary only MIN/MAX's non-numeric values. Other arguments are
+/// evaluated by ExprEvaluator on a gathered row. DISTINCT keeps one
+/// operator-wide set of (group, aggregate, canonical id).
 class BatchAggregateOp : public BatchOperator {
  public:
   BatchAggregateOp(std::unique_ptr<BatchOperator> child, const Plan* plan,
-                   const Dictionary* dict, Dictionary* mutable_dict,
-                   size_t batch_size, ExecStats* stats)
+                   Dictionary* dict, size_t batch_size, ExecStats* stats)
       : child_(std::move(child)),
         plan_(plan),
         eval_(dict, &plan->pattern_vars),
-        cache_(dict),
-        dict_(mutable_dict),
+        dict_(dict),
+        folder_(dict),
         batch_size_(batch_size),
-        stats_(stats) {
+        stats_(stats),
+        groups_(plan->group_slots.size()) {
     for (const Expr* spec : plan->agg_specs) {
-      const bool bare_var =
-          !spec->count_star && spec->agg_arg->kind == Expr::Kind::kVar;
-      arg_slots_.push_back(
-          bare_var ? plan->pattern_vars.Get(spec->agg_arg->var).value_or(-1)
-                   : -1);
+      Arg arg;
+      if (!spec->count_star) {
+        if (spec->agg_arg->kind == Expr::Kind::kVar) {
+          arg.slot = plan->pattern_vars.Get(spec->agg_arg->var).value_or(-1);
+        }
+        arg.computed = arg.slot < 0;
+      }
+      if (arg.slot >= 0 &&
+          (spec->agg != AggKind::kCount || spec->agg_distinct)) {
+        // One numbers buffer per column, shared by its aggregates.
+        auto known = std::find(number_slots_.begin(), number_slots_.end(),
+                               arg.slot);
+        arg.numbers = static_cast<int>(known - number_slots_.begin());
+        if (known == number_slots_.end()) number_slots_.push_back(arg.slot);
+      }
+      args_.push_back(arg);
     }
+    numbers_.resize(number_slots_.size());
   }
 
   Result<bool> Next(RowBatch* out) override {
@@ -688,92 +671,133 @@ class BatchAggregateOp : public BatchOperator {
       SOFOS_RETURN_IF_ERROR(Materialize());
       materialized_ = true;
     }
-    if (cursor_ >= results_.size()) return false;
     const size_t width = plan_->group_slots.size() + plan_->agg_specs.size();
+    if (cursor_ >= num_results_) return false;
     out->ResetShape(width, batch_size_);
     size_t j = 0;
-    while (cursor_ < results_.size() && j < batch_size_) {
-      const Row& row = results_[cursor_++];
+    for (; cursor_ < num_results_ && j < batch_size_; ++cursor_, ++j) {
+      const TermId* row = results_.data() + cursor_ * width;
       for (size_t c = 0; c < width; ++c) out->Col(c)[j] = row[c];
-      ++j;
     }
     out->set_rows(j);
     return true;
   }
 
  private:
+  /// Where aggregate a's argument comes from.
+  struct Arg {
+    int slot = -1;       // column of a bare pattern variable
+    int numbers = -1;    // index into numbers_ when the column's numbers
+                         // are read
+    bool computed = false;  // evaluated by ExprEvaluator
+  };
+
+  struct DistinctKey {
+    uint32_t group;
+    uint32_t agg;
+    TermId id;
+    bool operator==(const DistinctKey& o) const {
+      return group == o.group && agg == o.agg && id == o.id;
+    }
+  };
+  struct DistinctKeyHash {
+    size_t operator()(const DistinctKey& k) const {
+      return static_cast<size_t>(Fnv1a64(&k, sizeof(k)));
+    }
+  };
+
+  /// Folds one bound argument of aggregate `a` into group `group`.
+  Status Fold(size_t a, uint32_t group, const AggArg& arg) {
+    const Expr& spec = *plan_->agg_specs[a];
+    if (spec.agg_distinct && !spec.count_star) {
+      SOFOS_ASSIGN_OR_RETURN(TermId id, folder_.CanonicalId(arg));
+      if (!distinct_.insert({group, static_cast<uint32_t>(a), id}).second) {
+        return Status::OK();
+      }
+    }
+    folder_.Accumulate(spec.agg, arg,
+                       &states_[group * plan_->agg_specs.size() + a]);
+    return Status::OK();
+  }
+
   Status Materialize() {
     const size_t num_group_vars = plan_->group_slots.size();
     const size_t num_aggs = plan_->agg_specs.size();
-    // Open-addressed-in-spirit grouping: a hash index over insertion-ordered
-    // group storage, much cheaper than a std::map of rows; the sorted
-    // output order is restored at the end.
-    std::unordered_map<Row, size_t, RowHash> index;
-    std::vector<std::pair<Row, std::vector<AggAccum>>> groups;
-
     RowBatch in;
-    Row key(num_group_vars);
+    std::vector<TermId> key(num_group_vars);
+    std::vector<TermId> ids;
     while (true) {
       SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
       if (!has) break;
-      for (size_t i = 0; i < in.ActiveCount(); ++i) {
-        uint32_t r = in.ActiveIndex(i);
+      const size_t n = in.ActiveCount();
+      for (size_t k = 0; k < number_slots_.size(); ++k) {
+        const TermId* col = in.Col(static_cast<size_t>(number_slots_[k]));
+        ids.resize(n);
+        for (size_t i = 0; i < n; ++i) ids[i] = col[in.ActiveIndex(i)];
+        numbers_[k].resize(n);
+        dict_->Numbers(ids.data(), n, numbers_[k].data());
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = in.ActiveIndex(i);
         ++stats_->intermediate_rows;
         for (size_t g = 0; g < num_group_vars; ++g) {
           key[g] = in.At(static_cast<size_t>(plan_->group_slots[g]), r);
         }
-        auto [it, inserted] = index.try_emplace(key, groups.size());
-        if (inserted) {
-          groups.emplace_back(key, std::vector<AggAccum>(num_aggs));
-        }
-        std::vector<AggAccum>& accums = groups[it->second].second;
+        bool added = false;
+        const uint32_t group = groups_.FindOrAdd(key.data(), &added);
+        if (added) states_.resize(states_.size() + num_aggs);
         bool gathered = false;
         for (size_t a = 0; a < num_aggs; ++a) {
-          const Expr& spec = *plan_->agg_specs[a];
-          const int slot = arg_slots_[a];
-          if (slot < 0) {
-            if (!spec.count_star && !gathered) {
+          const Arg& arg = args_[a];
+          if (arg.computed) {
+            if (!gathered) {
               in.GatherRow(r, &scratch_);
               gathered = true;
             }
-            SOFOS_RETURN_IF_ERROR(
-                AggAccumulate(spec, scratch_, eval_, dict_, &accums[a]));
+            // SPARQL: an argument that errors (or is unbound) skips the
+            // row for this aggregate, not the whole group.
+            auto value = eval_.Eval(*plan_->agg_specs[a]->agg_arg, scratch_);
+            if (!value.ok() || value.value().is_unbound()) continue;
+            SOFOS_RETURN_IF_ERROR(Fold(a, group, AggFolder::ArgOf(*value)));
             continue;
           }
-          const TermId id = in.At(static_cast<size_t>(slot), r);
-          if (id == kNullTermId) continue;  // unbound arguments are skipped
-          if (spec.agg == AggKind::kCount && !spec.agg_distinct) {
-            ++accums[a].count;
-            continue;
+          AggArg value;
+          if (arg.slot >= 0) {
+            value.id = in.At(static_cast<size_t>(arg.slot), r);
+            if (value.id == kNullTermId) continue;  // unbound: skipped
+            if (arg.numbers >= 0) value.number = numbers_[arg.numbers][i];
           }
-          SOFOS_RETURN_IF_ERROR(
-              AggAccumulateValue(spec, cache_.Get(id), dict_, &accums[a]));
+          SOFOS_RETURN_IF_ERROR(Fold(a, group, value));
         }
       }
     }
 
     // SPARQL: an aggregate query with no GROUP BY over an empty input still
     // produces one group (COUNT = 0, SUM = 0, others unbound).
-    if (groups.empty() && num_group_vars == 0) {
-      groups.emplace_back(Row{}, std::vector<AggAccum>(num_aggs));
+    if (groups_.size() == 0 && num_group_vars == 0) {
+      bool added = false;
+      groups_.FindOrAdd(key.data(), &added);
+      states_.resize(num_aggs);
     }
 
-    std::vector<size_t> order(groups.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&groups](size_t a, size_t b) {
-      return groups[a].first < groups[b].first;
+    std::vector<uint32_t> order(groups_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(
+          groups_.key(a), groups_.key(a) + num_group_vars, groups_.key(b),
+          groups_.key(b) + num_group_vars);
     });
 
-    results_.reserve(groups.size());
-    for (size_t g : order) {
-      Row out(num_group_vars + num_aggs, kNullTermId);
-      std::copy(groups[g].first.begin(), groups[g].first.end(), out.begin());
+    num_results_ = order.size();
+    results_.resize(order.size() * (num_group_vars + num_aggs));
+    TermId* cell = results_.data();
+    for (uint32_t g : order) {
+      cell = std::copy(groups_.key(g), groups_.key(g) + num_group_vars, cell);
       for (size_t a = 0; a < num_aggs; ++a) {
         SOFOS_ASSIGN_OR_RETURN(
-            TermId id, AggFinalize(*plan_->agg_specs[a], groups[g].second[a], dict_));
-        out[num_group_vars + a] = id;
+            *cell++, folder_.Finalize(plan_->agg_specs[a]->agg,
+                                      states_[g * num_aggs + a]));
       }
-      results_.push_back(std::move(out));
     }
     return Status::OK();
   }
@@ -781,16 +805,22 @@ class BatchAggregateOp : public BatchOperator {
   std::unique_ptr<BatchOperator> child_;
   const Plan* plan_;
   ExprEvaluator eval_;
-  TermValueCache cache_;
-  /// Per aggregate: the slot of a bare-variable argument that the pattern
-  /// binds, read from the batch; -1 for COUNT(*) and every other argument.
-  std::vector<int> arg_slots_;
   Dictionary* dict_;
+  AggFolder folder_;
   size_t batch_size_;
   ExecStats* stats_;
+  std::vector<Arg> args_;  // per aggregate
+  /// Columns whose numbers a batch reads, and their decodes for the
+  /// batch's active rows.
+  std::vector<int> number_slots_;
+  std::vector<std::vector<TermNumber>> numbers_;
+  GroupTable groups_;
+  std::vector<AggState> states_;  // num_aggs per group, in group order
+  std::unordered_set<DistinctKey, DistinctKeyHash> distinct_;
   Row scratch_;
   bool materialized_ = false;
-  std::vector<Row> results_;
+  std::vector<TermId> results_;  // row-major output rows
+  size_t num_results_ = 0;
   size_t cursor_ = 0;
 };
 
@@ -877,14 +907,17 @@ class BatchDistinctOp : public BatchOperator {
 };
 
 /// ORDER BY over batches: materializes rows plus evaluated keys, stable-sorts
-/// them by Value::TotalCompare, streams batches back out.
+/// them by Value::TotalCompare, streams batches back out as wide as its
+/// input. Keys are evaluated over the operator's input rows, laid out as
+/// `vars` (with aggregate results from `agg_base` on).
 class BatchOrderByOp : public BatchOperator {
  public:
   BatchOrderByOp(std::unique_ptr<BatchOperator> child, const Plan* plan,
-                 const Dictionary* dict, int agg_base, size_t batch_size)
+                 const Dictionary* dict, const VariableTable* vars,
+                 int agg_base, size_t batch_size)
       : child_(std::move(child)),
         plan_(plan),
-        eval_(dict, &plan->output_vars, agg_base),
+        eval_(dict, vars, agg_base),
         batch_size_(batch_size) {}
 
   Result<bool> Next(RowBatch* out) override {
@@ -893,12 +926,11 @@ class BatchOrderByOp : public BatchOperator {
       materialized_ = true;
     }
     if (cursor_ >= rows_.size()) return false;
-    const size_t width = plan_->outputs.size();
-    out->ResetShape(width, batch_size_);
+    out->ResetShape(width_, batch_size_);
     size_t j = 0;
     while (cursor_ < rows_.size() && j < batch_size_) {
       const Row& row = rows_[cursor_++].row;
-      for (size_t c = 0; c < width; ++c) out->Col(c)[j] = row[c];
+      for (size_t c = 0; c < width_; ++c) out->Col(c)[j] = row[c];
       ++j;
     }
     out->set_rows(j);
@@ -916,6 +948,7 @@ class BatchOrderByOp : public BatchOperator {
     while (true) {
       SOFOS_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
       if (!has) break;
+      width_ = in.width();
       for (size_t i = 0; i < in.ActiveCount(); ++i) {
         Keyed keyed;
         in.GatherRow(in.ActiveIndex(i), &keyed.row);
@@ -943,6 +976,7 @@ class BatchOrderByOp : public BatchOperator {
   std::unique_ptr<BatchOperator> child_;
   const Plan* plan_;
   ExprEvaluator eval_;
+  size_t width_ = 0;
   size_t batch_size_;
   bool materialized_ = false;
   std::vector<Keyed> rows_;
@@ -1065,12 +1099,14 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
     }
   }
 
-  // Tail: aggregation, HAVING, projection, DISTINCT, ORDER BY, slice.
+  // Tail: aggregation, HAVING, ORDER BY of an aggregate query (before
+  // projection, as SPARQL orders), projection, DISTINCT, ORDER BY of any
+  // other query (over the projected row), slice.
   int agg_base = -1;
   const VariableTable* project_input = &plan_->pattern_vars;
   if (plan_->is_aggregate) {
     op = timed(std::make_unique<BatchAggregateOp>(std::move(op), plan_, dict_,
-                                                  dict_, batch_size, stats),
+                                                  batch_size, stats),
                layout.aggregate);
     agg_base = static_cast<int>(plan_->group_slots.size());
     project_input = &plan_->group_vars;
@@ -1080,6 +1116,12 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
                                                  stats, agg_base),
                  layout.having);
     }
+    if (!plan_->order_keys.empty()) {
+      op = timed(std::make_unique<BatchOrderByOp>(std::move(op), plan_, dict_,
+                                                  &plan_->group_vars, agg_base,
+                                                  batch_size),
+                 layout.order_by);
+    }
   }
   op = timed(std::make_unique<BatchProjectOp>(std::move(op), plan_, dict_,
                                               dict_, project_input, agg_base),
@@ -1088,9 +1130,10 @@ Status Executor::RunBatch(RowBuffer* out, ExecStats* stats) {
     op = timed(std::make_unique<BatchDistinctOp>(std::move(op)),
                layout.distinct);
   }
-  if (!plan_->order_keys.empty()) {
+  if (!plan_->is_aggregate && !plan_->order_keys.empty()) {
     op = timed(std::make_unique<BatchOrderByOp>(std::move(op), plan_, dict_,
-                                                agg_base, batch_size),
+                                                &plan_->output_vars, -1,
+                                                batch_size),
                layout.order_by);
   }
   if (plan_->limit >= 0 || plan_->offset > 0) {

@@ -19,8 +19,9 @@ namespace sparql {
 /// Per-operator actuals, collected only when ExecOptions::analyze is set
 /// (EXPLAIN ANALYZE). One entry per physical operator in pipeline order:
 /// per plan step a scan/join slot plus an optional FILTER slot, then the
-/// tail (AGGREGATE / HAVING / PROJECT / DISTINCT / ORDER BY / SLICE) as
-/// applicable. The slot layout is derived from the Plan alone, so it is
+/// tail as applicable: AGGREGATE / HAVING / ORDER BY / PROJECT / DISTINCT /
+/// SLICE for an aggregate query, PROJECT / DISTINCT / ORDER BY / SLICE for
+/// any other. The slot layout is derived from the Plan alone, so it is
 /// identical across batch sizes and shard counts. `micros` is inclusive
 /// wall time, so self time (inclusive minus child inclusive) sums to
 /// ~exec_micros.
@@ -69,6 +70,10 @@ struct ExecOptions {
   /// lets engine-level phase spans own the executor subtree.
   uint64_t trace_parent = 0;
 };
+
+/// Initial slot count of the aggregate operator's group index: a constant,
+/// not a knob. The index doubles whenever it is half full.
+inline constexpr size_t kAggregateInitialSlots = 256;
 
 /// A fixed-capacity columnar batch of solution rows: one uint32 TermId
 /// vector per variable slot plus an optional selection vector. Operators

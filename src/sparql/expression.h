@@ -40,11 +40,13 @@ class ExprEvaluator {
   int agg_base_;
 };
 
-/// TermId -> Value decode cache for the batch engine's TermId-native
-/// expression paths (FilterKernel leaves, bare-variable aggregate
-/// arguments). Direct-mapped and bounded at kSlots entries, allocated on
-/// first use; a miss decodes through the dictionary exactly as
-/// ExprEvaluator does and overwrites the slot. Not thread-safe: each
+/// TermId -> Value decode cache for FilterKernel leaves, the one
+/// TermId-native path that still needs decoded values: its comparisons
+/// order strings, IRIs and booleans as well as numbers, which the
+/// dictionary's numeric column alone cannot. (Aggregation reads numbers
+/// from that column instead.) Direct-mapped and bounded at kSlots entries,
+/// allocated on first use; a miss decodes through the dictionary exactly
+/// as ExprEvaluator does and overwrites the slot. Not thread-safe: each
 /// operator instance owns one.
 class TermValueCache {
  public:

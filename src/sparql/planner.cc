@@ -33,6 +33,42 @@ void AssignAggSlots(Expr* expr, std::vector<const Expr*>* specs) {
   for (auto& arg : expr->args) AssignAggSlots(arg.get(), specs);
 }
 
+/// Replaces each variable of `*expr` that names a select alias, and no
+/// grouped variable, with a copy of the aliased expression (aggregate slots
+/// included), so a sort key evaluates over the aggregate's group rows.
+/// Aggregate arguments are left alone: their variables are pattern
+/// variables.
+void ResolveAliases(const Query& query, const VariableTable& group_vars,
+                    ExprPtr* expr) {
+  Expr& e = **expr;
+  if (e.kind == Expr::Kind::kVar) {
+    if (group_vars.Get(e.var).has_value()) return;
+    for (const SelectItem& item : query.select) {
+      const bool self = item.expr->kind == Expr::Kind::kVar &&
+                        item.expr->var == e.var;
+      if (item.alias == e.var && !self) {
+        *expr = item.expr->Clone();
+        return;
+      }
+    }
+    return;
+  }
+  if (e.lhs) ResolveAliases(query, group_vars, &e.lhs);
+  if (e.rhs) ResolveAliases(query, group_vars, &e.rhs);
+  if (e.operand) ResolveAliases(query, group_vars, &e.operand);
+  for (ExprPtr& arg : e.args) ResolveAliases(query, group_vars, &arg);
+}
+
+/// The ORDER BY line of Plan::ToString ("" without sort keys).
+std::string OrderByLine(const Plan& plan) {
+  if (plan.order_keys.empty()) return "";
+  std::string out = "ORDER BY";
+  for (const auto& [expr, asc] : plan.order_keys) {
+    out += std::string(asc ? " ASC(" : " DESC(") + expr->ToString() + ")";
+  }
+  return out + "\n";
+}
+
 }  // namespace
 
 Result<Plan> Planner::Build(Query* query, const TripleStore& store) {
@@ -259,9 +295,14 @@ Result<Plan> Planner::Build(Query* query, const TripleStore& store) {
         return Status::InvalidArgument("GROUP BY variable ?" + name +
                                        " does not occur in the WHERE clause");
       }
+      // A repeated GROUP BY variable still has its own column; the repeat
+      // gets a name no query can spell, so the table names every column.
+      plan.group_vars.GetOrAdd(
+          plan.group_vars.Get(name).has_value()
+              ? " key" + std::to_string(plan.group_slots.size())
+              : name);
       plan.group_slots.push_back(*slot);
       plan.group_names.push_back(name);
-      plan.group_vars.GetOrAdd(name);
     }
     for (size_t i = 0; i < plan.agg_specs.size(); ++i) {
       plan.group_vars.GetOrAdd("__agg" + std::to_string(i));
@@ -323,7 +364,14 @@ Result<Plan> Planner::Build(Query* query, const TripleStore& store) {
 
   plan.distinct = query->distinct;
   for (const auto& key : query->order_by) {
-    plan.order_keys.emplace_back(key.expr.get(), key.ascending);
+    const Expr* expr = key.expr.get();
+    if (plan.is_aggregate) {
+      ExprPtr resolved = expr->Clone();
+      ResolveAliases(*query, plan.group_vars, &resolved);
+      plan.owned_keys.push_back(std::move(resolved));
+      expr = plan.owned_keys.back().get();
+    }
+    plan.order_keys.emplace_back(expr, key.ascending);
   }
   plan.limit = query->limit;
   plan.offset = query->offset;
@@ -371,6 +419,7 @@ std::string Plan::ToString() const {
     }
     out += "]\n";
     for (const Expr* h : having) out += "HAVING " + h->ToString() + "\n";
+    out += OrderByLine(*this);
   }
   out += "PROJECT [";
   for (size_t i = 0; i < outputs.size(); ++i) {
@@ -379,13 +428,7 @@ std::string Plan::ToString() const {
   }
   out += "]\n";
   if (distinct) out += "DISTINCT\n";
-  if (!order_keys.empty()) {
-    out += "ORDER BY";
-    for (const auto& [expr, asc] : order_keys) {
-      out += std::string(asc ? " ASC(" : " DESC(") + expr->ToString() + ")";
-    }
-    out += "\n";
-  }
+  if (!is_aggregate) out += OrderByLine(*this);
   if (limit >= 0 || offset > 0) {
     out += StrFormat("SLICE limit=%lld offset=%lld\n",
                      static_cast<long long>(limit), static_cast<long long>(offset));

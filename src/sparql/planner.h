@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,11 @@ struct PatternStep {
 };
 
 /// Physical plan for the linear pipeline:
-///   scan → (index join)* → [aggregate → having] → project → distinct →
-///   order → slice.
+///   scan → (index join)* → [aggregate → having → order] → project →
+///   distinct → [order] → slice.
+/// An aggregate query orders its group rows before projection, as SPARQL
+/// does, so a sort key may name an aggregate or a select alias the
+/// projection drops; any other query orders its projected rows.
 struct Plan {
   VariableTable pattern_vars;
   std::vector<PatternStep> steps;
@@ -97,7 +101,11 @@ struct Plan {
   VariableTable output_vars;
 
   bool distinct = false;
-  std::vector<std::pair<const Expr*, bool>> order_keys;  // expr, ascending
+  /// (expr, ascending). In an aggregate query a key's select aliases are
+  /// replaced by the aliased expressions (copies owned by `owned_keys`),
+  /// so every key evaluates over the group row.
+  std::vector<std::pair<const Expr*, bool>> order_keys;
+  std::vector<std::shared_ptr<const Expr>> owned_keys;
   int64_t limit = -1;
   int64_t offset = 0;
 

@@ -59,21 +59,14 @@ Value Value::FromTerm(const Term& term) {
     case Term::Kind::kLiteral:
       break;
   }
+  const TermNumber number = DecodeNumber(term);
+  if (number.kind == TermNumber::Kind::kInteger) return Int(number.integer);
+  if (number.kind == TermNumber::Kind::kDouble) return MakeDouble(number.real);
   switch (term.datatype()) {
     case Term::Datatype::kString:
       return String(term.lexical());
     case Term::Datatype::kLangString:
       return String(term.lexical(), term.lang());
-    case Term::Datatype::kInteger: {
-      auto i = term.AsInt64();
-      if (i.ok()) return Int(i.value());
-      break;
-    }
-    case Term::Datatype::kDouble: {
-      auto d = term.AsDouble();
-      if (d.ok()) return MakeDouble(d.value());
-      break;
-    }
     case Term::Datatype::kBoolean: {
       auto b = term.AsBool();
       if (b.ok()) return Bool(b.value());

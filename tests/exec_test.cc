@@ -109,8 +109,9 @@ size_t ExpectHashJoinMatchesIndexJoin(TripleStore* store,
 }
 
 /// Queries covering every operator: scans, index joins, cross products,
-/// repeated variables, filters (early and late), aggregation with HAVING,
-/// DISTINCT, ORDER BY, OFFSET/LIMIT, expression projection, unbound vars.
+/// repeated variables, filters (early and late), aggregation with HAVING
+/// (also over a repeated GROUP BY variable), DISTINCT, ORDER BY,
+/// OFFSET/LIMIT, expression projection, unbound vars.
 const char* kFigure1Queries[] = {
     "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
     "SELECT ?c WHERE { ?c <http://example.org/language> \"French\" }",
@@ -143,6 +144,16 @@ const char* kFigure1Queries[] = {
     "?c <http://example.org/partOf> ?r . "
     "?c <http://example.org/population> ?p } "
     "GROUP BY ?r HAVING (COUNT(?c) >= 1) (SUM(?p) > 100000000)",
+    // GROUP BY repeating a variable: the group row has a column per entry,
+    // and ORDER BY, which runs on it before projection, passes all on.
+    "SELECT ?r (COUNT(?c) AS ?n) WHERE { ?c <http://example.org/partOf> ?r } "
+    "GROUP BY ?r ?r ORDER BY ?n ?r",
+    "SELECT ?r (COUNT(?c) AS ?n) WHERE { ?c <http://example.org/partOf> ?r } "
+    "GROUP BY ?r ?r ORDER BY DESC(COUNT(?c)) ?r",
+    "SELECT DISTINCT ?l (MIN(?r) AS ?m) WHERE { "
+    "?c <http://example.org/partOf> ?r . ?c <http://example.org/language> ?l "
+    "} GROUP BY ?r ?l ?r HAVING (COUNT(?c) >= 1) ORDER BY DESC(?m) ?l "
+    "LIMIT 3",
     // Aggregate over empty input: still one COUNT = 0 group.
     "SELECT (COUNT(?c) AS ?n) WHERE { ?c <http://example.org/language> "
     "\"Klingon\" }",

@@ -97,7 +97,10 @@ TEST(ParallelTest, NullPoolRunsInlineInOrder) {
 
 /// Hammers Dictionary::Intern from many tasks with heavily overlapping term
 /// sets while readers decode concurrently — the exact shape of parallel
-/// aggregate-literal interning during batched query execution.
+/// aggregate-literal interning during batched query execution. Besides
+/// that, every fourth task interns by value (InternInteger, InternDouble)
+/// and reads the numeric column (Numbers), while another quarter interns
+/// fresh terms, so the column and the value table grow under those readers.
 TEST(DictionaryTest, ConcurrentInternIsRaceFree) {
   Dictionary dict;
   // Pre-intern a base vocabulary, as the store does before execution.
@@ -107,6 +110,7 @@ TEST(DictionaryTest, ConcurrentInternIsRaceFree) {
   ThreadPool pool(8);
   constexpr int kTasks = 32;
   constexpr int kTermsPerTask = 200;
+  constexpr int64_t kFresh = 100000;  // above every base value
   std::vector<std::vector<TermId>> ids(kTasks);
   ParallelForEach(&pool, kTasks, [&](size_t t) {
     for (int i = 0; i < kTermsPerTask; ++i) {
@@ -118,20 +122,64 @@ TEST(DictionaryTest, ConcurrentInternIsRaceFree) {
       // Concurrent read-back while other tasks intern.
       EXPECT_EQ(dict.term(id), term);
       EXPECT_EQ(dict.Lookup(term).value_or(kNullTermId), id);
+      switch (t % 4) {
+        case 0: {  // by value, then the whole column so far
+          EXPECT_EQ(dict.InternInteger(value), id);
+          std::vector<TermNumber> numbers(ids[t].size());
+          dict.Numbers(ids[t].data(), ids[t].size(), numbers.data());
+          for (size_t k = 0; k < numbers.size(); ++k) {
+            EXPECT_EQ(numbers[k].kind, TermNumber::Kind::kInteger);
+            EXPECT_EQ(numbers[k].integer,
+                      (static_cast<int>(t) * 37 + static_cast<int>(k)) % 300);
+          }
+          break;
+        }
+        case 1: {  // doubles by value, overlapping across tasks
+          const double half = value + 0.5;
+          const TermId d = dict.InternDouble(half);
+          EXPECT_EQ(dict.term(d), Term::Double(half));
+          TermNumber number;
+          dict.Numbers(&d, 1, &number);
+          EXPECT_EQ(number.kind, TermNumber::Kind::kDouble);
+          EXPECT_EQ(number.real, half);
+          break;
+        }
+        case 2:  // fresh terms, numeric and not
+          dict.Intern(Term::String("fresh " + std::to_string(t) + " " +
+                                   std::to_string(i)));
+          dict.Intern(Term::Integer(kFresh + static_cast<int64_t>(t) *
+                                                 kTermsPerTask + i));
+          break;
+        default:
+          break;
+      }
     }
   });
   // Same term ⇒ same id across all tasks.
   std::set<TermId> distinct;
+  std::set<int> halves;
+  size_t fresh = 0;
   for (int t = 0; t < kTasks; ++t) {
     for (int i = 0; i < kTermsPerTask; ++i) {
       int value = (t * 37 + i) % 300;
       EXPECT_EQ(ids[t][i], dict.Lookup(Term::Integer(value)).value())
           << "task " << t << " item " << i;
       distinct.insert(ids[t][i]);
+      if (t % 4 == 1) halves.insert(value);
+      if (t % 4 == 2) {
+        const int64_t v = kFresh + static_cast<int64_t>(t) * kTermsPerTask + i;
+        EXPECT_EQ(dict.InternInteger(v), dict.Lookup(Term::Integer(v)).value());
+        fresh += 2;
+      }
     }
   }
+  for (int value : halves) {
+    EXPECT_EQ(dict.InternDouble(value + 0.5),
+              dict.Lookup(Term::Double(value + 0.5)).value());
+  }
   EXPECT_EQ(distinct.size(), 300u);
-  EXPECT_EQ(dict.size(), 300u);  // 0..49 pre-interned ⊂ 0..299
+  // 0..49 pre-interned ⊂ 0..299, plus the halves and the fresh terms.
+  EXPECT_EQ(dict.size(), 300u + halves.size() + fresh);
 }
 
 void ExpectSameViewStats(const core::LatticeProfile& a,

@@ -1,8 +1,15 @@
 #include "rdf/term.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "rdf/dictionary.h"
 #include "rdf/vocab.h"
+#include "sparql/value.h"
 #include "tests/test_util.h"
 
 namespace sofos {
@@ -184,6 +191,143 @@ TEST(DictionaryTest, ManyTermsStableIds) {
     EXPECT_EQ(dict.term(ids[static_cast<size_t>(i)]).AsInt64().value(), i);
   }
   EXPECT_GT(dict.MemoryBytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Numeric column and value-keyed intern.
+// ---------------------------------------------------------------------------
+
+/// Every term shape, the int64 extremes, -0, NaN, and a non-canonical
+/// "1.50"^^xsd:double next to the canonical 1.5.
+std::vector<Term> NumericInputs() {
+  std::vector<Term> terms = testing::EveryTermShape();
+  terms.push_back(Term::Integer(std::numeric_limits<int64_t>::min()));
+  terms.push_back(Term::Integer(std::numeric_limits<int64_t>::max()));
+  terms.push_back(Term::Double(-0.0));
+  terms.push_back(Term::Double(std::numeric_limits<double>::quiet_NaN()));
+  terms.push_back(Term::TypedLiteral("1.50", vocab::kXsdDouble).value());
+  terms.push_back(Term::Double(1.5));
+  return terms;
+}
+
+/// Numbers() decodes every id of `terms` exactly as Value::FromTerm does,
+/// and the null id and ids past the end as no number.
+void ExpectNumbersMatchValues(const Dictionary& dict,
+                              const std::vector<Term>& terms,
+                              const std::string& context) {
+  std::vector<TermId> ids;
+  for (const Term& t : terms) ids.push_back(dict.Lookup(t).value());
+  ids.push_back(kNullTermId);
+  ids.push_back(static_cast<TermId>(dict.size() + 1));
+  std::vector<TermNumber> numbers(ids.size());
+  dict.Numbers(ids.data(), ids.size(), numbers.data());
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const sparql::Value value = sparql::Value::FromTerm(terms[i]);
+    const TermNumber& n = numbers[i];
+    const std::string where = context + ": " + terms[i].ToNTriples();
+    switch (value.type()) {
+      case sparql::Value::Type::kInt:
+        ASSERT_EQ(n.kind, TermNumber::Kind::kInteger) << where;
+        EXPECT_EQ(n.integer, value.int_value()) << where;
+        break;
+      case sparql::Value::Type::kDouble:
+        ASSERT_EQ(n.kind, TermNumber::Kind::kDouble) << where;
+        if (std::isnan(value.double_value())) {
+          EXPECT_TRUE(std::isnan(n.real)) << where;
+        } else {
+          EXPECT_EQ(n.real, value.double_value()) << where;
+          EXPECT_EQ(std::signbit(n.real), std::signbit(value.double_value()))
+              << where;
+        }
+        break;
+      default:
+        EXPECT_EQ(n.kind, TermNumber::Kind::kNone) << where;
+    }
+  }
+  EXPECT_EQ(numbers[terms.size()].kind, TermNumber::Kind::kNone) << context;
+  EXPECT_EQ(numbers[terms.size() + 1].kind, TermNumber::Kind::kNone)
+      << context;
+}
+
+/// InternInteger/InternDouble return what Intern(Term::Integer/Double)
+/// returns, for values the dictionary holds and for values it lacks (which
+/// they add, once). `phase` picks absent values no earlier phase added.
+void ExpectValueInternMatchesIntern(Dictionary* dict, int phase,
+                                    const std::string& context) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<int64_t> integers = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(),
+                                   -100, 0, 42, 99,
+                                   1000000 + phase, -1000000 - phase};
+  std::vector<double> doubles = {-0.0, 0.0, nan, -nan, 1.5, -20.0, 24.25,
+                                 0.1 * (phase + 1), 1e300 * (phase + 1),
+                                 std::numeric_limits<double>::infinity()};
+  for (int64_t v : integers) {
+    const Term term = Term::Integer(v);
+    const bool present = dict->Lookup(term).has_value();
+    const size_t before = dict->size();
+    const TermId id = dict->InternInteger(v);
+    EXPECT_EQ(dict->size(), before + (present ? 0 : 1)) << context << " " << v;
+    EXPECT_EQ(id, dict->Intern(term)) << context << " " << v;
+    EXPECT_EQ(dict->term(id), term) << context << " " << v;
+  }
+  for (double v : doubles) {
+    const Term term = Term::Double(v);
+    const bool present = dict->Lookup(term).has_value();
+    const size_t before = dict->size();
+    const TermId id = dict->InternDouble(v);
+    EXPECT_EQ(dict->size(), before + (present ? 0 : 1))
+        << context << " " << term.lexical();
+    EXPECT_EQ(id, dict->Intern(term)) << context << " " << term.lexical();
+    EXPECT_EQ(dict->term(id), term) << context << " " << term.lexical();
+  }
+}
+
+TEST(DictionaryTest, NumbersAndValueInternMatchTermsInEveryMode) {
+  const std::vector<Term> inputs = NumericInputs();
+  int phase = 0;
+  auto check = [&](Dictionary* dict, const std::string& context) {
+    ExpectNumbersMatchValues(*dict, inputs, context);
+    ExpectValueInternMatchesIntern(dict, phase++, context);
+    ExpectNumbersMatchValues(*dict, inputs, context + " after interning");
+  };
+
+  Dictionary plain;
+  for (const Term& t : inputs) plain.Intern(t);
+  check(&plain, "plain");
+  plain.SetFrontCoding(true);
+  check(&plain, "plain -> front-coded");
+  plain.SetFrontCoding(false);
+  check(&plain, "front-coded -> plain");
+
+  Dictionary coded;
+  coded.SetFrontCoding(true);
+  for (const Term& t : inputs) coded.Intern(t);
+  check(&coded, "front-coded");
+  coded.SetFrontCoding(false);
+  check(&coded, "front-coded -> plain");
+  coded.SetFrontCoding(true);
+  check(&coded, "plain -> front-coded");
+
+  Dictionary moved(std::move(coded));
+  check(&moved, "moved");
+}
+
+TEST(DictionaryTest, NonCanonicalDoubleIsNotTheCanonicalOne) {
+  // "1.50" decodes to 1.5 but is not Term::Double(1.5): the value-keyed
+  // intern must add "1.5" beside it rather than return it.
+  Dictionary dict;
+  const TermId written =
+      dict.Intern(Term::TypedLiteral("1.50", vocab::kXsdDouble).value());
+  TermNumber number;
+  dict.Numbers(&written, 1, &number);
+  EXPECT_EQ(number.kind, TermNumber::Kind::kDouble);
+  EXPECT_EQ(number.real, 1.5);
+  const TermId canonical = dict.InternDouble(1.5);
+  EXPECT_NE(canonical, written);
+  EXPECT_EQ(dict.term(canonical), Term::Double(1.5));
+  EXPECT_EQ(dict.InternDouble(1.5), canonical);
+  EXPECT_EQ(dict.size(), 2u);
 }
 
 }  // namespace

@@ -17,8 +17,13 @@
 ///     DISTINCT, are computed on `Value`s. HAVING and projected expressions
 ///     run through `ExprEvaluator` over the group row
 ///     [group vars..., aggregate results...] with `agg_base`.
-///   - DISTINCT, ORDER BY (`Value::TotalCompare`), OFFSET/LIMIT, `SELECT *`
-///     and unknown projected variables (unbound).
+///   - ORDER BY (`Value::TotalCompare`) in SPARQL's place: an aggregate
+///     query orders its group rows before projecting them, with the keys
+///     evaluated over the group row extended by every select alias (the
+///     algebra's Extend); any other query orders its projected rows, as the
+///     engine's pipeline does.
+///   - DISTINCT, OFFSET/LIMIT, `SELECT *` and unknown projected variables
+///     (unbound).
 ///
 /// The aggregate results are interned into the store's dictionary, because
 /// HAVING and the projection read them by id. A test that compares the
@@ -53,10 +58,11 @@ inline std::string RenderRow(const sparql::QueryResult& result, size_t r) {
   return out;
 }
 
-/// ORDER BY keys of every row of `result`. Keys are evaluated over the
-/// projected row, as the engine's pipeline does (project → distinct →
-/// order by): a key is an expression over the output columns, and any
-/// other variable reads as unbound. An evaluation error sorts as unbound.
+/// ORDER BY keys of every row of `result` for a query without
+/// aggregation. Keys are evaluated over the projected row, as the engine's
+/// pipeline does (project → distinct → order by): a key is an expression
+/// over the output columns, and any other variable reads as unbound. An
+/// evaluation error sorts as unbound.
 inline std::vector<std::vector<sparql::Value>> OrderKeys(
     const sparql::Query& query, const sparql::QueryResult& result) {
   Dictionary dict;
@@ -79,9 +85,34 @@ inline std::vector<std::vector<sparql::Value>> OrderKeys(
   return keys;
 }
 
+/// How often the reference met each aggregate case, so a property test can
+/// assert that the cases it claims to cover occurred.
+struct AggregateCoverage {
+  int distinct_column = 0;    // DISTINCT skipped a repeat of a variable
+  int distinct_computed = 0;  // DISTINCT skipped a repeat of an expression
+  /// MIN/MAX groups whose values span two or more of IRI, string, integer
+  /// and double, and the union of the kinds those groups saw.
+  int minmax_mixed = 0;
+  unsigned minmax_kinds = 0;
+  int sum_mixed = 0;        // SUM/AVG groups that added an integer and a double
+  int sum_non_numeric = 0;  // SUM/AVG groups that counted a non-number
+  int empty_ungrouped = 0;  // aggregation without GROUP BY over no solutions
+
+  /// Bits of minmax_kinds.
+  static constexpr unsigned kIri = 1, kString = 2, kInteger = 4, kDouble = 8;
+};
+
 class ReferenceEvaluator {
  public:
-  explicit ReferenceEvaluator(TripleStore* store) : store_(store) {}
+  explicit ReferenceEvaluator(TripleStore* store,
+                              AggregateCoverage* coverage = nullptr)
+      : store_(store), coverage_(coverage) {}
+
+  /// The ORDER BY keys of the rows the last Evaluate() returned, row by row
+  /// (empty without ORDER BY).
+  const std::vector<std::vector<sparql::Value>>& sort_keys() const {
+    return keys_;
+  }
 
   Result<sparql::QueryResult> Evaluate(std::string_view text) {
     SOFOS_ASSIGN_OR_RETURN(sparql::Query query, sparql::Parser::Parse(text));
@@ -106,19 +137,24 @@ class ReferenceEvaluator {
     }
 
     sparql::QueryResult out;
+    keys_.clear();
     if (query->IsAggregateQuery()) {
       if (query->select_all) {
         return Status::InvalidArgument("SELECT * with aggregation");
       }
       SOFOS_RETURN_IF_ERROR(Aggregate(query, vars, kept, &out));
+      if (query->distinct) Distinct(&out);
     } else {
       SetColumns(*query, vars, &out);
       for (const sparql::Row& row : kept) {
         AppendRow(*query, vars, eval, row, &out);
       }
+      if (query->distinct) Distinct(&out);
+      if (!query->order_by.empty()) {
+        keys_ = OrderKeys(*query, out);
+        Select(SortedOrder(*query), &out);
+      }
     }
-    if (query->distinct) Distinct(&out);
-    if (!query->order_by.empty()) OrderBy(*query, &out);
     Slice(query->offset, query->limit, &out);
     return out;
   }
@@ -137,6 +173,8 @@ class ReferenceEvaluator {
     bool has_best = false;
     sparql::Value best;
     std::set<std::string> seen;  // DISTINCT: the terms counted so far
+    unsigned kinds = 0;          // AggregateCoverage kind bits of the values
+    bool non_numeric = false;    // a non-number was counted
   };
 
   /// FILTER and HAVING: a row passes when every constraint is true; an
@@ -274,8 +312,8 @@ class ReferenceEvaluator {
     }
   }
 
-  static void Accumulate(const sparql::Expr& spec, const sparql::Row& row,
-                         const sparql::ExprEvaluator& eval, Accum* acc) {
+  void Accumulate(const sparql::Expr& spec, const sparql::Row& row,
+                  const sparql::ExprEvaluator& eval, Accum* acc) const {
     if (spec.count_star) {
       ++acc->count;
       return;
@@ -286,8 +324,30 @@ class ReferenceEvaluator {
     const sparql::Value& v = value.value();
     if (spec.agg_distinct &&
         !acc->seen.insert(v.ToTerm().value().ToNTriples()).second) {
+      if (coverage_ != nullptr) {
+        ++(spec.agg_arg->kind == sparql::Expr::Kind::kVar
+               ? coverage_->distinct_column
+               : coverage_->distinct_computed);
+      }
       return;
     }
+    switch (v.type()) {
+      case sparql::Value::Type::kIri:
+        acc->kinds |= AggregateCoverage::kIri;
+        break;
+      case sparql::Value::Type::kString:
+        acc->kinds |= AggregateCoverage::kString;
+        break;
+      case sparql::Value::Type::kInt:
+        acc->kinds |= AggregateCoverage::kInteger;
+        break;
+      case sparql::Value::Type::kDouble:
+        acc->kinds |= AggregateCoverage::kDouble;
+        break;
+      default:
+        break;
+    }
+    acc->non_numeric |= !v.is_numeric();
     // Every counted value is in AVG's denominator; a non-numeric one adds
     // nothing to SUM/AVG's sum. This is the engine's rule.
     ++acc->count;
@@ -330,9 +390,32 @@ class ReferenceEvaluator {
     return sparql::Value::Unbound();
   }
 
+  /// Counts the coverage cases a finished group shows.
+  void Cover(const sparql::Expr& spec, const Accum& acc) const {
+    if (coverage_ == nullptr || spec.count_star) return;
+    const unsigned numbers =
+        AggregateCoverage::kInteger | AggregateCoverage::kDouble;
+    switch (spec.agg) {
+      case sparql::AggKind::kSum:
+      case sparql::AggKind::kAvg:
+        if ((acc.kinds & numbers) == numbers) ++coverage_->sum_mixed;
+        if (acc.non_numeric) ++coverage_->sum_non_numeric;
+        break;
+      case sparql::AggKind::kMin:
+      case sparql::AggKind::kMax:
+        if (__builtin_popcount(acc.kinds) >= 2) {
+          ++coverage_->minmax_mixed;
+          coverage_->minmax_kinds |= acc.kinds;
+        }
+        break;
+      case sparql::AggKind::kCount:
+        break;
+    }
+  }
+
   Status Aggregate(sparql::Query* query, const sparql::VariableTable& vars,
                    const std::vector<sparql::Row>& solutions,
-                   sparql::QueryResult* out) const {
+                   sparql::QueryResult* out) {
     std::vector<const sparql::Expr*> specs;
     for (auto& item : query->select) AssignAggSlots(item.expr.get(), &specs);
     for (auto& h : query->having) AssignAggSlots(h.get(), &specs);
@@ -363,40 +446,109 @@ class ReferenceEvaluator {
     // No GROUP BY over empty input: one group of empty aggregates.
     if (groups.empty() && key_slots.empty()) {
       groups[sparql::Row{}].resize(specs.size());
+      if (coverage_ != nullptr) ++coverage_->empty_ungrouped;
     }
 
     const int agg_base = static_cast<int>(key_slots.size());
-    const sparql::ExprEvaluator eval(&store_->dictionary(), &group_vars,
-                                     agg_base);
-    SetColumns(*query, group_vars, out);
+    Dictionary* dict = store_->mutable_dictionary();
+    const sparql::ExprEvaluator eval(dict, &group_vars, agg_base);
+    std::vector<sparql::Row> rows;
     for (const auto& [key, accums] : groups) {
       sparql::Row row = key;
       for (size_t a = 0; a < specs.size(); ++a) {
+        Cover(*specs[a], accums[a]);
         const sparql::Value value = Finalize(*specs[a], accums[a]);
         row.push_back(value.is_unbound() ? kNullTermId
-                                         : store_->mutable_dictionary()->Intern(
-                                               value.ToTerm().value()));
+                                         : dict->Intern(value.ToTerm().value()));
       }
-      if (PassesAll(query->having, eval, row)) {
-        AppendRow(*query, group_vars, eval, row, out);
-      }
+      if (PassesAll(query->having, eval, row)) rows.push_back(std::move(row));
     }
+
+    std::vector<size_t> order = Iota(rows.size());
+    if (!query->order_by.empty()) {
+      // Extend each group row by the select aliases, then evaluate the keys
+      // over it. A repeated GROUP BY variable's second column and the
+      // aggregate columns get names no query can spell.
+      sparql::VariableTable extended;
+      for (size_t k = 0; k < query->group_by.size(); ++k) {
+        const std::string& name = query->group_by[k];
+        extended.GetOrAdd(extended.Get(name).has_value()
+                              ? " key" + std::to_string(k)
+                              : name);
+      }
+      for (size_t a = 0; a < specs.size(); ++a) {
+        extended.GetOrAdd(" agg" + std::to_string(a));
+      }
+      std::vector<const sparql::Expr*> aliased;
+      for (const sparql::SelectItem& item : query->select) {
+        if (extended.Get(item.alias).has_value()) continue;
+        extended.GetOrAdd(item.alias);
+        aliased.push_back(item.expr.get());
+      }
+      const sparql::ExprEvaluator key_eval(dict, &extended, agg_base);
+      for (const sparql::Row& row : rows) {
+        sparql::Row wide = row;
+        for (const sparql::Expr* expr : aliased) {
+          auto value = eval.Eval(*expr, row);
+          Result<Term> term = Status::TypeError("unbound");
+          if (value.ok() && !value->is_unbound()) term = value->ToTerm();
+          wide.push_back(term.ok() ? dict->Intern(*term) : kNullTermId);
+        }
+        std::vector<sparql::Value> row_keys;
+        for (const sparql::OrderKey& key : query->order_by) {
+          auto v = key_eval.Eval(*key.expr, wide);
+          row_keys.push_back(v.ok() ? v.value() : sparql::Value::Unbound());
+        }
+        keys_.push_back(std::move(row_keys));
+      }
+      order = SortedOrder(*query);
+    }
+
+    SetColumns(*query, group_vars, out);
+    std::vector<std::vector<sparql::Value>> keys;
+    for (size_t r : order) {
+      AppendRow(*query, group_vars, eval, rows[r], out);
+      if (!keys_.empty()) keys.push_back(std::move(keys_[r]));
+    }
+    keys_ = std::move(keys);
     return Status::OK();
   }
 
-  /// Keeps the rows at `order`, in that order.
-  static void Select(const std::vector<size_t>& order,
-                     sparql::QueryResult* out) {
+  static std::vector<size_t> Iota(size_t n) {
+    std::vector<size_t> out(n);
+    std::iota(out.begin(), out.end(), size_t{0});
+    return out;
+  }
+
+  /// Row order by keys_: a stable sort, so tied rows keep their order.
+  std::vector<size_t> SortedOrder(const sparql::Query& query) const {
+    std::vector<size_t> order = Iota(keys_.size());
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (size_t k = 0; k < query.order_by.size(); ++k) {
+        const int c = keys_[a][k].TotalCompare(keys_[b][k]);
+        if (c != 0) return query.order_by[k].ascending ? c < 0 : c > 0;
+      }
+      return false;
+    });
+    return order;
+  }
+
+  /// Keeps the rows at `order`, in that order, with their sort keys.
+  void Select(const std::vector<size_t>& order, sparql::QueryResult* out) {
     sparql::QueryResult kept;
     kept.var_names = out->var_names;
+    std::vector<std::vector<sparql::Value>> keys;
     for (size_t r : order) {
       kept.rows.push_back(std::move(out->rows[r]));
       kept.bound.push_back(std::move(out->bound[r]));
+      if (!keys_.empty()) keys.push_back(std::move(keys_[r]));
     }
     *out = std::move(kept);
+    keys_ = std::move(keys);
   }
 
-  static void Distinct(sparql::QueryResult* out) {
+  /// Keeps the first of each set of equal rows.
+  void Distinct(sparql::QueryResult* out) {
     std::set<std::string> seen;
     std::vector<size_t> order;
     for (size_t r = 0; r < out->rows.size(); ++r) {
@@ -405,21 +557,7 @@ class ReferenceEvaluator {
     Select(order, out);
   }
 
-  static void OrderBy(const sparql::Query& query, sparql::QueryResult* out) {
-    const std::vector<std::vector<sparql::Value>> keys = OrderKeys(query, *out);
-    std::vector<size_t> order(out->rows.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < query.order_by.size(); ++k) {
-        const int c = keys[a][k].TotalCompare(keys[b][k]);
-        if (c != 0) return query.order_by[k].ascending ? c < 0 : c > 0;
-      }
-      return false;
-    });
-    Select(order, out);
-  }
-
-  static void Slice(int64_t offset, int64_t limit, sparql::QueryResult* out) {
+  void Slice(int64_t offset, int64_t limit, sparql::QueryResult* out) {
     std::vector<size_t> order;
     for (size_t r = static_cast<size_t>(offset); r < out->rows.size(); ++r) {
       if (limit >= 0 && order.size() >= static_cast<size_t>(limit)) break;
@@ -429,6 +567,8 @@ class ReferenceEvaluator {
   }
 
   TripleStore* store_;
+  AggregateCoverage* coverage_;
+  std::vector<std::vector<sparql::Value>> keys_;  // ORDER BY keys per row
 };
 
 namespace reference_internal {
@@ -482,11 +622,21 @@ inline std::vector<size_t> Iota(size_t n) {
   return out;
 }
 
-/// Row order for multiset comparison: tolerant cells by numeric value,
-/// every other cell by its N-Triples form.
+/// Whether two rows' sort keys tie.
+inline bool SameKeys(const std::vector<sparql::Value>& a,
+                     const std::vector<sparql::Value>& b) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!SameKey(a[k], b[k])) return false;
+  }
+  return true;
+}
+
+/// Rows `order` (every row by default) in the order of a multiset
+/// comparison: tolerant cells by numeric value, every other cell by its
+/// N-Triples form.
 inline std::vector<size_t> CanonicalOrder(const sparql::QueryResult& result,
-                                          const std::vector<bool>& tolerant) {
-  std::vector<size_t> order = Iota(result.rows.size());
+                                          const std::vector<bool>& tolerant,
+                                          std::vector<size_t> order) {
   auto less = [&](size_t a, size_t b) {
     for (size_t c = 0; c < tolerant.size(); ++c) {
       if (result.bound[a][c] != result.bound[b][c]) return !result.bound[a][c];
@@ -506,6 +656,11 @@ inline std::vector<size_t> CanonicalOrder(const sparql::QueryResult& result,
   };
   std::sort(order.begin(), order.end(), less);
   return order;
+}
+
+inline std::vector<size_t> CanonicalOrder(const sparql::QueryResult& result,
+                                          const std::vector<bool>& tolerant) {
+  return CanonicalOrder(result, tolerant, Iota(result.rows.size()));
 }
 
 inline void ExpectSameRows(const sparql::QueryResult& actual,
@@ -534,9 +689,11 @@ inline void ExpectSameRows(const sparql::QueryResult& actual,
 /// the planner's join order, equal as a set; columns are matched by name).
 /// Row multisets must always be equal. Row sequences must be equal where
 /// the engine promises an order:
-///   - ORDER BY: the sequence of sort keys; rows whose keys tie may come in
-///     any order. With OFFSET/LIMIT the keys must order every projected
-///     column, or tied rows at the cut could legitimately differ;
+///   - ORDER BY: rows whose keys tie (by the reference's keys, which for an
+///     aggregate query may read aggregates the projection drops) may come
+///     in any order, so each run of tied rows must hold the same multiset
+///     of rows on both sides. With OFFSET/LIMIT the keys must order every
+///     projected column, or tied rows at the cut could legitimately differ;
 ///   - aggregation without ORDER BY: the whole row sequence, since groups
 ///     come out in ascending group-key TermId order, which view encodings
 ///     and core::ViewRows rely on. This needs the reference store's
@@ -587,19 +744,21 @@ inline void ExpectMatchesReference(const sparql::QueryResult& actual,
     tolerant[c] = HasSumOrAvg(query->select[c].expr.get());
   }
   if (!query->order_by.empty()) {
-    const auto actual_keys = OrderKeys(*query, engine);
-    const auto expected_keys = OrderKeys(*query, *expected);
-    ASSERT_EQ(actual_keys.size(), expected_keys.size()) << context;
-    for (size_t r = 0; r < actual_keys.size(); ++r) {
-      for (size_t k = 0; k < actual_keys[r].size(); ++k) {
-        ASSERT_TRUE(SameKey(actual_keys[r][k], expected_keys[r][k]))
-            << context << "\nsort key " << k << " of row " << r << ": engine "
-            << actual_keys[r][k].ToString() << " reference "
-            << expected_keys[r][k].ToString();
+    ASSERT_EQ(engine.NumRows(), expected->NumRows()) << context;
+    const std::vector<std::vector<sparql::Value>> keys = reference.sort_keys();
+    ASSERT_EQ(keys.size(), expected->NumRows()) << context;
+    for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
+      std::vector<size_t> run;
+      for (end = begin; end < keys.size() &&
+                        (end == begin || SameKeys(keys[end - 1], keys[end]));
+           ++end) {
+        run.push_back(end);
       }
+      ExpectSameRows(engine, CanonicalOrder(engine, tolerant, run), *expected,
+                     CanonicalOrder(*expected, tolerant, run), tolerant,
+                     context + "\nrows tied on their sort keys from row " +
+                         std::to_string(begin));
     }
-    ExpectSameRows(engine, CanonicalOrder(engine, tolerant), *expected,
-                   CanonicalOrder(*expected, tolerant), tolerant, context);
   } else if (query->IsAggregateQuery()) {
     ExpectSameRows(engine, Iota(engine.NumRows()), *expected,
                    Iota(expected->NumRows()), tolerant, context);

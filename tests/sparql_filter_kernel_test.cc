@@ -16,6 +16,7 @@
 #include "sparql/binding.h"
 #include "sparql/expression.h"
 #include "sparql/parser.h"
+#include "tests/test_util.h"
 
 namespace sofos {
 namespace sparql {
@@ -31,25 +32,7 @@ class FilterKernelTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // More terms than TermValueCache slots, so cache slots get evicted.
-    std::vector<Term> terms;
-    for (int i = 0; i < 40; ++i) {
-      terms.push_back(Term::Iri("http://ex/r" + std::to_string(i)));
-    }
-    for (int i = 0; i < 20; ++i) terms.push_back(Term::Blank("b" + std::to_string(i)));
-    for (int i = -100; i < 100; ++i) terms.push_back(Term::Integer(i));
-    for (int i = 0; i < 60; ++i) terms.push_back(Term::Double(i * 0.75 - 20.0));
-    terms.push_back(Term::Boolean(true));
-    terms.push_back(Term::Boolean(false));
-    for (const char* s : {"", "a", "abc", "b", "zz", "10"}) {
-      terms.push_back(Term::String(s));
-      terms.push_back(Term::LangString(s, "en"));
-      terms.push_back(Term::LangString(s, "fr"));
-    }
-    auto opaque = Term::TypedLiteral("x1", "http://ex/dt");
-    ASSERT_TRUE(opaque.ok());
-    terms.push_back(*opaque);
-    terms.push_back(
-        Term::FromRaw(Term::Kind::kLiteral, Term::Datatype::kInteger, "12abc", ""));
+    const std::vector<Term> terms = testing::EveryTermShape();
     for (const Term& t : terms) ids_.push_back(dict_.Intern(t));
     // A few IRIs recur often in rows and constants, so IRI equality hits.
     hot_ids_.assign(ids_.begin(), ids_.begin() + 8);

@@ -11,6 +11,8 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "rdf/vocab.h"
+#include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/planner.h"
 #include "sparql/query_engine.h"
@@ -34,11 +36,13 @@ constexpr GraphShape kLarge{1500, 150, true};
 
 /// Predicates are skewed (p/0 is eight times as frequent as p/3), so
 /// patterns differ in size and a large pattern can precede a smaller one in
-/// a join order. Objects mix IRIs, integers and doubles; the doubles are
-/// dyadic, so every sum of them is exact in any order.
+/// a join order. Objects mix IRIs, integers, doubles and a few strings. The
+/// doubles are dyadic, so every sum of them is exact in any order; one of
+/// them is the non-canonical "1.50", beside the canonical "1.5".
 TripleStore RandomGraph(Rng* rng, const GraphShape& shape) {
   static const int kPredicateWeights[] = {8, 4, 2, 1};
-  static const char* const kDoubles[] = {"0.5", "1.25", "2.75"};
+  static const char* const kDoubles[] = {"0.5", "1.25", "2.75", "1.5", "1.50"};
+  static const char* const kStrings[] = {"a", "b", "ab"};
   TripleStore store;
   for (int i = 0; i < shape.triples; ++i) {
     Term s = Term::Iri("http://n/" + std::to_string(rng->Uniform(shape.nodes)));
@@ -47,12 +51,16 @@ TripleStore RandomGraph(Rng* rng, const GraphShape& shape) {
     while (draw >= kPredicateWeights[p]) draw -= kPredicateWeights[p++];
     Term o;
     const double kind = rng->UniformDouble();
-    if (kind < 0.6) {
+    if (kind < 0.55) {
       o = Term::Iri("http://n/" + std::to_string(rng->Uniform(shape.nodes)));
-    } else if (kind < 0.9) {
+    } else if (kind < 0.82) {
       o = Term::Integer(rng->UniformInt(0, 5));
+    } else if (kind < 0.94) {
+      // TypedLiteral keeps the lexical form as written.
+      o = Term::TypedLiteral(kDoubles[rng->Uniform(5)], vocab::kXsdDouble)
+              .value();
     } else {
-      o = Term::Double(std::stod(kDoubles[rng->Uniform(3)]));
+      o = Term::String(kStrings[rng->Uniform(3)]);
     }
     store.Add(s, Term::Iri("http://p/" + std::to_string(p)), o);
   }
@@ -63,10 +71,12 @@ TripleStore RandomGraph(Rng* rng, const GraphShape& shape) {
 /// A random query over the graph's vocabulary: 1-3 triple patterns over
 /// ?a ?b ?c and constants, an optional FILTER, then either a plain
 /// projection (variables, `*`, an unknown variable, a computed expression;
-/// optionally DISTINCT) or an aggregation (GROUP BY, COUNT(*) and
-/// COUNT/SUM/AVG/MIN/MAX with or without DISTINCT, a computed expression
-/// over aggregates, HAVING with one or two constraints), then optional
-/// ORDER BY and OFFSET/LIMIT.
+/// optionally DISTINCT) or an aggregation (GROUP BY, possibly repeating a
+/// variable, COUNT(*) and
+/// COUNT/SUM/AVG/MIN/MAX with or without DISTINCT over a variable or an
+/// expression, a computed expression over aggregates, HAVING with one or
+/// two constraints), then optional ORDER BY (in an aggregation, possibly
+/// by an aggregate the projection drops) and OFFSET/LIMIT.
 ///
 /// On large graphs every predicate is a constant and every pattern after
 /// the first shares a variable with an earlier one, so no query is a large
@@ -128,11 +138,24 @@ std::string RandomQuery(Rng* rng, const GraphShape& shape) {
     }
   }
 
+  static const char* const kAggs[] = {"COUNT", "SUM", "AVG", "MIN", "MAX"};
+  static const char* const kComputed[] = {"(%s + 1)", "STR(%s)", "ABS(%s)",
+                                          "(%s * 2)"};
+  // An aggregate argument: mostly a variable, which the engine reads from
+  // its column, sometimes an expression, which goes through ExprEvaluator.
+  auto argument = [&] {
+    if (!rng->Chance(0.25)) return var();
+    const std::string form = kComputed[rng->Uniform(4)];
+    const size_t at = form.find("%s");
+    return form.substr(0, at) + var() + form.substr(at + 2);
+  };
+
   std::vector<std::string> items;    // select clause entries
   std::vector<std::string> columns;  // their output names
   std::string tail;
+  bool aggregated = false;
   if (rng->Chance(0.55)) {
-    static const char* const kAggs[] = {"COUNT", "SUM", "AVG", "MIN", "MAX"};
+    aggregated = true;
     std::vector<std::string> group = used;
     rng->Shuffle(&group);
     group.resize(std::min<size_t>(group.size(), rng->Uniform(3)));
@@ -143,7 +166,7 @@ std::string RandomQuery(Rng* rng, const GraphShape& shape) {
     auto aggregate = [&] {
       if (rng->Chance(0.15)) return std::string("COUNT(*)");
       return std::string(kAggs[rng->Uniform(5)]) + "(" +
-             (rng->Chance(0.3) ? "DISTINCT " : "") + var() + ")";
+             (rng->Chance(0.3) ? "DISTINCT " : "") + argument() + ")";
     };
     const int aggs = 1 + static_cast<int>(rng->Uniform(3));
     for (int i = 0; i < aggs; ++i) {
@@ -159,6 +182,9 @@ std::string RandomQuery(Rng* rng, const GraphShape& shape) {
     if (!group.empty()) {
       tail += " GROUP BY";
       for (const std::string& g : group) tail += " " + g;
+      // SPARQL lets GROUP BY repeat a variable; the group row then has a
+      // column per entry.
+      if (rng->Chance(0.15)) tail += " " + group.front();
     }
     if (rng->Chance(0.4)) {
       static const char* const kOps[] = {">", ">=", "<", "!="};
@@ -196,6 +222,12 @@ std::string RandomQuery(Rng* rng, const GraphShape& shape) {
     std::vector<std::string> keys = columns;
     rng->Shuffle(&keys);
     if (!slice) keys.resize(1 + rng->Uniform(keys.size()));
+    if (aggregated && rng->Chance(0.4)) {
+      // An aggregate the projection drops.
+      keys.insert(keys.begin() + static_cast<long>(rng->Uniform(keys.size() + 1)),
+                  "(" + std::string(kAggs[rng->Uniform(5)]) + "(" + argument() +
+                      "))");
+    }
     tail += " ORDER BY";
     for (const std::string& key : keys) {
       tail += rng->Chance(0.5) ? " " + key : " DESC(" + key + ")";
@@ -217,10 +249,12 @@ std::string RandomQuery(Rng* rng, const GraphShape& shape) {
 /// it claims to cover occurred.
 struct ShapeCounts {
   int group_by = 0;
+  int group_by_repeated = 0;  // a GROUP BY naming a variable twice
   int having = 0;
   std::array<int, 5> agg_kinds{};  // indexed by AggKind
   int distinct_agg = 0;
   int order_by = 0;
+  int order_by_aggregate = 0;  // an ORDER BY key holding an aggregate
   int limit = 0;
   int offset = 0;
   int hash_probe = 0;
@@ -244,8 +278,19 @@ void CountShape(const std::string& text, const TripleStore& store,
   auto query = Parser::Parse(text);
   ASSERT_TRUE(query.ok()) << text;
   if (!query->group_by.empty()) ++counts->group_by;
+  std::vector<std::string> grouped = query->group_by;
+  std::sort(grouped.begin(), grouped.end());
+  if (std::adjacent_find(grouped.begin(), grouped.end()) != grouped.end()) {
+    ++counts->group_by_repeated;
+  }
   if (!query->having.empty()) ++counts->having;
   if (!query->order_by.empty()) ++counts->order_by;
+  for (const OrderKey& key : query->order_by) {
+    if (key.expr->ContainsAggregate()) {
+      ++counts->order_by_aggregate;
+      break;
+    }
+  }
   if (query->limit >= 0) ++counts->limit;
   if (query->offset > 0) ++counts->offset;
   for (const SelectItem& item : query->select) {
@@ -276,6 +321,7 @@ TEST(ReferenceAgreementTest, RandomQueriesMatchReference) {
                         {707, kLarge, 80}, {808, kLarge, 80},
                         {909, kLarge, 80}};
   ShapeCounts counts;
+  testing::AggregateCoverage coverage;
   for (const Seed& seed : seeds) {
     Rng rng(seed.seed);
     TripleStore store = RandomGraph(&rng, seed.shape);
@@ -290,9 +336,14 @@ TEST(ReferenceAgreementTest, RandomQueriesMatchReference) {
                                << context;
       testing::ExpectMatchesReference(*actual, query, &store, context);
       CountShape(query, store, &counts);
+      // Coverage is counted on a second evaluation, so the comparison
+      // above stays the helper's own.
+      testing::ReferenceEvaluator observer(&store, &coverage);
+      ASSERT_TRUE(observer.Evaluate(query).ok()) << context;
     }
   }
   EXPECT_GT(counts.group_by, 0);
+  EXPECT_GT(counts.group_by_repeated, 0);
   EXPECT_GT(counts.having, 0);
   for (size_t kind = 0; kind < counts.agg_kinds.size(); ++kind) {
     EXPECT_GT(counts.agg_kinds[kind], 0)
@@ -300,16 +351,65 @@ TEST(ReferenceAgreementTest, RandomQueriesMatchReference) {
   }
   EXPECT_GT(counts.distinct_agg, 0);
   EXPECT_GT(counts.order_by, 0);
+  EXPECT_GT(counts.order_by_aggregate, 0);
+  // Every aggregate path fired, not just every query shape.
+  EXPECT_GT(coverage.distinct_column, 0);
+  EXPECT_GT(coverage.distinct_computed, 0);
+  EXPECT_GT(coverage.minmax_mixed, 0);
+  EXPECT_EQ(coverage.minmax_kinds,
+            testing::AggregateCoverage::kIri |
+                testing::AggregateCoverage::kString |
+                testing::AggregateCoverage::kInteger |
+                testing::AggregateCoverage::kDouble);
+  EXPECT_GT(coverage.sum_mixed, 0);
+  EXPECT_GT(coverage.sum_non_numeric, 0);
+  EXPECT_GT(coverage.empty_ungrouped, 0);
   EXPECT_GT(counts.limit, 0);
   EXPECT_GT(counts.offset, 0);
   EXPECT_GT(counts.hash_probe, 0);
   std::printf(
-      "shapes: group_by=%d having=%d count=%d sum=%d avg=%d min=%d max=%d "
-      "distinct_agg=%d order_by=%d limit=%d offset=%d hash_probe=%d\n",
-      counts.group_by, counts.having, counts.agg_kinds[0], counts.agg_kinds[1],
-      counts.agg_kinds[2], counts.agg_kinds[3], counts.agg_kinds[4],
-      counts.distinct_agg, counts.order_by, counts.limit, counts.offset,
-      counts.hash_probe);
+      "shapes: group_by=%d group_by_repeated=%d having=%d count=%d sum=%d "
+      "avg=%d min=%d max=%d distinct_agg=%d order_by=%d order_by_aggregate=%d "
+      "limit=%d offset=%d hash_probe=%d\n",
+      counts.group_by, counts.group_by_repeated, counts.having,
+      counts.agg_kinds[0], counts.agg_kinds[1], counts.agg_kinds[2],
+      counts.agg_kinds[3], counts.agg_kinds[4],
+      counts.distinct_agg, counts.order_by, counts.order_by_aggregate,
+      counts.limit, counts.offset, counts.hash_probe);
+  std::printf(
+      "aggregate paths: distinct_column=%d distinct_computed=%d "
+      "minmax_mixed=%d sum_mixed=%d sum_non_numeric=%d empty_ungrouped=%d\n",
+      coverage.distinct_column, coverage.distinct_computed,
+      coverage.minmax_mixed, coverage.sum_mixed, coverage.sum_non_numeric,
+      coverage.empty_ungrouped);
+}
+
+TEST(ReferenceAgreementTest, GroupTableGrowsPastItsInitialCapacity) {
+  // More groups than four times the aggregate's initial index size, so the
+  // group index grows at least three times while rows keep arriving. Two
+  // key columns, every aggregate kind, DISTINCT and a computed argument.
+  const int kGroups = 4 * static_cast<int>(kAggregateInitialSlots) + 37;
+  TripleStore store;
+  for (int i = 0; i < kGroups; ++i) {
+    const Term s = Term::Iri("http://g/" + std::to_string(i));
+    store.Add(s, Term::Iri("http://g/kind"),
+              Term::Iri("http://g/k" + std::to_string(i % 3)));
+    for (int j = 0; j < 1 + i % 4; ++j) {
+      store.Add(s, Term::Iri("http://g/v"), Term::Integer((i * 7 + j) % 50));
+    }
+    store.Add(s, Term::Iri("http://g/w"), Term::Double(0.25 * (i % 9)));
+  }
+  store.Finalize();
+  const std::string query =
+      "SELECT ?s ?k (COUNT(?v) AS ?n) (SUM(?v) AS ?sum) (AVG(?w) AS ?avg) "
+      "(MIN(?v) AS ?lo) (MAX(STR(?v)) AS ?hi) (COUNT(DISTINCT ?v) AS ?d) "
+      "WHERE { ?s <http://g/kind> ?k . ?s <http://g/v> ?v . "
+      "?s <http://g/w> ?w } GROUP BY ?s ?k";
+  QueryEngine engine(&store);
+  auto actual = engine.Execute(query);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  ASSERT_GE(actual->NumRows(), 4 * kAggregateInitialSlots);
+  testing::ExpectMatchesReference(*actual, query, &store, "large group by");
 }
 
 TEST(ReferenceAgreementTest, DoubleSumsInAnotherOrderMatchWithinTolerance) {

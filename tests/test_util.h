@@ -34,6 +34,31 @@ namespace testing {
 #define SOFOS_TEST_CONCAT_(a, b) SOFOS_TEST_CONCAT_IMPL_(a, b)
 #define SOFOS_TEST_CONCAT_IMPL_(a, b) a##b
 
+/// One term of every shape the engine tells apart, 342 in all (more than a
+/// TermValueCache holds): IRIs (the first 8 of them lead the list), blank
+/// nodes, integers, doubles, booleans, plain and language-tagged strings,
+/// a literal of an unknown datatype and a malformed xsd:integer.
+inline std::vector<Term> EveryTermShape() {
+  std::vector<Term> terms;
+  for (int i = 0; i < 40; ++i) {
+    terms.push_back(Term::Iri("http://ex/r" + std::to_string(i)));
+  }
+  for (int i = 0; i < 20; ++i) terms.push_back(Term::Blank("b" + std::to_string(i)));
+  for (int i = -100; i < 100; ++i) terms.push_back(Term::Integer(i));
+  for (int i = 0; i < 60; ++i) terms.push_back(Term::Double(i * 0.75 - 20.0));
+  terms.push_back(Term::Boolean(true));
+  terms.push_back(Term::Boolean(false));
+  for (const char* s : {"", "a", "abc", "b", "zz", "10"}) {
+    terms.push_back(Term::String(s));
+    terms.push_back(Term::LangString(s, "en"));
+    terms.push_back(Term::LangString(s, "fr"));
+  }
+  terms.push_back(Term::TypedLiteral("x1", "http://ex/dt").value());
+  terms.push_back(
+      Term::FromRaw(Term::Kind::kLiteral, Term::Datatype::kInteger, "12abc", ""));
+  return terms;
+}
+
 /// Builds the paper's Figure 1 knowledge graph: countries with names,
 /// populations (per year), languages, and continent membership.
 inline void BuildFigure1Graph(TripleStore* store) {
